@@ -281,6 +281,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return 1
+    except influence.ConvergenceError as exc:
+        # A fit or solve missed its tolerance: exit 1, as `train` does.
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (OSError, RuntimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import gzip
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable
 
 import numpy as np
 import scipy.sparse as sp
@@ -17,6 +17,11 @@ import scipy.sparse as sp
 
 class DataError(ValueError):
     """Malformed input data or an invalid dataset operation."""
+
+
+def _fmt(x: float) -> str:
+    """Shortest text that reads back as the same float; every CSV writer uses it."""
+    return repr(float(x))
 
 
 def round_half_up(x: float) -> int:
@@ -101,11 +106,6 @@ class SplitSpec:
             raise DataError("va_fraction + te_fraction must leave room for training rows")
 
 
-def _iter_lines(source: Iterable[str] | IO[str]) -> Iterator[str]:
-    for line in source:
-        yield line
-
-
 def parse_libsvm(source: Iterable[str] | IO[str], n_features: int | None = None) -> SparseDataset:
     """Parse svmlight/libsvm text into a SparseDataset.
 
@@ -122,7 +122,7 @@ def parse_libsvm(source: Iterable[str] | IO[str], n_features: int | None = None)
     values: list[float] = []
     max_index = -1
 
-    for line_no, raw in enumerate(_iter_lines(source), start=1):
+    for line_no, raw in enumerate(source, start=1):
         line = raw.strip()
         if not line:
             continue

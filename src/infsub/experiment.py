@@ -16,12 +16,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import influence, model, risk, sampling
-from .data import (SparseDataset, SplitSpec, flip_labels, load_libsvm, split,
-                   with_feature_dim)
-from .influence import PcgConfig
+from .data import (SparseDataset, SplitSpec, _fmt, flip_labels, load_libsvm,
+                   split, with_feature_dim)
+from .influence import ConvergenceError, PcgConfig
 from .model import ModelParams
 
-_LIST_FIELDS = {"methods", "ratios", "sigmoid_alphas", "deltas"}
+_LIST_FIELDS = {"methods", "ratios", "sigmoid_alphas"}
 
 
 class ConfigError(ValueError):
@@ -64,7 +64,6 @@ class ExperimentConfig:
 
     flip_fraction: float | None = None
     compute_gamma: bool = False
-    deltas: list[float] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.dataset_path is None and (self.tr_path is None or self.va_path is None):
@@ -112,7 +111,7 @@ def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
         "methods": str, "ratios": float, "repeats": int, "seed": int,
         "sigmoid_alphas": float, "linear_alpha": float, "optlr_floor": float,
         "pcg_alpha": float, "pcg_tol": float, "pcg_max_iter": int,
-        "flip_fraction": float, "compute_gamma": bool, "deltas": float,
+        "flip_fraction": float, "compute_gamma": bool,
     }
     kwargs = {}
     for key, raw in mapping.items():
@@ -293,8 +292,10 @@ def run_pipeline(cfg: ExperimentConfig) -> ExperimentReport:
     """Run the full experiment grid defined by ``cfg``.
 
     Influence scores are computed once against the validation split and
-    shared by every cell. A failure inside one cell is recorded on that
-    cell's result and does not abort the grid. With flip_fraction set,
+    shared by every cell. A full-set fit that misses its tolerance raises
+    ConvergenceError, since influence is only meaningful at an optimum. A
+    failure inside one cell, a non-converged cell fit included, is recorded
+    on that cell's result and does not abort the grid. With flip_fraction set,
     training labels are corrupted (seeded) before the full fit, while
     validation and test stay clean; test accuracy is then also reported.
     """
@@ -304,6 +305,7 @@ def run_pipeline(cfg: ExperimentConfig) -> ExperimentReport:
         tr = flip_labels(tr, cfg.flip_fraction, derive_seed(cfg.seed, "flip", cfg.flip_fraction))
 
     full = model.train(tr, cfg.reg_c, tol=cfg.train_tol, max_iter=cfg.train_max_iter)
+    _require_converged(full, "full-set fit")
     has_te = te.n_rows > 0
     full_va = model.mean_logloss(full, va)
     full_te = model.mean_logloss(full, te) if has_te else float("nan")
@@ -343,6 +345,12 @@ def run_pipeline(cfg: ExperimentConfig) -> ExperimentReport:
     )
 
 
+def _require_converged(fit: ModelParams, what: str) -> None:
+    if not fit.converged:
+        raise ConvergenceError(f"{what} stopped at gradient norm {fit.grad_norm:.3e} "
+                               f"after {fit.n_iter} Newton steps")
+
+
 def _run_cell(cfg: ExperimentConfig, tr: SparseDataset, va: SparseDataset,
               te: SparseDataset, full: ModelParams, phi: np.ndarray | None,
               psi: np.ndarray | None, label: str, base: str, alpha: float,
@@ -357,6 +365,7 @@ def _run_cell(cfg: ExperimentConfig, tr: SparseDataset, va: SparseDataset,
         weights = plan.selected.size / (tr.n_rows * probs[plan.selected])
     fitted = model.train(subset, cfg.reg_c, tol=cfg.train_tol,
                          max_iter=cfg.train_max_iter, sample_weight=weights)
+    _require_converged(fitted, "cell fit")
     has_te = te.n_rows > 0
     return CellResult(
         method=label, ratio=ratio, repeat=repeat, seed=seed,
@@ -373,10 +382,6 @@ def run_noise_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     if not cfg.flip_fraction:
         raise ConfigError("noise experiment needs flip_fraction > 0")
     return run_pipeline(cfg)
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def emit_report(report: ExperimentReport, path: str) -> None:

@@ -15,16 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
-from .data import SparseDataset
-from .model import ModelParams
-
-# Plain-CG fallback kicks in after this many iterations without a new best
-# preconditioned residual.
-STALL_LIMIT = 10
+from .data import SparseDataset, _fmt
+from .model import ModelParams, PcgInfo
 
 
 class ConvergenceError(RuntimeError):
-    """A conjugate-gradient solve missed its residual tolerance."""
+    """A fit or a conjugate-gradient solve missed its tolerance."""
 
 
 @dataclass(frozen=True)
@@ -46,16 +42,6 @@ class PcgConfig:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
-
-
-@dataclass(frozen=True)
-class PcgInfo:
-    """Outcome of one solve: iterations, final residual norm, flags."""
-
-    iters: int
-    residual: float
-    converged: bool
-    restarted: bool = False
 
 
 @dataclass(frozen=True)
@@ -85,82 +71,24 @@ class InfluenceReport:
             object.__setattr__(self, "psi_norms", ns)
 
 
-def inverse_hvp_pcg(params: ModelParams, tr: SparseDataset, v: np.ndarray,
+def inverse_hvp_pcg(H: model.Curvature, v: np.ndarray,
                     cfg: PcgConfig = PcgConfig()) -> tuple[np.ndarray, PcgInfo]:
-    """Solve H t = v by preconditioned conjugate gradient.
+    """Solve H t = v by ``model.pcg`` with the diagonal/identity blend of ``cfg``.
 
-    Terminates when ||H t - v|| <= tol ||v||. If the preconditioned residual
-    makes no progress for STALL_LIMIT iterations the preconditioner is
-    dropped and the solve restarts as plain CG from the current iterate. On
-    hitting max_iter the best iterate seen is returned with converged False;
-    callers decide whether that is fatal.
+    Terminates when ||H t - v|| <= tol ||v||; a stalled preconditioner is
+    dropped for plain CG, and a solve that hits max_iter returns its best
+    iterate with converged False (see ``model.pcg``).
     """
-    if not params.reg_c > 0.0:
+    if not H.reg_c > 0.0:
         raise ValueError("inverse HVP needs reg_c > 0 for a positive definite Hessian")
-    if tr.n_rows == 0:
-        raise ValueError("empty training set")
     v = np.asarray(v, dtype=np.float64)
-    if v.shape != (params.dim,):
-        raise ValueError(f"vector shape {v.shape} does not match dimension {params.dim}")
+    if v.shape != (H.dim,):
+        raise ValueError(f"vector shape {v.shape} does not match dimension {H.dim}")
     if not np.all(np.isfinite(v)):
         raise ValueError("right-hand side must be finite")
-
-    vnorm = float(np.linalg.norm(v))
-    if vnorm == 0.0:
-        return np.zeros_like(v), PcgInfo(0, 0.0, True)
-
     alpha = cfg.alpha_precond
-    mdiag: np.ndarray | None = None
-    if alpha > 0.0:
-        mdiag = alpha * model.hessian_diag(params, tr) + (1.0 - alpha)
-
-    t = np.zeros_like(v)
-    r = v.copy()
-    z = r / mdiag if mdiag is not None else r.copy()
-    p = z.copy()
-    rz = float(r @ z)
-    best_pre = rz
-    best_res = vnorm
-    t_best = t.copy()
-    stall = 0
-    restarted = False
-
-    for k in range(1, cfg.max_iter + 1):
-        q = model.hvp(params, tr, p)
-        pq = float(p @ q)
-        if pq <= 0.0:
-            break
-        a = rz / pq
-        t = t + a * p
-        r = r - a * q
-        res = float(np.linalg.norm(r))
-        if res < best_res:
-            best_res = res
-            t_best = t
-        if res <= cfg.tol * vnorm:
-            return t, PcgInfo(k, res, True, restarted)
-
-        z = r / mdiag if mdiag is not None else r
-        rz_new = float(r @ z)
-        if rz_new < best_pre:
-            best_pre = rz_new
-            stall = 0
-        else:
-            stall += 1
-        if mdiag is not None and stall >= STALL_LIMIT:
-            # Preconditioned residual is stuck; fall back to plain CG.
-            mdiag = None
-            restarted = True
-            stall = 0
-            z = r.copy()
-            rz = float(r @ z)
-            p = z.copy()
-            best_pre = rz
-            continue
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-
-    return t_best, PcgInfo(cfg.max_iter, best_res, False, restarted)
+    mdiag = alpha * H.diag + (1.0 - alpha) if alpha > 0.0 else None
+    return model.pcg(H, v, cfg.tol, cfg.max_iter, mdiag)
 
 
 def _validation_gradient(params: ModelParams, va: SparseDataset) -> np.ndarray:
@@ -180,7 +108,7 @@ def compute_phi(params: ModelParams, tr: SparseDataset, va: SparseDataset,
     if va.n_rows == 0:
         raise ValueError("empty validation set")
     g_va = _validation_gradient(params, va)
-    s, info = inverse_hvp_pcg(params, tr, g_va, cfg)
+    s, info = inverse_hvp_pcg(model.curvature(params, tr), g_va, cfg)
     if not info.converged:
         raise ConvergenceError(
             f"inverse HVP stopped at residual {info.residual:.3e} after {info.iters} iterations")
@@ -197,8 +125,7 @@ def compute_psi_norms(params: ModelParams, tr: SparseDataset,
     Runs one conjugate-gradient solve per row, so cost scales linearly with
     the training set; rows with a zero gradient short-circuit to zero.
     """
-    if tr.n_rows == 0:
-        raise ValueError("empty training set")
+    H = model.curvature(params, tr)
     p = model._sigma(params, tr)
     base = params.reg_c * params.theta
     norms = np.empty(tr.n_rows)
@@ -209,16 +136,12 @@ def compute_psi_norms(params: ModelParams, tr: SparseDataset,
         if not np.any(rhs):
             norms[i] = 0.0
             continue
-        sol, info = inverse_hvp_pcg(params, tr, rhs, cfg)
+        sol, info = inverse_hvp_pcg(H, rhs, cfg)
         if not info.converged:
             raise ConvergenceError(
                 f"sample {i}: inverse HVP stopped at residual {info.residual:.3e}")
         norms[i] = float(np.linalg.norm(sol))
     return norms
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def write_influence_csv(report: InfluenceReport, path: str) -> None:

@@ -4,13 +4,15 @@ The regularizer is folded into every per-sample loss: l_i(theta) equals the
 log loss of sample i plus (C/2)||theta||^2, so the objective is their mean
 and the per-sample gradients sum to zero at the optimum. C is the
 coefficient of the (1/2)||theta||^2 term added to the mean log loss.
-Curvature is only ever applied as Hessian-vector products; the Hessian is
-never materialized.
+Curvature is a ``Curvature`` operator, applied only as Hessian-vector
+products and inverted only by the one conjugate-gradient solver ``pcg``; the
+Hessian is never materialized.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -19,6 +21,9 @@ from scipy.special import expit
 from .data import SparseDataset
 
 PROB_CLIP = 1e-12
+# PCG drops its preconditioner after this many iterations without a new best
+# preconditioned residual.
+STALL_LIMIT = 10
 
 
 class ModelError(ValueError):
@@ -136,94 +141,150 @@ def gradient(params: ModelParams, ds: SparseDataset, sample_weight: np.ndarray |
     return (ds.X.T @ resid) / ds.n_rows + params.reg_c * wbar * params.theta
 
 
-def per_sample_gradients(params: ModelParams, ds: SparseDataset) -> np.ndarray:
-    """Dense (n, d) array of regularized per-sample gradients.
+@dataclass(frozen=True)
+class Curvature:
+    """The regularized Hessian at fixed (params, dataset, weights), as an operator.
 
-    Row i is (p_i - y_i) x_i + C theta. Materializes n*d floats, so this is
-    for modest datasets; the solvers never need it.
+    H = (1/n) X^T diag(s) X + c_wbar I, with s = w p(1-p) and c_wbar = C wbar
+    fixed when the operator is built by ``curvature``. ``diag``, the exact
+    diagonal, is computed on first use and kept. Negative entries of ``s``
+    make H indefinite, which only hand-built instances do.
     """
+
+    X: sp.csr_array
+    s: np.ndarray
+    reg_c: float
+    c_wbar: float
+
+    @property
+    def dim(self) -> int:
+        return self.X.shape[1]
+
+    @cached_property
+    def diag(self) -> np.ndarray:
+        return hessian_diag(self)
+
+
+def curvature(params: ModelParams, ds: SparseDataset,
+              sample_weight: np.ndarray | None = None) -> Curvature:
+    """Build the Hessian operator of ``risk`` at ``params``; the sigmoid runs once here."""
     if ds.n_rows == 0:
         raise ModelError("empty dataset")
-    resid = _sigma(params, ds) - ds.y
-    G = ds.X.multiply(resid[:, None]).toarray()
-    return G + params.reg_c * params.theta
+    X = _feature_matrix(ds, params.dim)
+    p = _sigma(params, ds)
+    s = p * (1.0 - p)
+    w = _weights(ds, sample_weight)
+    if w is None:
+        wbar = 1.0
+    else:
+        s = w * s
+        wbar = float(np.mean(w))
+    return Curvature(X, s, params.reg_c, params.reg_c * wbar)
 
 
-def hvp(params: ModelParams, ds: SparseDataset, v: np.ndarray,
-        sample_weight: np.ndarray | None = None) -> np.ndarray:
-    """Hessian-vector product (1/n) X^T (w s (X v)) + C wbar v with s = p(1-p).
+def hvp(H: Curvature, v: np.ndarray) -> np.ndarray:
+    """Hessian-vector product (1/n) X^T (s (X v)) + C wbar v.
 
     One forward and one transposed sparse matvec; the Hessian itself is never
-    formed. With C > 0 the operator is positive definite.
+    formed. With C > 0 and nonnegative weights, not all zero, the operator
+    is positive definite.
     """
     v = np.asarray(v, dtype=np.float64)
-    if v.shape != (params.dim,):
-        raise ModelError(f"vector shape {v.shape} does not match model dimension {params.dim}")
-    if ds.n_rows == 0:
-        raise ModelError("empty dataset")
-    X = _feature_matrix(ds, params.dim)
-    p = _sigma(params, ds)
-    s = p * (1.0 - p)
-    w = _weights(ds, sample_weight)
-    if w is None:
-        wbar = 1.0
-    else:
-        s = w * s
-        wbar = float(np.mean(w))
-    return (X.T @ (s * (X @ v))) / ds.n_rows + params.reg_c * wbar * v
+    if v.shape != (H.dim,):
+        raise ModelError(f"vector shape {v.shape} does not match model dimension {H.dim}")
+    return (H.X.T @ (H.s * (H.X @ v))) / H.X.shape[0] + H.c_wbar * v
 
 
-def hessian_diag(params: ModelParams, ds: SparseDataset,
-                 sample_weight: np.ndarray | None = None) -> np.ndarray:
-    """Exact diagonal of the regularized Hessian: (1/n) sum_i s_i x_ik^2 + C.
+def hessian_diag(H: Curvature) -> np.ndarray:
+    """Exact diagonal of the regularized Hessian: (1/n) sum_i s_i x_ik^2 + C wbar.
 
     Entries for columns with no data reduce to the regularization constant.
+    Prefer ``H.diag``, which computes this once per operator.
     """
-    if ds.n_rows == 0:
-        raise ModelError("empty dataset")
-    X = _feature_matrix(ds, params.dim)
-    p = _sigma(params, ds)
-    s = p * (1.0 - p)
-    w = _weights(ds, sample_weight)
-    if w is None:
-        wbar = 1.0
-    else:
-        s = w * s
-        wbar = float(np.mean(w))
-    sq = X.multiply(X)
-    return np.asarray(sq.T @ s) / ds.n_rows + params.reg_c * wbar
+    sq = H.X.multiply(H.X)
+    return np.asarray(sq.T @ H.s) / H.X.shape[0] + H.c_wbar
 
 
-def _cg(matvec, b: np.ndarray, rel_tol: float, max_iter: int) -> np.ndarray:
-    """Plain conjugate gradient on a positive definite operator."""
-    x = np.zeros_like(b)
-    r = b.copy()
-    p = r.copy()
-    rr = float(r @ r)
+@dataclass(frozen=True)
+class PcgInfo:
+    """Outcome of one solve: iterations, final residual norm, flags."""
+
+    iters: int
+    residual: float
+    converged: bool
+    restarted: bool = False
+
+
+def pcg(H: Curvature, b: np.ndarray, tol: float, max_iter: int,
+        mdiag: np.ndarray | None = None) -> tuple[np.ndarray, PcgInfo]:
+    """Solve H x = b by conjugate gradient, preconditioned by 1/mdiag if given.
+
+    Terminates when ||H x - b|| <= tol ||b||. If the preconditioned residual
+    makes no progress for STALL_LIMIT iterations the preconditioner is
+    dropped and the solve restarts as plain CG from the current iterate. On
+    hitting max_iter, or on a direction with p.Hp <= 0 (H not positive
+    definite), the best iterate seen is returned with converged False and
+    the iterations actually done; callers decide whether that is fatal.
+    Every product goes through ``hvp``.
+    """
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
-        return x
-    for _ in range(max_iter):
-        if np.sqrt(rr) <= rel_tol * bnorm:
-            break
-        q = matvec(p)
+        return np.zeros_like(b), PcgInfo(0, 0.0, True)
+
+    x = np.zeros_like(b)
+    r = b.copy()
+    z = r / mdiag if mdiag is not None else r.copy()
+    p = z.copy()
+    rz = float(r @ z)
+    best_pre = rz
+    best_res = bnorm
+    x_best = x
+    stall = 0
+    restarted = False
+
+    for k in range(1, max_iter + 1):
+        q = hvp(H, p)
         pq = float(p @ q)
         if pq <= 0.0:
-            break
-        a = rr / pq
-        x += a * p
-        r -= a * q
-        rr_new = float(r @ r)
-        p = r + (rr_new / rr) * p
-        rr = rr_new
-    return x
+            return x_best, PcgInfo(k - 1, best_res, False, restarted)
+        a = rz / pq
+        x = x + a * p
+        r = r - a * q
+        res = float(np.linalg.norm(r))
+        if res < best_res:
+            best_res = res
+            x_best = x
+        if res <= tol * bnorm:
+            return x, PcgInfo(k, res, True, restarted)
+
+        z = r / mdiag if mdiag is not None else r
+        rz_new = float(r @ z)
+        if rz_new < best_pre:
+            best_pre = rz_new
+            stall = 0
+        else:
+            stall += 1
+        if mdiag is not None and stall >= STALL_LIMIT:
+            # Preconditioned residual is stuck; fall back to plain CG.
+            mdiag = None
+            restarted = True
+            stall = 0
+            z = r.copy()
+            rz = float(r @ z)
+            p = z.copy()
+            best_pre = rz
+            continue
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+
+    return x_best, PcgInfo(max_iter, best_res, False, restarted)
 
 
 def train(ds: SparseDataset, reg_c: float, tol: float = 1e-8, max_iter: int = 100,
           sample_weight: np.ndarray | None = None) -> ModelParams:
     """Fit by damped Newton from a zero start.
 
-    Newton steps come from inner conjugate-gradient solves with forcing
+    Newton steps come from unpreconditioned ``pcg`` solves with forcing
     tolerance min(0.5, sqrt(||g||)); step sizes are backtracked under the
     Armijo condition (c1 = 1e-4, halving). Runs to gradient norm <= tol or
     max_iter steps; a non-converged fit is returned flagged, not raised.
@@ -252,8 +313,7 @@ def train(ds: SparseDataset, reg_c: float, tol: float = 1e-8, max_iter: int = 10
         gnorm = float(np.linalg.norm(g))
         if gnorm <= tol:
             return ModelParams(theta, reg_c, gnorm, n_iter - 1, True)
-        step = _cg(lambda u: hvp(params, ds, u, w), -g,
-                   rel_tol=min(0.5, np.sqrt(gnorm)), max_iter=inner_cap)
+        step, _ = pcg(curvature(params, ds, w), -g, min(0.5, np.sqrt(gnorm)), inner_cap)
         f0 = risk(params, ds, w)
         slope = float(g @ step)
         t = 1.0

@@ -13,6 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .data import _fmt
 from .model import ModelParams
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
@@ -157,10 +158,6 @@ def evaluate_robustness(te_losses: np.ndarray, delta: float, full: ModelParams,
         gamma=gamma_shift(full, subset),
         cov_phi_eps=cov_phi_eps(phi, probs),
     )
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def write_worst_case_curve_csv(rows: Sequence[tuple[float, float, float]], path: str) -> None:

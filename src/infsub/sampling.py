@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
-from .data import SparseDataset, round_half_up
+from .data import SparseDataset, _fmt, round_half_up
 from .model import ModelParams
 
 METHODS = ("dropout", "linear", "sigmoid", "optlr", "random")
@@ -51,6 +51,10 @@ def linear_probs(phi: np.ndarray, alpha: float | None = None) -> np.ndarray:
         if scale == 0.0:
             raise SamplingError("all-zero influence; pass an explicit alpha")
         alpha = 1.0 / scale
+        if np.isinf(alpha):
+            # 1/scale overflows for the smallest subnormal scales, and inf * 0
+            # would be NaN; dividing gives the same clamp without it.
+            return np.clip(-phi / scale, 0.0, 1.0)
     if not alpha > 0.0:
         raise SamplingError(f"alpha must be positive, got {alpha}")
     return np.clip(-alpha * phi, 0.0, 1.0)
@@ -215,10 +219,6 @@ def subset_risk_weighted(params: ModelParams, ds: SparseDataset,
         raise SamplingError("selected rows must have positive probability")
     losses = model.per_sample_loss(params, ds, regularized=True)[selected]
     return float(np.sum(losses / pi) / ds.n_rows)
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def write_plan_csv(plan: SamplingPlan, path: str) -> None:

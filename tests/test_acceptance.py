@@ -163,16 +163,16 @@ def test_06_numerical_kernels_against_finite_differences():
         grad_err = abs(model.gradient(at(theta), ds) @ u - fd_grad) / max(abs(fd_grad), 1e-12)
         fd_hvp = (model.gradient(at(theta + h * v), ds)
                   - model.gradient(at(theta - h * v), ds)) / (2.0 * h)
-        hvp = model.hvp(at(theta), ds, v)
+        hvp = model.hvp(model.curvature(at(theta), ds), v)
         hvp_err = np.linalg.norm(hvp - fd_hvp) / max(np.linalg.norm(fd_hvp), 1e-12)
         worst = max(worst, grad_err, hvp_err)
 
     ds = ill_conditioned(n=200, d=40, seed=5)
     params = model.ModelParams(theta=np.zeros(40), reg_c=1e-4)
     v = np.random.default_rng(6).normal(size=40)
-    t, pcg = inverse_hvp_pcg(params, ds, v, PcgConfig(1.0, 1e-8, 5000))
-    _, plain = inverse_hvp_pcg(params, ds, v, PcgConfig(0.0, 1e-8, 5000))
-    residual = np.linalg.norm(model.hvp(params, ds, t) - v)
+    t, pcg = inverse_hvp_pcg(model.curvature(params, ds), v, PcgConfig(1.0, 1e-8, 5000))
+    _, plain = inverse_hvp_pcg(model.curvature(params, ds), v, PcgConfig(0.0, 1e-8, 5000))
+    residual = np.linalg.norm(model.hvp(model.curvature(params, ds), t) - v)
     bound = 1e-8 * np.linalg.norm(v)
     _verdict(6, "kernels match finite differences and PCG beats plain CG",
              worst <= 1e-4 and residual <= bound and pcg.converged

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_ds
+from conftest import dataset_path, random_ds
 from infsub import cli, influence, model, sampling
 from infsub.data import load_libsvm, round_half_up, write_libsvm
 
@@ -164,6 +164,30 @@ def test_pipeline_failing_cells_exit_nonzero(files, tmp_path, capsys):
                      "--out", str(rep)])
     assert code == 1
     assert "FAILED cell" in capsys.readouterr().err
+
+
+def test_pipeline_nonconverged_full_fit_exits_1_without_report(tmp_path, capsys):
+    # One Newton step leaves the pima_like full fit far from its optimum,
+    # where influence scores mean nothing.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"dataset_path = {dataset_path('pima_like.svm')}\n"
+                   "train_max_iter = 1\n"
+                   "methods = random\n"
+                   "repeats = 1\n")
+    rep = tmp_path / "report.csv"
+    code = cli.main(["pipeline", "--config", str(cfg), "--out", str(rep)])
+    assert code == 1
+    assert "full-set fit stopped" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_pipeline_config_rejects_deltas_key(files, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"dataset_path = {files['full']}\n"
+                   "deltas = 0,0.5,2\n")
+    code = cli.main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "report.csv")])
+    assert code == 2
+    assert "unknown config key 'deltas'" in capsys.readouterr().err
 
 
 def test_noise_runs_and_reports_accuracy(files, tmp_path, capsys):

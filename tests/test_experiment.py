@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_ds, random_ds
+from conftest import dataset_path, make_ds, random_ds
 from infsub import model
 from infsub.data import load_libsvm, write_libsvm
 from infsub.experiment import (AggregateRow, CellResult, ConfigError,
@@ -212,6 +212,27 @@ def test_pipeline_records_cell_failures_without_aborting(data_file):
     assert healthy and all(c.error is None for c in healthy)
     assert all(row.ratio == 0.9 for row in report.aggregates())
     assert report.failures() == failed
+
+
+def test_pipeline_nonconverged_cell_fit_fails_the_cell(monkeypatch):
+    # The full fit keeps the default Newton cap and converges; every cell
+    # refit gets train_max_iter = 1 step, misses its tolerance and fails.
+    real_train = model.train
+    calls = []
+
+    def full_fit_uncapped(ds, reg_c, tol, max_iter, sample_weight=None):
+        calls.append(max_iter)
+        return real_train(ds, reg_c, tol=tol, max_iter=100 if len(calls) == 1 else max_iter,
+                          sample_weight=sample_weight)
+
+    monkeypatch.setattr(model, "train", full_fit_uncapped)
+    cfg = ExperimentConfig(dataset_path=dataset_path("pima_like.svm"), train_max_iter=1,
+                           methods=["random", "sigmoid"], sigmoid_alphas=[1.0], repeats=2)
+    report = run_pipeline(cfg)
+    assert calls == [1] * 5
+    assert len(report.failures()) == len(report.cells) == 4
+    assert all(c.error.startswith("ConvergenceError: cell fit stopped") for c in report.cells)
+    assert report.aggregates() == []
 
 
 def test_pipeline_optlr_uses_inverse_probability_weights(data_file):

@@ -51,7 +51,7 @@ def test_influence_report_validation():
 
 def test_zero_rhs_short_circuits(fitted):
     ds, params = fitted
-    t, info = inverse_hvp_pcg(params, ds, np.zeros(params.dim))
+    t, info = inverse_hvp_pcg(model.curvature(params, ds), np.zeros(params.dim))
     assert np.array_equal(t, np.zeros(params.dim))
     assert info.iters == 0
     assert info.converged
@@ -65,7 +65,7 @@ def test_solution_matches_dense_solve(fitted):
         cfg = PcgConfig(alpha_precond=alpha, tol=1e-10, max_iter=1000)
         for _ in range(4):
             v = rng.normal(size=params.dim)
-            t, info = inverse_hvp_pcg(params, ds, v, cfg)
+            t, info = inverse_hvp_pcg(model.curvature(params, ds), v, cfg)
             assert info.converged
             ref = np.linalg.solve(H, v)
             assert np.linalg.norm(t - ref) <= 1e-6 * np.linalg.norm(ref)
@@ -76,9 +76,9 @@ def test_residual_meets_relative_tolerance(fitted):
     rng = np.random.default_rng(3)
     v = rng.normal(size=params.dim)
     cfg = PcgConfig(alpha_precond=1.0, tol=1e-8, max_iter=1000)
-    t, info = inverse_hvp_pcg(params, ds, v, cfg)
+    t, info = inverse_hvp_pcg(model.curvature(params, ds), v, cfg)
     assert info.converged
-    true_res = np.linalg.norm(model.hvp(params, ds, t) - v)
+    true_res = np.linalg.norm(model.hvp(model.curvature(params, ds), t) - v)
     assert true_res <= 1e-8 * np.linalg.norm(v)
     assert info.residual == pytest.approx(true_res, rel=1e-6, abs=1e-14)
 
@@ -89,7 +89,7 @@ def test_identity_block_direction_is_exact():
     ds = make_ds([[1.0, 2.0], [0.5, -1.0]], [0, 1], n_features=4)
     params = ModelParams(np.array([0.1, -0.3, 0.0, 0.0]), 1.0)
     v = np.array([0.0, 0.0, 3.0, -4.0])
-    t, info = inverse_hvp_pcg(params, ds, v)
+    t, info = inverse_hvp_pcg(model.curvature(params, ds), v)
     assert np.array_equal(t, v)
     assert info.iters == 1
     assert info.converged
@@ -98,17 +98,17 @@ def test_identity_block_direction_is_exact():
 def test_plain_and_preconditioned_agree(fitted):
     ds, params = fitted
     v = np.random.default_rng(4).normal(size=params.dim)
-    t1, _ = inverse_hvp_pcg(params, ds, v, PcgConfig(alpha_precond=1.0, tol=1e-10))
-    t0, _ = inverse_hvp_pcg(params, ds, v, PcgConfig(alpha_precond=0.0, tol=1e-10))
+    t1, _ = inverse_hvp_pcg(model.curvature(params, ds), v, PcgConfig(alpha_precond=1.0, tol=1e-10))
+    t0, _ = inverse_hvp_pcg(model.curvature(params, ds), v, PcgConfig(alpha_precond=0.0, tol=1e-10))
     assert np.linalg.norm(t1 - t0) <= 1e-8 * np.linalg.norm(t1)
 
 
 def test_preconditioner_cuts_iterations_when_scales_vary():
     ds = ill_conditioned(n=200, d=40, seed=5)
-    params = ModelParams(np.zeros(ds.n_features), 1e-4)
+    H = model.curvature(ModelParams(np.zeros(ds.n_features), 1e-4), ds)
     v = np.random.default_rng(0).normal(size=ds.n_features)
-    _, with_pre = inverse_hvp_pcg(params, ds, v, PcgConfig(alpha_precond=1.0, tol=1e-8, max_iter=5000))
-    _, plain = inverse_hvp_pcg(params, ds, v, PcgConfig(alpha_precond=0.0, tol=1e-8, max_iter=5000))
+    _, with_pre = inverse_hvp_pcg(H, v, PcgConfig(alpha_precond=1.0, tol=1e-8, max_iter=5000))
+    _, plain = inverse_hvp_pcg(H, v, PcgConfig(alpha_precond=0.0, tol=1e-8, max_iter=5000))
     assert with_pre.converged and plain.converged
     assert with_pre.iters < plain.iters
 
@@ -117,12 +117,12 @@ def test_max_iter_returns_best_iterate_flagged(fitted):
     ds, params = fitted
     v = np.random.default_rng(5).normal(size=params.dim)
     cfg = PcgConfig(alpha_precond=1.0, tol=1e-14, max_iter=2)
-    t, info = inverse_hvp_pcg(params, ds, v, cfg)
+    t, info = inverse_hvp_pcg(model.curvature(params, ds), v, cfg)
     assert not info.converged
     assert info.iters == 2
     assert np.all(np.isfinite(t))
     # The reported residual belongs to the returned (best) iterate.
-    assert np.linalg.norm(model.hvp(params, ds, t) - v) == pytest.approx(
+    assert np.linalg.norm(model.hvp(model.curvature(params, ds), t) - v) == pytest.approx(
         info.residual, rel=1e-12)
 
 
@@ -133,30 +133,46 @@ def test_stalled_preconditioner_restarts_as_plain_cg(fitted, monkeypatch):
     params = ModelParams(np.zeros(ds.n_features), 1e-4)
     v = np.random.default_rng(0).normal(size=ds.n_features)
 
-    def misleading_diag(params, ds, sample_weight=None):
-        out = np.ones(ds.n_features)
+    def misleading_diag(H):
+        out = np.ones(H.dim)
         out[::2] = 1e12
         out[1::2] = 1e-12
         return out
 
     monkeypatch.setattr(influence_mod.model, "hessian_diag", misleading_diag)
-    t, info = inverse_hvp_pcg(params, ds, v, PcgConfig(alpha_precond=1.0, tol=1e-8, max_iter=2000))
+    H = model.curvature(params, ds)
+    t, info = inverse_hvp_pcg(H, v, PcgConfig(alpha_precond=1.0, tol=1e-8, max_iter=2000))
     assert info.restarted
     assert info.converged
-    assert np.linalg.norm(model.hvp(params, ds, t) - v) <= 1e-8 * np.linalg.norm(v)
+    assert np.linalg.norm(model.hvp(H, t) - v) <= 1e-8 * np.linalg.norm(v)
+
+
+def test_breakdown_reports_iterations_done():
+    # s < 0 makes this hand-built H negative definite, so the very first
+    # direction has p.Hp < 0 with or without the diagonal preconditioner.
+    H = model.Curvature(make_ds(np.eye(2), [0, 1]).X, s=np.array([-1.0, -1.0]),
+                        reg_c=0.1, c_wbar=0.1)
+    v = np.array([1.0, 2.0])
+    for alpha in (0.0, 1.0):
+        t, info = inverse_hvp_pcg(H, v, PcgConfig(alpha_precond=alpha))
+        assert info.iters == 0
+        assert not info.converged
+        assert np.array_equal(t, np.zeros(2))
+        assert info.residual == np.linalg.norm(v)
 
 
 def test_solver_input_validation(fitted):
     ds, params = fitted
     with pytest.raises(ValueError, match="reg_c"):
-        inverse_hvp_pcg(ModelParams(np.zeros(params.dim), 0.0), ds, np.ones(params.dim))
+        inverse_hvp_pcg(model.curvature(ModelParams(np.zeros(params.dim), 0.0), ds),
+                        np.ones(params.dim))
     with pytest.raises(ValueError, match="shape"):
-        inverse_hvp_pcg(params, ds, np.ones(params.dim + 1))
+        inverse_hvp_pcg(model.curvature(params, ds), np.ones(params.dim + 1))
     with pytest.raises(ValueError, match="finite"):
-        inverse_hvp_pcg(params, ds, np.full(params.dim, np.nan))
+        inverse_hvp_pcg(model.curvature(params, ds), np.full(params.dim, np.nan))
     empty = make_ds(np.zeros((0, params.dim)), [])
     with pytest.raises(ValueError, match="empty"):
-        inverse_hvp_pcg(params, empty, np.ones(params.dim))
+        inverse_hvp_pcg(model.curvature(params, empty), np.ones(params.dim))
 
 
 # ----------------------------------------------------------------- phi scores
@@ -225,6 +241,15 @@ def test_psi_norms_match_dense_oracle():
     for i in range(tr.n_rows):
         expected = np.linalg.norm(np.linalg.solve(H, g_tr[i]))
         assert norms[i] == pytest.approx(expected, rel=1e-6)
+
+
+def test_psi_norms_compute_the_diagonal_once(fitted, monkeypatch):
+    ds, params = fitted
+    calls = []
+    real = model.hessian_diag
+    monkeypatch.setattr(model, "hessian_diag", lambda H: calls.append(H) or real(H))
+    compute_psi_norms(params, ds, TIGHT)
+    assert len(calls) == 1
 
 
 def test_psi_zero_gradient_row_is_zero():

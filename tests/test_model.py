@@ -8,12 +8,12 @@ its own optimality contract and by an exact reweighting equivalence.
 import numpy as np
 import pytest
 
-from conftest import dataset_path, dense_grad_rows, dense_hessian, make_ds, random_ds
+from conftest import dataset_path, dense_hessian, make_ds, random_ds
 from infsub import model
 from infsub.data import SplitSpec, split, load_libsvm
 from infsub.model import (PROB_CLIP, ModelError, ModelParams, accuracy,
-                          gradient, hessian_diag, hvp, load_params,
-                          mean_logloss, per_sample_loss, predict_proba,
+                          curvature, gradient, hessian_diag, hvp, load_params,
+                          mean_logloss, pcg, per_sample_loss, predict_proba,
                           save_params, train)
 
 RNG = np.random.default_rng(1234)
@@ -124,8 +124,8 @@ def test_empty_dataset_errors():
     for fn in (lambda: per_sample_loss(params, empty),
                lambda: gradient(params, empty),
                lambda: accuracy(params, empty),
-               lambda: hvp(params, empty, np.zeros(2)),
-               lambda: hessian_diag(params, empty)):
+               lambda: hvp(curvature(params, empty), np.zeros(2)),
+               lambda: hessian_diag(curvature(params, empty))):
         with pytest.raises(ModelError, match="empty"):
             fn()
 
@@ -161,13 +161,6 @@ def test_gradient_vanishes_at_optimum(small_fit):
     assert params.converged
 
 
-def test_per_sample_gradients_match_dense_oracle(small_fit):
-    ds, params = small_fit
-    G = model.per_sample_gradients(params, ds)
-    assert np.allclose(G, dense_grad_rows(params, ds), atol=1e-12)
-    assert np.allclose(G.mean(axis=0), gradient(params, ds), atol=1e-12)
-
-
 def test_weighted_gradient_matches_row_duplication():
     # Duplicating row 0 scales the objective of the weight-2 problem by
     # (n+1)/n, so the gradients are proportional and the optima coincide.
@@ -192,7 +185,7 @@ def test_weighted_gradient_matches_row_duplication():
 
 def test_hvp_scalar_example():
     ds = make_ds([[1.0, 0.0]], [1])
-    out = hvp(ModelParams(np.zeros(2), 0.0), ds, np.array([1.0, 1.0]))
+    out = hvp(curvature(ModelParams(np.zeros(2), 0.0), ds), np.array([1.0, 1.0]))
     assert np.allclose(out, [0.25, 0.0], atol=1e-15)
 
 
@@ -201,72 +194,136 @@ def test_hvp_regularizer_only_direction():
     ds = make_ds([[1.0, 2.0], [3.0, -1.0]], [0, 1], n_features=4)
     params = ModelParams(np.array([0.3, -0.2, 0.0, 0.0]), 1.0)
     v = np.array([0.0, 0.0, 2.0, -5.0])
-    assert np.array_equal(hvp(params, ds, v), v)
+    assert np.array_equal(hvp(curvature(params, ds), v), v)
 
 
 def test_hvp_matches_dense_oracle(small_fit):
     ds, params = small_fit
     rng = np.random.default_rng(4)
-    H = dense_hessian(params, ds)
+    dense = dense_hessian(params, ds)
+    H = curvature(params, ds)
     for _ in range(10):
         v = rng.normal(size=params.dim)
-        assert np.allclose(hvp(params, ds, v), H @ v, rtol=1e-12, atol=1e-14)
+        assert np.allclose(hvp(H, v), dense @ v, rtol=1e-12, atol=1e-14)
+
+
+def test_weighted_hvp_matches_dense_oracle(small_fit):
+    # Weights scale each row's curvature and the regularizer by their mean.
+    ds, params = small_fit
+    rng = np.random.default_rng(14)
+    w = rng.uniform(0.0, 3.0, ds.n_rows)
+    X = ds.X.toarray()
+    p = 1.0 / (1.0 + np.exp(-X @ params.theta))
+    dense = ((X.T * (w * p * (1.0 - p))) @ X / ds.n_rows
+             + params.reg_c * w.mean() * np.eye(params.dim))
+    H = curvature(params, ds, w)
+    for _ in range(5):
+        v = rng.normal(size=params.dim)
+        assert np.allclose(hvp(H, v), dense @ v, rtol=1e-12, atol=1e-14)
+    assert np.allclose(H.diag, np.diag(dense), rtol=1e-12, atol=1e-14)
 
 
 def test_hvp_matches_gradient_finite_differences(small_fit):
     ds, params = small_fit
     rng = np.random.default_rng(5)
     h = 1e-6
+    H = curvature(params, ds)
     for _ in range(5):
         v = rng.normal(size=params.dim)
         plus = gradient(ModelParams(params.theta + h * v, params.reg_c), ds)
         minus = gradient(ModelParams(params.theta - h * v, params.reg_c), ds)
         fd = (plus - minus) / (2 * h)
-        out = hvp(params, ds, v)
+        out = hvp(H, v)
         assert np.linalg.norm(fd - out) <= 1e-6 * max(np.linalg.norm(out), 1.0)
 
 
 def test_hvp_linear_symmetric_positive_definite(small_fit):
     ds, params = small_fit
     rng = np.random.default_rng(6)
+    H = curvature(params, ds)
     for _ in range(10):
         u = rng.normal(size=params.dim)
         v = rng.normal(size=params.dim)
         a, b = rng.normal(size=2)
-        lin = hvp(params, ds, a * u + b * v)
-        assert np.allclose(lin, a * hvp(params, ds, u) + b * hvp(params, ds, v),
-                           rtol=1e-10, atol=1e-12)
-        assert float(u @ hvp(params, ds, v)) == pytest.approx(
-            float(v @ hvp(params, ds, u)), rel=1e-10, abs=1e-12)
-        assert float(v @ hvp(params, ds, v)) >= params.reg_c * float(v @ v) - 1e-12
+        lin = hvp(H, a * u + b * v)
+        assert np.allclose(lin, a * hvp(H, u) + b * hvp(H, v), rtol=1e-10, atol=1e-12)
+        assert float(u @ hvp(H, v)) == pytest.approx(
+            float(v @ hvp(H, u)), rel=1e-10, abs=1e-12)
+        assert float(v @ hvp(H, v)) >= params.reg_c * float(v @ v) - 1e-12
 
 
 def test_hvp_dimension_error(small_fit):
     ds, params = small_fit
     with pytest.raises(ModelError, match="shape"):
-        hvp(params, ds, np.zeros(params.dim + 1))
+        hvp(curvature(params, ds), np.zeros(params.dim + 1))
+    with pytest.raises(ModelError, match="dimension"):
+        curvature(ModelParams(np.zeros(params.dim + 1), 0.1), ds)
 
 
 def test_hessian_diag_scalar_example():
     ds = make_ds([[1.0, 2.0]], [1])
-    diag = hessian_diag(ModelParams(np.zeros(2), 0.0), ds)
+    diag = hessian_diag(curvature(ModelParams(np.zeros(2), 0.0), ds))
     assert np.allclose(diag, [0.25, 1.0], atol=1e-15)
 
 
 def test_hessian_diag_empty_column_is_reg_c():
     ds = make_ds([[1.0, 2.0]], [1], n_features=3)
-    diag = hessian_diag(ModelParams(np.zeros(3), 0.1), ds)
+    diag = hessian_diag(curvature(ModelParams(np.zeros(3), 0.1), ds))
     assert diag[2] == pytest.approx(0.1, abs=1e-15)
 
 
 def test_hessian_diag_matches_basis_vectors(small_fit):
     ds, params = small_fit
-    diag = hessian_diag(params, ds)
+    H = curvature(params, ds)
+    diag = hessian_diag(H)
     for k in range(params.dim):
         e = np.zeros(params.dim)
         e[k] = 1.0
-        assert diag[k] == pytest.approx(float(hvp(params, ds, e)[k]), rel=1e-12)
+        assert diag[k] == pytest.approx(float(hvp(H, e)[k]), rel=1e-12)
     assert np.all(diag > 0)
+    assert np.array_equal(H.diag, diag)
+    assert H.diag is H.diag
+
+
+def reference_cg(matvec, b, rel_tol, max_iter):
+    """Plain CG as the Newton inner solve ran it before ``model.pcg`` took over."""
+    x = np.zeros_like(b)
+    r = b.copy()
+    p = r.copy()
+    rr = float(r @ r)
+    bnorm = float(np.linalg.norm(b))
+    if bnorm == 0.0:
+        return x
+    for _ in range(max_iter):
+        if np.sqrt(rr) <= rel_tol * bnorm:
+            break
+        q = matvec(p)
+        pq = float(p @ q)
+        if pq <= 0.0:
+            break
+        a = rr / pq
+        x += a * p
+        r -= a * q
+        rr_new = float(r @ r)
+        p = r + (rr_new / rr) * p
+        rr = rr_new
+    return x
+
+
+def test_unpreconditioned_pcg_is_bit_identical_to_reference_cg():
+    # Newton steps come from pcg without a preconditioner; below the iteration
+    # cap they must equal the old inner solve bit for bit.
+    rng = np.random.default_rng(42)
+    for n, d, weighted in ((30, 4, False), (80, 12, False), (50, 7, True), (25, 40, True)):
+        ds = random_ds(rng, n, d)
+        w = rng.uniform(0.1, 3.0, n) if weighted else None
+        params = ModelParams(rng.normal(0.0, 0.5, d), 0.05)
+        H = curvature(params, ds, w)
+        g = gradient(params, ds, w)
+        for rel_tol in (min(0.5, np.sqrt(np.linalg.norm(g))), 1e-3, 1e-9):
+            step, info = pcg(H, -g, rel_tol, 1000)
+            assert info.converged and info.iters < 1000
+            assert np.array_equal(step, reference_cg(lambda u: hvp(H, u), -g, rel_tol, 1000))
 
 
 def test_risk_is_convex_along_segments(small_fit):

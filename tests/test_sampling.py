@@ -31,6 +31,9 @@ def test_linear_auto_alpha():
     # max|phi| = 2, so alpha = 0.5: probabilities clamp to [1, 0, 0].
     probs = linear_probs(np.array([-2.0, 0.0, 1.0]))
     assert np.allclose(probs, [1.0, 0.0, 0.0], atol=1e-15)
+    # 1 / max|phi| overflows for a subnormal scale; zeros must still map to 0.
+    tiny = 2.225073858507e-311
+    assert linear_probs(np.array([-tiny, 0.0, tiny / 2])).tolist() == [1.0, 0.0, 0.0]
 
 
 def test_linear_explicit_alpha_clamps():
