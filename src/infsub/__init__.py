@@ -21,7 +21,7 @@ from .model import (Curvature, ModelError, ModelParams, PcgInfo, accuracy,
 from .risk import (RobustnessReport, cov_phi_eps, evaluate_robustness,
                    gamma_shift, worst_case_curve, worst_case_risk)
 from .sampling import (SamplingError, SamplingPlan, draw_subset, dropout_probs,
-                       linear_probs, optlr_probs, random_probs, sigmoid_probs,
-                       subset_risk_weighted)
+                       linear_probs, optlr_probs, probs_for, random_probs,
+                       sigmoid_probs, subset_risk_weighted)
 
 __version__ = "0.1.0"

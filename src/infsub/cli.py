@@ -9,18 +9,42 @@ invocations write identical bytes.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 import numpy as np
 
 from . import experiment, influence, model, risk, sampling
 from .data import load_libsvm, with_feature_dim
-from .experiment import ExperimentConfig, config_from_file
+from .experiment import ConfigError, config_from_mapping, read_config
 from .influence import PcgConfig
 
 _C_HELP = ("regularization strength C; the objective is mean log loss "
            "plus (C/2)*||theta||^2")
+
+# The pipeline/noise flags, the ExperimentConfig field each one sets, and its
+# argparse settings. Values stay raw strings and are written over the config
+# file's mapping, so config_from_mapping coerces and validates both at once.
+_CONFIG_FLAGS = (
+    ("--dataset", "dataset_path", {"help": "single libsvm file, split internally"}),
+    ("--tr", "tr_path", {}),
+    ("--va", "va_path", {}),
+    ("--te", "te_path", {}),
+    ("--n-features", "n_features", {}),
+    ("--va-fraction", "va_fraction", {}),
+    ("--te-fraction", "te_fraction", {}),
+    ("--split-seed", "split_seed", {}),
+    ("--reg-c", "reg_c", {"help": _C_HELP}),
+    ("--method", "methods",
+     {"help": "comma-separated subset of " + ",".join(sampling.METHODS)}),
+    ("--ratio", "ratios", {"help": "comma-separated sampling ratios"}),
+    ("--alpha", "sigmoid_alphas", {"help": "comma-separated sigmoid alphas"}),
+    ("--repeats", "repeats", {}),
+    ("--seed", "seed", {}),
+    ("--gamma", "compute_gamma", {"action": "store_const", "const": "true",
+                                  "help": "also write mean parameter shift per method/ratio"}),
+    ("--flip", "flip_fraction", {"required": True,
+                                 "help": "fraction of training labels to flip"}),
+)
 
 
 def _add_pcg_args(p: argparse.ArgumentParser) -> None:
@@ -88,26 +112,9 @@ def build_parser() -> argparse.ArgumentParser:
                             ("noise", "pipeline with flipped training labels")):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None, help="key = value config file")
-        p.add_argument("--dataset", default=None, help="single libsvm file, split internally")
-        p.add_argument("--tr", default=None)
-        p.add_argument("--va", default=None)
-        p.add_argument("--te", default=None)
-        p.add_argument("--n-features", type=int, default=None)
-        p.add_argument("--va-fraction", type=float, default=None)
-        p.add_argument("--te-fraction", type=float, default=None)
-        p.add_argument("--split-seed", type=int, default=None)
-        p.add_argument("--reg-c", type=float, default=None, help=_C_HELP)
-        p.add_argument("--method", default=None,
-                       help="comma-separated subset of " + ",".join(sampling.METHODS))
-        p.add_argument("--ratio", default=None, help="comma-separated sampling ratios")
-        p.add_argument("--alpha", default=None, help="comma-separated sigmoid alphas")
-        p.add_argument("--repeats", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--gamma", action="store_true",
-                       help="also write mean parameter shift per method/ratio")
-        if name == "noise":
-            p.add_argument("--flip", type=float, required=True,
-                           help="fraction of training labels to flip")
+        for flag, _, settings in _CONFIG_FLAGS:
+            if flag != "--flip" or name == "noise":
+                p.add_argument(flag, **settings)
         p.add_argument("--out", required=True, help="where to write the report CSV")
         p.set_defaults(func=_cmd_pipeline, noise=(name == "noise"))
 
@@ -128,7 +135,8 @@ def _load_model_for(path: str, ds_dim: int) -> model.ModelParams:
     params = model.load_params(path)
     if params.dim != ds_dim:
         raise model.ModelError(
-            f"model dimension {params.dim} does not match data dimension {ds_dim}")
+            f"model dimension {params.dim} does not match data dimension {ds_dim}; "
+            "pass the same --n-features to train, influence, sample and evaluate")
     return params
 
 
@@ -159,20 +167,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     if phi.size != tr.n_rows:
         raise sampling.SamplingError(
             f"{phi.size} influence rows for {tr.n_rows} training rows")
-    if args.method == "dropout":
-        probs = sampling.dropout_probs(phi)
-    elif args.method == "linear":
-        probs = sampling.linear_probs(phi, args.alpha)
-    elif args.method == "sigmoid":
-        alpha = 1.0 if args.alpha is None else args.alpha
-        probs = sampling.sigmoid_probs(phi, alpha)
-    elif args.method == "optlr":
-        if rep.psi_norms is None:
-            raise sampling.SamplingError(
-                "optlr needs psi norms; rerun `influence` with --psi")
-        probs = sampling.optlr_probs(rep.psi_norms)
-    else:
-        probs = sampling.random_probs(tr.n_rows, args.ratio)
+    probs = sampling.probs_for(args.method, args.ratio, phi, rep.psi_norms, args.alpha)
     plan = sampling.draw_subset(
         probs, args.ratio, tr.y, args.method, args.seed,
         phi=phi if args.method == "dropout" else None,
@@ -210,48 +205,15 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
-    cfg = config_from_file(args.config) if args.config else None
-    overrides: dict[str, object] = {}
-    if args.dataset is not None:
-        overrides["dataset_path"] = args.dataset
-    if args.tr is not None:
-        overrides["tr_path"] = args.tr
-    if args.va is not None:
-        overrides["va_path"] = args.va
-    if args.te is not None:
-        overrides["te_path"] = args.te
-    if args.n_features is not None:
-        overrides["n_features"] = args.n_features
-    if args.va_fraction is not None:
-        overrides["va_fraction"] = args.va_fraction
-    if args.te_fraction is not None:
-        overrides["te_fraction"] = args.te_fraction
-    if args.split_seed is not None:
-        overrides["split_seed"] = args.split_seed
-    if args.reg_c is not None:
-        overrides["reg_c"] = args.reg_c
-    if args.method is not None:
-        overrides["methods"] = [tok.strip() for tok in args.method.split(",") if tok.strip()]
-    if args.ratio is not None:
-        overrides["ratios"] = [float(tok) for tok in args.ratio.split(",") if tok.strip()]
-    if args.alpha is not None:
-        overrides["sigmoid_alphas"] = [float(tok) for tok in args.alpha.split(",") if tok.strip()]
-    if args.repeats is not None:
-        overrides["repeats"] = args.repeats
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.gamma:
-        overrides["compute_gamma"] = True
-    if args.noise:
-        overrides["flip_fraction"] = args.flip
-
-    if cfg is None:
-        config = ExperimentConfig(**overrides)  # type: ignore[arg-type]
-    else:
-        config = dataclasses.replace(cfg, **overrides)  # type: ignore[arg-type]
-
-    report = (experiment.run_noise_experiment(config) if args.noise
-              else experiment.run_pipeline(config))
+    mapping = read_config(args.config) if args.config else {}
+    for flag, key, _ in _CONFIG_FLAGS:
+        raw = getattr(args, flag[2:].replace("-", "_"), None)
+        if raw is not None:
+            mapping[key] = raw
+    config = config_from_mapping(mapping)
+    if args.noise and not config.flip_fraction:
+        raise ConfigError("noise experiment needs flip_fraction > 0")
+    report = experiment.run_pipeline(config)
     experiment.emit_report(report, args.out)
     if config.compute_gamma:
         gamma_path = experiment._sibling(args.out, "_gamma.csv")

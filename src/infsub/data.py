@@ -24,6 +24,25 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def write_lines(path: str, lines: Iterable[str]) -> None:
+    """Stream each string out as one line of UTF-8 text; OSError becomes RuntimeError."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            for line in lines:
+                fh.write(line + "\n")
+    except OSError as exc:
+        raise RuntimeError(f"cannot write {path}: {exc}") from exc
+
+
+def read_lines(path: str) -> list[str]:
+    """The stripped, nonblank lines of a UTF-8 text file; OSError becomes RuntimeError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return [ln.strip() for ln in fh if ln.strip()]
+    except OSError as exc:
+        raise RuntimeError(f"cannot read {path}: {exc}") from exc
+
+
 def round_half_up(x: float) -> int:
     """Round to the nearest integer with ties going up, regardless of the
     platform's banker's rounding."""
@@ -207,7 +226,8 @@ def write_libsvm(ds: SparseDataset, path: str, label_style: str = "01") -> None:
     """
     if label_style not in ("01", "pm1"):
         raise DataError(f"unknown label_style {label_style!r}")
-    with open(path, "w", encoding="utf-8") as fh:
+
+    def rows():
         for i in range(ds.n_rows):
             lab = int(ds.y[i])
             if label_style == "pm1":
@@ -215,7 +235,9 @@ def write_libsvm(ds: SparseDataset, path: str, label_style: str = "01") -> None:
             idx, val = ds.row(i)
             parts = [str(lab)]
             parts.extend(f"{j}:{v!r}" for j, v in zip(idx, (float(v) for v in val)))
-            fh.write(" ".join(parts) + "\n")
+            yield " ".join(parts)
+
+    write_lines(path, rows())
 
 
 def with_feature_dim(ds: SparseDataset, n_features: int) -> SparseDataset:

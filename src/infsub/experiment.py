@@ -13,11 +13,10 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import influence, model, risk, sampling
 from .data import (SparseDataset, SplitSpec, _fmt, flip_labels, load_libsvm,
-                   split, with_feature_dim)
+                   split, with_feature_dim, write_lines)
 from .influence import ConvergenceError, PcgConfig
 from .model import ModelParams
 
@@ -124,8 +123,8 @@ def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
     return ExperimentConfig(**kwargs)
 
 
-def config_from_file(path: str) -> ExperimentConfig:
-    """Parse a ``key = value`` config file; '#' starts a comment."""
+def read_config(path: str) -> dict[str, str]:
+    """Parse a ``key = value`` config file into raw strings; '#' starts a comment."""
     mapping: dict[str, str] = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -139,7 +138,7 @@ def config_from_file(path: str) -> ExperimentConfig:
                 mapping[key.strip()] = val.strip()
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    return config_from_mapping(mapping)
+    return mapping
 
 
 def derive_seed(base: int, *parts) -> int:
@@ -229,12 +228,6 @@ class ExperimentReport:
         return [c for c in self.cells if c.error is not None]
 
 
-def _empty_like(d: int) -> SparseDataset:
-    X = sp.csr_array((np.empty(0), np.empty(0, dtype=np.int32), np.zeros(1, dtype=np.int64)),
-                     shape=(0, d))
-    return SparseDataset(X, np.empty(0, dtype=np.int8))
-
-
 def load_splits(cfg: ExperimentConfig) -> tuple[SparseDataset, SparseDataset, SparseDataset]:
     """Materialize (tr, va, te) from either config layout.
 
@@ -250,12 +243,15 @@ def load_splits(cfg: ExperimentConfig) -> tuple[SparseDataset, SparseDataset, Sp
     d = max(tr.n_features, va.n_features, te.n_features if te is not None else 0)
     tr = with_feature_dim(tr, d)
     va = with_feature_dim(va, d)
-    te = with_feature_dim(te, d) if te is not None else _empty_like(d)
+    te = with_feature_dim(te, d) if te is not None else tr.subset(np.empty(0, dtype=np.int64))
     return tr, va, te
 
 
-def expand_methods(cfg: ExperimentConfig) -> list[tuple[str, str, float]]:
-    """(label, base_method, alpha) triples in deterministic config order."""
+def expand_methods(cfg: ExperimentConfig) -> list[tuple[str, str, float | None]]:
+    """(label, base_method, alpha) triples in deterministic config order.
+
+    alpha is the sigmoid alpha, ``linear_alpha`` for linear, else None.
+    """
     out = []
     for m in cfg.methods:
         if m == "sigmoid":
@@ -264,28 +260,8 @@ def expand_methods(cfg: ExperimentConfig) -> list[tuple[str, str, float]]:
             for a in cfg.sigmoid_alphas:
                 out.append((f"sigmoid@{a:g}", "sigmoid", float(a)))
         else:
-            out.append((m, m, float("nan")))
+            out.append((m, m, cfg.linear_alpha if m == "linear" else None))
     return out
-
-
-def _cell_probs(label: str, base: str, alpha: float, ratio: float,
-                phi: np.ndarray | None, psi: np.ndarray | None,
-                cfg: ExperimentConfig, n_tr: int) -> tuple[np.ndarray, float]:
-    """Probabilities for one cell plus the effective alpha actually used."""
-    if base == "random":
-        return sampling.random_probs(n_tr, ratio), float("nan")
-    if base == "dropout":
-        return sampling.dropout_probs(phi), float("nan")
-    if base == "linear":
-        eff = cfg.linear_alpha
-        if eff is None:
-            eff = 1.0 / float(np.max(np.abs(phi)))
-        return sampling.linear_probs(phi, eff), float(eff)
-    if base == "sigmoid":
-        return sampling.sigmoid_probs(phi, alpha), alpha
-    if base == "optlr":
-        return sampling.optlr_probs(psi, floor=cfg.optlr_floor), float("nan")
-    raise ConfigError(f"unknown method {base!r}")
 
 
 def run_pipeline(cfg: ExperimentConfig) -> ExperimentReport:
@@ -353,11 +329,12 @@ def _require_converged(fit: ModelParams, what: str) -> None:
 
 def _run_cell(cfg: ExperimentConfig, tr: SparseDataset, va: SparseDataset,
               te: SparseDataset, full: ModelParams, phi: np.ndarray | None,
-              psi: np.ndarray | None, label: str, base: str, alpha: float,
+              psi: np.ndarray | None, label: str, base: str, alpha: float | None,
               ratio: float, repeat: int, seed: int) -> CellResult:
-    probs, eff_alpha = _cell_probs(label, base, alpha, ratio, phi, psi, cfg, tr.n_rows)
+    probs = sampling.probs_for(base, ratio, phi, psi, alpha, floor=cfg.optlr_floor,
+                               n=tr.n_rows)
     plan = sampling.draw_subset(probs, ratio, tr.y, base, seed,
-                                phi=phi if base == "dropout" else None, alpha=eff_alpha)
+                                phi=phi if base == "dropout" else None)
     subset = tr.subset(plan.selected)
     weights = None
     if base == "optlr":
@@ -377,13 +354,6 @@ def _run_cell(cfg: ExperimentConfig, tr: SparseDataset, va: SparseDataset,
     )
 
 
-def run_noise_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    """Label-noise variant: requires flip_fraction > 0, otherwise identical."""
-    if not cfg.flip_fraction:
-        raise ConfigError("noise experiment needs flip_fraction > 0")
-    return run_pipeline(cfg)
-
-
 def emit_report(report: ExperimentReport, path: str) -> None:
     """Write the per-repeat CSV to ``path`` and aggregates beside it.
 
@@ -392,42 +362,39 @@ def emit_report(report: ExperimentReport, path: str) -> None:
     report overwrites with identical bytes.
     """
     acc = report.with_accuracy
-    header = "method,ratio,repeat,va_logloss,te_logloss"
-    if acc:
-        header += ",accuracy"
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(header + "\n")
-            for c in report.cells:
-                if c.error is not None:
-                    continue
-                row = f"{c.method},{_fmt(c.ratio)},{c.repeat},{_fmt(c.va_logloss)},{_fmt(c.te_logloss)}"
-                if acc:
-                    row += f",{_fmt(c.te_accuracy)}"
-                fh.write(row + "\n")
-    except OSError as exc:
-        raise RuntimeError(f"cannot write {path}: {exc}") from exc
 
-    agg_path = _sibling(path, "_aggregate.csv")
-    agg_header = "method,ratio,n,va_logloss_mean,va_logloss_std,te_logloss_mean,te_logloss_std"
-    if acc:
-        agg_header += ",accuracy_mean"
-    try:
-        with open(agg_path, "w", encoding="utf-8") as fh:
-            fh.write(agg_header + "\n")
-            row = (f"full,{_fmt(1.0)},1,{_fmt(report.full_va_logloss)},{_fmt(0.0)},"
-                   f"{_fmt(report.full_te_logloss)},{_fmt(0.0)}")
+    def cell_rows():
+        header = "method,ratio,repeat,va_logloss,te_logloss"
+        if acc:
+            header += ",accuracy"
+        yield header
+        for c in report.cells:
+            if c.error is not None:
+                continue
+            row = f"{c.method},{_fmt(c.ratio)},{c.repeat},{_fmt(c.va_logloss)},{_fmt(c.te_logloss)}"
             if acc:
-                row += f",{_fmt(report.full_te_accuracy)}"
-            fh.write(row + "\n")
-            for a in report.aggregates():
-                row = (f"{a.method},{_fmt(a.ratio)},{a.n},{_fmt(a.va_mean)},{_fmt(a.va_std)},"
-                       f"{_fmt(a.te_mean)},{_fmt(a.te_std)}")
-                if acc:
-                    row += f",{_fmt(a.accuracy_mean)}"
-                fh.write(row + "\n")
-    except OSError as exc:
-        raise RuntimeError(f"cannot write {agg_path}: {exc}") from exc
+                row += f",{_fmt(c.te_accuracy)}"
+            yield row
+
+    def aggregate_rows():
+        header = "method,ratio,n,va_logloss_mean,va_logloss_std,te_logloss_mean,te_logloss_std"
+        if acc:
+            header += ",accuracy_mean"
+        yield header
+        row = (f"full,{_fmt(1.0)},1,{_fmt(report.full_va_logloss)},{_fmt(0.0)},"
+               f"{_fmt(report.full_te_logloss)},{_fmt(0.0)}")
+        if acc:
+            row += f",{_fmt(report.full_te_accuracy)}"
+        yield row
+        for a in report.aggregates():
+            row = (f"{a.method},{_fmt(a.ratio)},{a.n},{_fmt(a.va_mean)},{_fmt(a.va_std)},"
+                   f"{_fmt(a.te_mean)},{_fmt(a.te_std)}")
+            if acc:
+                row += f",{_fmt(a.accuracy_mean)}"
+            yield row
+
+    write_lines(path, cell_rows())
+    write_lines(_sibling(path, "_aggregate.csv"), aggregate_rows())
 
 
 def emit_gamma_csv(report: ExperimentReport, path: str) -> None:

@@ -10,12 +10,13 @@ mixed diagonal/identity preconditioner.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import model
-from .data import SparseDataset, _fmt
+from .data import SparseDataset, _fmt, read_lines, write_lines
 from .model import ModelParams, PcgInfo
 
 
@@ -146,26 +147,16 @@ def compute_psi_norms(params: ModelParams, tr: SparseDataset,
 
 def write_influence_csv(report: InfluenceReport, path: str) -> None:
     """Emit ``index,phi`` rows, with a ``psi_norm`` column when present."""
-    with_psi = report.psi_norms is not None
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("index,phi,psi_norm\n" if with_psi else "index,phi\n")
-            for i, value in enumerate(report.phi):
-                if with_psi:
-                    fh.write(f"{i},{_fmt(value)},{_fmt(report.psi_norms[i])}\n")
-                else:
-                    fh.write(f"{i},{_fmt(value)}\n")
-    except OSError as exc:
-        raise RuntimeError(f"cannot write {path}: {exc}") from exc
+    psi = report.psi_norms
+    header = "index,phi" if psi is None else "index,phi,psi_norm"
+    rows = (f"{i},{_fmt(value)}" if psi is None else f"{i},{_fmt(value)},{_fmt(psi[i])}"
+            for i, value in enumerate(report.phi))
+    write_lines(path, itertools.chain([header], rows))
 
 
 def read_influence_csv(path: str) -> InfluenceReport:
     """Read scores written by ``write_influence_csv``; diagnostics are not stored."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-    except OSError as exc:
-        raise RuntimeError(f"cannot read {path}: {exc}") from exc
+    lines = read_lines(path)
     if not lines:
         raise ValueError(f"{path}: empty influence file")
     header = lines[0].split(",")

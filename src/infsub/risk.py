@@ -3,23 +3,20 @@
 The headline quantity is the worst-case empirical risk over reweightings of
 the loss vector inside a chi-square ball of radius delta, computed through
 its one-dimensional dual: minimize over eta of
-sqrt(2 delta + 1) * sqrt(mean(relu(l - eta)^2)) + eta.
+sqrt(2 delta + 1) * sqrt(mean(relu(l - eta)^2)) + eta (Namkoong & Duchi
+2016), which a sweep over the sorted losses solves exactly.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .data import _fmt
+from .data import _fmt, write_lines
 from .model import ModelParams
-
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
-# Below this slack over the mean-loss lower bound, extending the eta bracket
-# further left cannot move the dual value by more than the search tolerance.
-_BRACKET_SLACK = 1e-7
 
 
 def _check_losses(losses: np.ndarray) -> np.ndarray:
@@ -33,76 +30,63 @@ def _check_losses(losses: np.ndarray) -> np.ndarray:
     return losses
 
 
-def _dual_value(losses: np.ndarray, coeff: float, eta: float) -> float:
-    tail = np.maximum(losses - eta, 0.0)
-    return coeff * float(np.sqrt(np.mean(tail * tail))) + eta
+def _dual_minimum(top: np.ndarray, mean_loss: float, delta: float) -> tuple[float, float]:
+    """Exact minimum of the dual over eta, and the minimizer.
 
-
-def _dual_slope(losses: np.ndarray, coeff: float, eta: float) -> float:
-    tail = np.maximum(losses - eta, 0.0)
-    root = float(np.sqrt(np.mean(tail * tail)))
-    if root == 0.0:
-        return 1.0
-    return 1.0 - coeff * float(np.mean(tail)) / root
+    ``top`` holds the losses sorted in descending order. For eta between the
+    k-th and (k+1)-th largest loss the objective is
+    c sqrt(q ((m - eta)^2 + v)) + eta, with c^2 = 2 delta + 1, q = k/n and
+    m, v the mean and population variance of the top k losses. Where
+    a = c^2 q - 1 > 0 it is stationary at m - sqrt(v / a), with value
+    m + sqrt(a v); otherwise it is nondecreasing, and the segment's left end
+    is its minimum. The answer is the least segment minimum.
+    """
+    if not 0.0 <= delta < np.inf:
+        raise ValueError(f"delta must be finite and nonnegative, got {delta}")
+    c2 = 2.0 * delta + 1.0
+    if c2 == 1.0:
+        # delta = 0 (or below the float resolution of 1): the ball holds only
+        # the empirical distribution, and the dual approaches the mean as
+        # eta -> -inf without attaining it.
+        return mean_loss, -np.inf
+    k = np.arange(1, top.size + 1)
+    q = k / top.size
+    # Sums of the losses minus the largest keep constant losses at a
+    # variance of exactly 0.
+    dev = top - top[0]
+    dev_mean = np.cumsum(dev) / k
+    m = top[0] + dev_mean
+    v = np.maximum(np.cumsum(dev * dev) / k - dev_mean * dev_mean, 0.0)
+    a = c2 * q - 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        free = np.where(a > 0.0, m - np.sqrt(v / a), -np.inf)
+        eta = np.clip(free, np.append(top[1:], -np.inf), top)
+        value = np.where(eta == free, m + np.sqrt(a * v),
+                         np.sqrt(c2 * q * ((m - eta) ** 2 + v)) + eta)
+    best = int(np.argmin(value))
+    return float(value[best]), float(eta[best])
 
 
 def worst_case_risk(losses: np.ndarray, delta: float) -> tuple[float, float]:
     """Worst-case mean loss over a chi-square ball of radius delta.
 
-    Returns (value, eta_star). The dual objective is convex in eta; it is
-    minimized by golden-section search on [min(l) - 1, max(l)], extending
-    the bracket left first whenever the slope at the left edge shows the
-    minimizer is not yet enclosed (at delta = 0 the objective is
-    nondecreasing and the infimum is approached in the far left tail, so
-    extension stops once the value sits within 1e-7 of the mean-loss lower
-    bound). The returned value always lies in [mean(l), max(l)] up to
-    search tolerance.
+    Returns (value, eta_star), solving the convex dual exactly by a sweep
+    over the sorted losses. At delta = 0 the value is mean(l) and eta_star
+    is -inf, where the dual's infimum is approached. The value lies in
+    [mean(l), max(l)].
     """
     losses = _check_losses(losses)
-    if not delta >= 0.0:
-        raise ValueError(f"delta must be nonnegative, got {delta}")
-    coeff = float(np.sqrt(2.0 * delta + 1.0))
-    mean_loss = float(np.mean(losses))
-
-    lo = float(np.min(losses)) - 1.0
-    hi = float(np.max(losses))
-    enclosed = _dual_slope(losses, coeff, lo) < 0.0
-    for _ in range(200):
-        if enclosed:
-            break
-        if _dual_value(losses, coeff, lo) - mean_loss <= _BRACKET_SLACK:
-            # Left-tail regime (always at delta = 0): the objective keeps
-            # creeping toward the mean-loss lower bound as eta -> -inf, so
-            # report the edge instead of hunting an interior minimum.
-            return _dual_value(losses, coeff, lo), lo
-        lo = hi - 2.0 * (hi - lo)
-        enclosed = _dual_slope(losses, coeff, lo) < 0.0
-
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc = _dual_value(losses, coeff, c)
-    fd = _dual_value(losses, coeff, d)
-    # The iteration cap also ends the search if b - a stalls at the local
-    # float spacing before reaching the absolute tolerance.
-    for _ in range(300):
-        if b - a <= 1e-9:
-            break
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = _dual_value(losses, coeff, c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = _dual_value(losses, coeff, d)
-    eta_star = (a + b) / 2.0
-    return _dual_value(losses, coeff, eta_star), eta_star
+    return _dual_minimum(np.sort(losses)[::-1], float(np.mean(losses)), delta)
 
 
 def worst_case_curve(losses: np.ndarray, deltas: Iterable[float]) -> list[tuple[float, float, float]]:
-    """(delta, worst_case, eta_star) for each radius; nondecreasing in delta."""
-    return [(float(d), *worst_case_risk(losses, float(d))) for d in deltas]
+    """(delta, worst_case, eta_star) for each radius; nondecreasing in delta.
+
+    All radii share one sort, and each row equals ``worst_case_risk``.
+    """
+    losses = _check_losses(losses)
+    top, mean_loss = np.sort(losses)[::-1], float(np.mean(losses))
+    return [(float(d), *_dual_minimum(top, mean_loss, float(d))) for d in deltas]
 
 
 def gamma_shift(full: ModelParams, subset: ModelParams) -> float:
@@ -162,21 +146,13 @@ def evaluate_robustness(te_losses: np.ndarray, delta: float, full: ModelParams,
 
 def write_worst_case_curve_csv(rows: Sequence[tuple[float, float, float]], path: str) -> None:
     """Emit ``delta,worst_case,eta_star`` rows."""
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("delta,worst_case,eta_star\n")
-            for delta, value, eta in rows:
-                fh.write(f"{_fmt(delta)},{_fmt(value)},{_fmt(eta)}\n")
-    except OSError as exc:
-        raise RuntimeError(f"cannot write {path}: {exc}") from exc
+    write_lines(path, itertools.chain(
+        ["delta,worst_case,eta_star"],
+        (f"{_fmt(delta)},{_fmt(value)},{_fmt(eta)}" for delta, value, eta in rows)))
 
 
 def write_gamma_csv(rows: Sequence[tuple[float, str, float]], path: str) -> None:
     """Emit ``ratio,method,gamma`` rows."""
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("ratio,method,gamma\n")
-            for ratio, method, gamma in rows:
-                fh.write(f"{_fmt(ratio)},{method},{_fmt(gamma)}\n")
-    except OSError as exc:
-        raise RuntimeError(f"cannot write {path}: {exc}") from exc
+    write_lines(path, itertools.chain(
+        ["ratio,method,gamma"],
+        (f"{_fmt(ratio)},{method},{_fmt(gamma)}" for ratio, method, gamma in rows)))

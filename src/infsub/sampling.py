@@ -9,12 +9,13 @@ sample untouched, pi = 0 removes it.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import model
-from .data import SparseDataset, _fmt, round_half_up
+from .data import SparseDataset, _fmt, read_lines, round_half_up, write_lines
 from .model import ModelParams
 
 METHODS = ("dropout", "linear", "sigmoid", "optlr", "random")
@@ -72,7 +73,10 @@ def sigmoid_probs(phi: np.ndarray, alpha: float) -> np.ndarray:
     spread = float(np.max(phi) - np.min(phi))
     if spread == 0.0:
         raise SamplingError("constant influence vector; sigmoid weights are undefined")
-    return 1.0 / (1.0 + np.exp(alpha * phi / spread))
+    # exp overflows to inf where alpha phi / spread is large; 1/(1 + inf) = 0
+    # is then the exact limit.
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(alpha * phi / spread))
 
 
 def optlr_probs(psi_norms: np.ndarray, floor: float = 0.01,
@@ -104,6 +108,31 @@ def random_probs(n: int, target_ratio: float) -> np.ndarray:
     if not 0.0 < target_ratio <= 1.0:
         raise SamplingError(f"target_ratio must be in (0, 1], got {target_ratio}")
     return np.full(n, target_ratio)
+
+
+def probs_for(method: str, ratio: float, phi: np.ndarray | None = None,
+              psi: np.ndarray | None = None, alpha: float | None = None,
+              floor: float = 0.01, n: int | None = None) -> np.ndarray:
+    """Acceptance probabilities for ``method``, the one map from a method name.
+
+    dropout, linear and sigmoid read the influence scores ``phi``; optlr
+    reads the psi norms with ``floor``; random needs only the row count
+    ``n`` (default: the length of ``phi``) and ``ratio``. ``alpha`` None
+    means 1/max|phi| for linear and 1.0 for sigmoid.
+    """
+    if method == "random":
+        return random_probs(len(phi) if n is None else n, ratio)
+    if method == "optlr":
+        if psi is None:
+            raise SamplingError("optlr needs psi norms; rerun `influence` with --psi")
+        return optlr_probs(psi, floor=floor)
+    if method == "dropout":
+        return dropout_probs(phi)
+    if method == "linear":
+        return linear_probs(phi, alpha)
+    if method == "sigmoid":
+        return sigmoid_probs(phi, 1.0 if alpha is None else alpha)
+    raise SamplingError(f"unknown method {method!r}")
 
 
 @dataclass(frozen=True)
@@ -225,24 +254,16 @@ def write_plan_csv(plan: SamplingPlan, path: str) -> None:
     """Emit ``index,prob,selected`` rows under a metadata comment line."""
     chosen = np.zeros(plan.probs.size, dtype=np.int64)
     chosen[plan.selected] = 1
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"# method={plan.method} alpha={_fmt(plan.alpha)} "
-                     f"seed={plan.seed} ratio={_fmt(plan.target_ratio)}\n")
-            fh.write("index,prob,selected\n")
-            for i, (pr, sel) in enumerate(zip(plan.probs, chosen)):
-                fh.write(f"{i},{_fmt(pr)},{sel}\n")
-    except OSError as exc:
-        raise RuntimeError(f"cannot write {path}: {exc}") from exc
+    head = [f"# method={plan.method} alpha={_fmt(plan.alpha)} "
+            f"seed={plan.seed} ratio={_fmt(plan.target_ratio)}",
+            "index,prob,selected"]
+    rows = (f"{i},{_fmt(pr)},{sel}" for i, (pr, sel) in enumerate(zip(plan.probs, chosen)))
+    write_lines(path, itertools.chain(head, rows))
 
 
 def read_plan_csv(path: str) -> SamplingPlan:
     """Read a plan written by ``write_plan_csv``."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-    except OSError as exc:
-        raise RuntimeError(f"cannot read {path}: {exc}") from exc
+    lines = read_lines(path)
     if len(lines) < 2 or not lines[0].startswith("#"):
         raise SamplingError(f"{path}: missing metadata comment")
     meta: dict[str, str] = {}

@@ -18,8 +18,7 @@ import numpy as np
 from conftest import dataset_path, random_ds
 from test_risk import grid_worst_case
 from infsub import cli, model
-from infsub.experiment import (ExperimentConfig, best_sigmoid,
-                               run_noise_experiment, run_pipeline)
+from infsub.experiment import ExperimentConfig, best_sigmoid, run_pipeline
 from infsub.influence import PcgConfig, compute_phi, inverse_hvp_pcg
 from infsub.sampling import subset_risk_weighted
 from infsub.synthdata import ill_conditioned
@@ -189,7 +188,7 @@ def test_07_sigmoid_subset_recovers_accuracy_under_label_noise():
         split_seed=0, reg_c=0.1, methods=["sigmoid"],
         sigmoid_alphas=[0.1, 1.0, 5.0, 10.0, 50.0], ratios=[0.6],
         repeats=10, seed=0, flip_fraction=0.4)
-    report = run_noise_experiment(cfg)
+    report = run_pipeline(cfg)
     best = best_sigmoid(report, 0.6)
     gain = best.accuracy_mean - report.full_te_accuracy
     _verdict(7, "sigmoid subset beats full model by a point under 40% label noise",

@@ -156,6 +156,20 @@ def test_pipeline_config_file_with_cli_override(files, tmp_path):
     assert len(rep.read_text().splitlines()) == 1 + 3
 
 
+def test_pipeline_config_file_leaves_data_source_to_flags(files, tmp_path):
+    # The file alone is not a complete config; the flags complete it.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("va_fraction = 0.3\n"
+                   "te_fraction = 0.2\n"
+                   "methods = random\n"
+                   "ratios = 0.9\n")
+    rep = tmp_path / "report.csv"
+    code = cli.main(["pipeline", "--config", str(cfg), "--dataset", files["full"],
+                     "--repeats", "2", "--out", str(rep)])
+    assert code == 0
+    assert len(rep.read_text().splitlines()) == 1 + 2
+
+
 def test_pipeline_failing_cells_exit_nonzero(files, tmp_path, capsys):
     rep = tmp_path / "report.csv"
     code = cli.main(["pipeline", "--dataset", files["full"],
@@ -207,6 +221,14 @@ def test_noise_requires_flip_flag(files, tmp_path):
         cli.main(["noise", "--dataset", files["full"],
                   "--out", str(tmp_path / "x.csv")])
     assert err.value.code == 2
+
+
+def test_noise_rejects_zero_flip(files, tmp_path, capsys):
+    code = cli.main(["noise", "--dataset", files["full"], "--flip", "0",
+                     "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "needs flip_fraction > 0" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_unknown_command_rejected():

@@ -134,6 +134,12 @@ def test_load_missing_file():
         load_libsvm("/nonexistent/data.svm")
 
 
+def test_write_libsvm_unwritable_path(tmp_path):
+    ds = make_ds([[1.0, 0.0]], [1])
+    with pytest.raises(RuntimeError, match="cannot write"):
+        write_libsvm(ds, str(tmp_path / "missing_dir" / "out.svm"))
+
+
 def test_write_parse_round_trip_exact(tmp_path):
     rng = np.random.default_rng(11)
     dense = rng.normal(size=(9, 4))

@@ -8,10 +8,9 @@ from infsub import model
 from infsub.data import load_libsvm, write_libsvm
 from infsub.experiment import (AggregateRow, CellResult, ConfigError,
                                ExperimentConfig, ExperimentReport, best_sigmoid,
-                               config_from_file, config_from_mapping,
-                               derive_seed, emit_gamma_csv, emit_report,
-                               expand_methods, load_splits, run_noise_experiment,
-                               run_pipeline, _sibling)
+                               config_from_mapping, derive_seed,
+                               emit_gamma_csv, emit_report, expand_methods,
+                               load_splits, read_config, run_pipeline, _sibling)
 
 
 @pytest.fixture(scope="module")
@@ -98,16 +97,16 @@ def test_config_from_file(tmp_path):
         "ratios = 0.95,0.8   # trailing comment\n"
         "repeats = 2\n"
         "\n")
-    cfg = config_from_file(str(path))
+    cfg = config_from_mapping(read_config(str(path)))
     assert cfg.dataset_path == "toy.svm"
     assert cfg.ratios == [0.95, 0.8]
     assert cfg.repeats == 2
     bad = tmp_path / "bad.cfg"
     bad.write_text("no equals sign\n")
     with pytest.raises(ConfigError, match="key = value"):
-        config_from_file(str(bad))
+        read_config(str(bad))
     with pytest.raises(ConfigError, match="cannot read"):
-        config_from_file(str(tmp_path / "missing.cfg"))
+        read_config(str(tmp_path / "missing.cfg"))
 
 
 def test_expand_methods_fans_out_sigmoid():
@@ -254,17 +253,12 @@ def test_pipeline_random_baseline_not_better_than_full(data_file):
 
 def test_noise_run_flips_training_labels_only(data_file):
     cfg = small_config(data_file, flip_fraction=0.3, repeats=2)
-    report = run_noise_experiment(cfg)
+    report = run_pipeline(cfg)
     assert report.with_accuracy
     assert not report.failures()
     assert np.isfinite(report.full_te_accuracy)
     clean = run_pipeline(small_config(data_file, repeats=2))
     assert report.full_va_logloss != clean.full_va_logloss
-
-
-def test_noise_run_requires_flip_fraction(data_file):
-    with pytest.raises(ConfigError, match="flip_fraction"):
-        run_noise_experiment(small_config(data_file))
 
 
 # ------------------------------------------------------------------ reports
@@ -293,7 +287,7 @@ def test_emit_report_is_byte_stable(data_file, tmp_path):
 
 
 def test_emit_report_accuracy_column_tracks_noise(data_file, tmp_path):
-    report = run_noise_experiment(small_config(data_file, flip_fraction=0.3, repeats=2))
+    report = run_pipeline(small_config(data_file, flip_fraction=0.3, repeats=2))
     path = tmp_path / "noise.csv"
     emit_report(report, str(path))
     lines = path.read_text().splitlines()

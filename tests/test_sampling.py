@@ -11,8 +11,8 @@ from infsub import model
 from infsub.model import ModelParams, train
 from infsub.sampling import (METHODS, SamplingError, SamplingPlan, draw_subset,
                              dropout_probs, linear_probs, optlr_probs,
-                             random_probs, read_plan_csv, sigmoid_probs,
-                             subset_risk_weighted, write_plan_csv)
+                             probs_for, random_probs, read_plan_csv,
+                             sigmoid_probs, subset_risk_weighted, write_plan_csv)
 
 finite_phis = st.lists(
     st.floats(min_value=-100.0, max_value=100.0, allow_nan=False),
@@ -51,6 +51,34 @@ def test_linear_rejects_degenerate_inputs():
         linear_probs(np.array([np.nan]))
 
 
+def test_probs_for_dispatches_with_defaults():
+    phi = np.array([-2.0, 0.5, 1.0, -0.25])
+    psi = np.array([0.0, 1.0, 4.0, 2.0])
+    assert np.array_equal(probs_for("dropout", 0.5, phi), dropout_probs(phi))
+    assert np.array_equal(probs_for("linear", 0.5, phi), linear_probs(phi))
+    assert np.array_equal(probs_for("linear", 0.5, phi, alpha=3.0), linear_probs(phi, 3.0))
+    assert np.array_equal(probs_for("sigmoid", 0.5, phi), sigmoid_probs(phi, 1.0))
+    assert np.array_equal(probs_for("sigmoid", 0.5, phi, alpha=5.0), sigmoid_probs(phi, 5.0))
+    assert np.array_equal(probs_for("optlr", 0.5, psi=psi, floor=0.2), optlr_probs(psi, 0.2))
+    assert np.array_equal(probs_for("random", 0.5, phi), random_probs(4, 0.5))
+    assert np.array_equal(probs_for("random", 0.5, n=6), random_probs(6, 0.5))
+    with pytest.raises(SamplingError, match="rerun `influence` with --psi"):
+        probs_for("optlr", 0.5, phi)
+    with pytest.raises(SamplingError, match="unknown method"):
+        probs_for("magic", 0.5, phi)
+
+
+@pytest.mark.parametrize("phi", [np.zeros(3), np.array([0.0, 2.2e-311])])
+def test_probs_for_linear_auto_alpha_degenerate_scale(phi):
+    # A zero scale is a SamplingError, not a ZeroDivisionError, and a
+    # subnormal one whose inverse overflows still gives finite probabilities.
+    if not np.any(phi):
+        with pytest.raises(SamplingError, match="all-zero"):
+            probs_for("linear", 0.9, phi)
+    else:
+        assert probs_for("linear", 0.9, phi).tolist() == [0.0, 0.0]
+
+
 def test_sigmoid_midpoint_and_values():
     phi = np.array([-2.0, 0.0, 2.0])
     probs = sigmoid_probs(phi, alpha=1.0)
@@ -68,6 +96,8 @@ def test_sigmoid_large_alpha_approaches_dropout():
     probs = sigmoid_probs(np.array([-1.0, 1.0]), alpha=200.0)
     assert probs[0] > 1.0 - 1e-12
     assert probs[1] < 1e-12
+    # A small spread overflows exp; that limit is exactly pi = 0, not a warning.
+    assert sigmoid_probs(np.array([2.0, 1.99]), alpha=5.0).tolist() == [0.0, 0.0]
 
 
 def test_sigmoid_scale_invariant():
