@@ -18,8 +18,8 @@ from .model import (Curvature, ModelError, ModelParams, PcgInfo, accuracy,
                     curvature, gradient, hessian_diag, hvp, load_params,
                     mean_logloss, pcg, per_sample_loss, predict_proba,
                     save_params, train)
-from .risk import (RobustnessReport, cov_phi_eps, evaluate_robustness,
-                   gamma_shift, worst_case_curve, worst_case_risk)
+from .risk import (cov_phi_eps, gamma_shift, worst_case_curve,
+                   worst_case_risk)
 from .sampling import (SamplingError, SamplingPlan, draw_subset, dropout_probs,
                        linear_probs, optlr_probs, probs_for, random_probs,
                        sigmoid_probs, subset_risk_weighted)

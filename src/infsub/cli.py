@@ -169,8 +169,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
             f"{phi.size} influence rows for {tr.n_rows} training rows")
     probs = sampling.probs_for(args.method, args.ratio, phi, rep.psi_norms, args.alpha)
     plan = sampling.draw_subset(
-        probs, args.ratio, tr.y, args.method, args.seed,
-        phi=phi if args.method == "dropout" else None,
+        probs, args.ratio, tr.y, args.method, args.seed, phi=phi,
         alpha=float("nan") if args.alpha is None else args.alpha)
     sampling.write_plan_csv(plan, args.out)
     print(f"selected {plan.selected.size}/{tr.n_rows} rows "
@@ -179,6 +178,10 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    if args.out and not args.deltas:
+        raise ConfigError("--out writes the worst-case curve; it needs --deltas")
+    if bool(args.influence) != bool(args.plan):
+        raise ConfigError("--influence and --plan go together: the covariance check needs both")
     ds = load_libsvm(args.data, args.n_features)
     params = _load_model_for(args.model, ds.n_features)
     losses = model.per_sample_loss(params, ds, regularized=False)
@@ -195,7 +198,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     if args.baseline_model:
         base = _load_model_for(args.baseline_model, ds.n_features)
         print(f"squared parameter shift vs baseline: {risk.gamma_shift(base, params):.6e}")
-    if args.influence and args.plan:
+    if args.influence:
         rep = influence.read_influence_csv(args.influence)
         plan = sampling.read_plan_csv(args.plan)
         cov = risk.cov_phi_eps(rep.phi, plan.probs)
@@ -214,11 +217,9 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     if args.noise and not config.flip_fraction:
         raise ConfigError("noise experiment needs flip_fraction > 0")
     report = experiment.run_pipeline(config)
-    experiment.emit_report(report, args.out)
-    if config.compute_gamma:
-        gamma_path = experiment._sibling(args.out, "_gamma.csv")
-        experiment.emit_gamma_csv(report, gamma_path)
-        print(f"parameter shifts -> {gamma_path}")
+    written = experiment.emit_report(report, args.out)
+    if report.with_gamma:
+        print(f"parameter shifts -> {written[-1]}")
     print(f"full-set model: va logloss {report.full_va_logloss:.6f}, "
           f"te logloss {report.full_te_logloss:.6f}")
     for agg in report.aggregates():

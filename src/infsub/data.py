@@ -8,8 +8,9 @@ labels are canonical {0, 1}.
 from __future__ import annotations
 
 import gzip
+import itertools
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -17,11 +18,6 @@ import scipy.sparse as sp
 
 class DataError(ValueError):
     """Malformed input data or an invalid dataset operation."""
-
-
-def _fmt(x: float) -> str:
-    """Shortest text that reads back as the same float; every CSV writer uses it."""
-    return repr(float(x))
 
 
 def write_lines(path: str, lines: Iterable[str]) -> None:
@@ -34,13 +30,51 @@ def write_lines(path: str, lines: Iterable[str]) -> None:
         raise RuntimeError(f"cannot write {path}: {exc}") from exc
 
 
-def read_lines(path: str) -> list[str]:
-    """The stripped, nonblank lines of a UTF-8 text file; OSError becomes RuntimeError."""
+def write_table(path: str, header: Sequence[str], columns: Sequence,
+                comment: str | None = None) -> None:
+    """Write a CSV table given column by column, under an optional ``# comment`` line.
+
+    Each column's formatter is chosen once from its numpy dtype: floats by
+    ``repr`` of the Python floats ``tolist`` gives, the shortest text that
+    reads back as the same float; anything else by ``str``. Columns must be
+    equally long.
+    """
+    cells = []
+    for col in columns:
+        col = np.asarray(col)
+        cells.append(map(repr if col.dtype.kind == "f" else str, col.tolist()))
+    head = [] if comment is None else [f"# {comment}"]
+    write_lines(path, itertools.chain(
+        head, [",".join(header)], map(",".join, zip(*cells, strict=True))))
+
+
+def read_table(path: str) -> tuple[str | None, list[str], list[list[str]]]:
+    """Read a table written by ``write_table`` as (comment, header, columns).
+
+    Blank lines are skipped and cells stay text. Every row must be as wide
+    as the header, and a leading ``index`` column must count 0..n-1 in
+    order; either failure raises ValueError naming the file. OSError
+    becomes RuntimeError.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return [ln.strip() for ln in fh if ln.strip()]
+            lines = [ln for ln in map(str.strip, fh.read().split("\n")) if ln]
     except OSError as exc:
         raise RuntimeError(f"cannot read {path}: {exc}") from exc
+    comment = lines.pop(0).lstrip("#").strip() if lines and lines[0].startswith("#") else None
+    if not lines:
+        raise ValueError(f"{path}: empty table, no header")
+    header, body = lines[0].split(","), lines[1:]
+    width = len(header)
+    for ln in body:
+        if ln.count(",") != width - 1:
+            raise ValueError(f"{path}: bad row {ln!r}")
+    cells = ",".join(body).split(",") if body else []
+    columns = [cells[k::width] for k in range(width)]
+    if header[0] == "index" and not np.array_equal(np.array(columns[0], dtype=np.int64),
+                                                   np.arange(len(body))):
+        raise ValueError(f"{path}: rows must be indexed 0..n-1 in order")
+    return comment, header, columns
 
 
 def round_half_up(x: float) -> int:

@@ -9,14 +9,15 @@ seed through a keyed hash, so a config reproduces its report byte for byte.
 from __future__ import annotations
 
 import hashlib
+import os
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import influence, model, risk, sampling
-from .data import (SparseDataset, SplitSpec, _fmt, flip_labels, load_libsvm,
-                   split, with_feature_dim, write_lines)
+from .data import (SparseDataset, SplitSpec, flip_labels, load_libsvm, split,
+                   with_feature_dim, write_table)
 from .influence import ConvergenceError, PcgConfig
 from .model import ModelParams
 
@@ -33,7 +34,9 @@ class ExperimentConfig:
 
     Datasets come either as pre-split tr/va/te paths or as one dataset_path
     split here by (va_fraction, te_fraction, split_seed). Methods named
-    "sigmoid" fan out into one cell per entry of sigmoid_alphas.
+    "sigmoid" fan out into one cell per entry of sigmoid_alphas. Every value
+    is checked here, before any data is read; ``pcg`` and ``split_spec`` keep
+    the solver and split settings built from them.
     """
 
     tr_path: str | None = None
@@ -64,6 +67,9 @@ class ExperimentConfig:
     flip_fraction: float | None = None
     compute_gamma: bool = False
 
+    pcg: PcgConfig = field(init=False, repr=False)
+    split_spec: SplitSpec | None = field(init=False, repr=False)
+
     def __post_init__(self) -> None:
         if self.dataset_path is None and (self.tr_path is None or self.va_path is None):
             raise ConfigError("need dataset_path or both tr_path and va_path")
@@ -71,20 +77,32 @@ class ExperimentConfig:
             raise ConfigError("dataset_path and tr_path are mutually exclusive")
         if self.repeats < 1:
             raise ConfigError("repeats must be at least 1")
-        if not self.methods:
-            raise ConfigError("methods must be nonempty")
+        if not self.methods or not self.ratios:
+            raise ConfigError("methods and ratios must both be nonempty")
+        if "sigmoid" in self.methods and not self.sigmoid_alphas:
+            raise ConfigError("sigmoid requested but sigmoid_alphas is empty")
         for m in self.methods:
             if m not in sampling.METHODS:
                 raise ConfigError(f"unknown method {m!r}")
+        for name in sorted(_LIST_FIELDS):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{name} has duplicate entries: {values}")
         for r in self.ratios:
             if not 0.0 < r <= 1.0:
                 raise ConfigError(f"ratio must be in (0, 1], got {r}")
+        for a in self.sigmoid_alphas:
+            if not a > 0.0:
+                raise ConfigError(f"sigmoid alpha must be positive, got {a}")
+        if self.linear_alpha is not None and not self.linear_alpha > 0.0:
+            raise ConfigError(f"linear_alpha must be positive, got {self.linear_alpha}")
+        if not 0.0 < self.optlr_floor <= 1.0:
+            raise ConfigError(f"optlr_floor must be in (0, 1], got {self.optlr_floor}")
         if self.flip_fraction is not None and not 0.0 <= self.flip_fraction <= 1.0:
             raise ConfigError(f"flip_fraction must be in [0, 1], got {self.flip_fraction}")
-
-    def pcg_config(self) -> PcgConfig:
-        return PcgConfig(alpha_precond=self.pcg_alpha, tol=self.pcg_tol,
-                         max_iter=self.pcg_max_iter)
+        self.pcg = PcgConfig(self.pcg_alpha, self.pcg_tol, self.pcg_max_iter)
+        self.split_spec = (SplitSpec(self.va_fraction, self.te_fraction, self.split_seed)
+                           if self.dataset_path is not None else None)
 
 
 def _coerce(name: str, kind, raw: str):
@@ -197,6 +215,7 @@ class ExperimentReport:
     ratios: list[float]
     repeats: int
     with_accuracy: bool
+    with_gamma: bool = False
     influence_seconds: float = 0.0
     total_seconds: float = 0.0
 
@@ -236,7 +255,7 @@ def load_splits(cfg: ExperimentConfig) -> tuple[SparseDataset, SparseDataset, Sp
     """
     if cfg.dataset_path is not None:
         ds = load_libsvm(cfg.dataset_path, cfg.n_features)
-        return split(ds, SplitSpec(cfg.va_fraction, cfg.te_fraction, cfg.split_seed))
+        return split(ds, cfg.split_spec)
     tr = load_libsvm(cfg.tr_path, cfg.n_features)
     va = load_libsvm(cfg.va_path, cfg.n_features)
     te = load_libsvm(cfg.te_path, cfg.n_features) if cfg.te_path else None
@@ -255,8 +274,6 @@ def expand_methods(cfg: ExperimentConfig) -> list[tuple[str, str, float | None]]
     out = []
     for m in cfg.methods:
         if m == "sigmoid":
-            if not cfg.sigmoid_alphas:
-                raise ConfigError("sigmoid requested but sigmoid_alphas is empty")
             for a in cfg.sigmoid_alphas:
                 out.append((f"sigmoid@{a:g}", "sigmoid", float(a)))
         else:
@@ -291,8 +308,8 @@ def run_pipeline(cfg: ExperimentConfig) -> ExperimentReport:
     need_phi = any(base in ("dropout", "linear", "sigmoid") for _, base, _ in labels)
     need_psi = any(base == "optlr" for _, base, _ in labels)
     t_inf = time.perf_counter()
-    phi = influence.compute_phi(full, tr, va, cfg.pcg_config()).phi if need_phi else None
-    psi = influence.compute_psi_norms(full, tr, cfg.pcg_config()) if need_psi else None
+    phi = influence.compute_phi(full, tr, va, cfg.pcg).phi if need_phi else None
+    psi = influence.compute_psi_norms(full, tr, cfg.pcg) if need_psi else None
     influence_seconds = time.perf_counter() - t_inf
 
     cells: list[CellResult] = []
@@ -316,6 +333,7 @@ def run_pipeline(cfg: ExperimentConfig) -> ExperimentReport:
         ratios=[float(r) for r in cfg.ratios],
         repeats=cfg.repeats,
         with_accuracy=bool(cfg.flip_fraction),
+        with_gamma=cfg.compute_gamma,
         influence_seconds=influence_seconds,
         total_seconds=time.perf_counter() - t_start,
     )
@@ -333,8 +351,7 @@ def _run_cell(cfg: ExperimentConfig, tr: SparseDataset, va: SparseDataset,
               ratio: float, repeat: int, seed: int) -> CellResult:
     probs = sampling.probs_for(base, ratio, phi, psi, alpha, floor=cfg.optlr_floor,
                                n=tr.n_rows)
-    plan = sampling.draw_subset(probs, ratio, tr.y, base, seed,
-                                phi=phi if base == "dropout" else None)
+    plan = sampling.draw_subset(probs, ratio, tr.y, base, seed, phi=phi)
     subset = tr.subset(plan.selected)
     weights = None
     if base == "optlr":
@@ -354,58 +371,44 @@ def _run_cell(cfg: ExperimentConfig, tr: SparseDataset, va: SparseDataset,
     )
 
 
-def emit_report(report: ExperimentReport, path: str) -> None:
-    """Write the per-repeat CSV to ``path`` and aggregates beside it.
+# Report columns as (header, record attribute, type); accuracy comes last.
+_CELL_COLUMNS = (("method", "method", str), ("ratio", "ratio", float),
+                 ("repeat", "repeat", int), ("va_logloss", "va_logloss", float),
+                 ("te_logloss", "te_logloss", float), ("accuracy", "te_accuracy", float))
+_AGGREGATE_COLUMNS = (("method", "method", str), ("ratio", "ratio", float), ("n", "n", int),
+                      ("va_logloss_mean", "va_mean", float), ("va_logloss_std", "va_std", float),
+                      ("te_logloss_mean", "te_mean", float), ("te_logloss_std", "te_std", float),
+                      ("accuracy_mean", "accuracy_mean", float))
+_GAMMA_COLUMNS = (("ratio", "ratio", float), ("method", "method", str),
+                  ("gamma", "gamma_mean", float))
+
+
+def emit_report(report: ExperimentReport, path: str) -> list[str]:
+    """Write the per-repeat CSV to ``path`` and the other tables beside it.
 
     The aggregate file replaces the extension with ``_aggregate.csv`` and
-    carries the full-set baseline as a ``full`` row. Re-emitting the same
-    report overwrites with identical bytes.
+    carries the full-set baseline as a ``full`` row; a run that computed
+    gamma adds ``_gamma.csv``, the mean parameter shift per ratio and method.
+    Returns the paths written; the same report always gives the same bytes.
     """
-    acc = report.with_accuracy
-
-    def cell_rows():
-        header = "method,ratio,repeat,va_logloss,te_logloss"
-        if acc:
-            header += ",accuracy"
-        yield header
-        for c in report.cells:
-            if c.error is not None:
-                continue
-            row = f"{c.method},{_fmt(c.ratio)},{c.repeat},{_fmt(c.va_logloss)},{_fmt(c.te_logloss)}"
-            if acc:
-                row += f",{_fmt(c.te_accuracy)}"
-            yield row
-
-    def aggregate_rows():
-        header = "method,ratio,n,va_logloss_mean,va_logloss_std,te_logloss_mean,te_logloss_std"
-        if acc:
-            header += ",accuracy_mean"
-        yield header
-        row = (f"full,{_fmt(1.0)},1,{_fmt(report.full_va_logloss)},{_fmt(0.0)},"
-               f"{_fmt(report.full_te_logloss)},{_fmt(0.0)}")
-        if acc:
-            row += f",{_fmt(report.full_te_accuracy)}"
-        yield row
-        for a in report.aggregates():
-            row = (f"{a.method},{_fmt(a.ratio)},{a.n},{_fmt(a.va_mean)},{_fmt(a.va_std)},"
-                   f"{_fmt(a.te_mean)},{_fmt(a.te_std)}")
-            if acc:
-                row += f",{_fmt(a.accuracy_mean)}"
-            yield row
-
-    write_lines(path, cell_rows())
-    write_lines(_sibling(path, "_aggregate.csv"), aggregate_rows())
-
-
-def emit_gamma_csv(report: ExperimentReport, path: str) -> None:
-    """Write mean parameter shift per (ratio, method) via the risk emitter."""
-    rows = [(a.ratio, a.method, a.gamma_mean) for a in report.aggregates()]
-    risk.write_gamma_csv(rows, path)
+    width = None if report.with_accuracy else -1
+    full = AggregateRow("full", 1.0, 1, report.full_va_logloss, 0.0,
+                        report.full_te_logloss, 0.0, report.full_te_accuracy, float("nan"))
+    aggregates = report.aggregates()
+    tables = [(path, [c for c in report.cells if c.error is None], _CELL_COLUMNS[:width]),
+              (_sibling(path, "_aggregate.csv"), [full] + aggregates,
+               _AGGREGATE_COLUMNS[:width])]
+    if report.with_gamma:
+        tables.append((_sibling(path, "_gamma.csv"), aggregates, _GAMMA_COLUMNS))
+    for out, records, columns in tables:
+        write_table(out, [name for name, _, _ in columns],
+                    [np.array([getattr(r, attr) for r in records], dtype=kind)
+                     for _, attr, kind in columns])
+    return [out for out, _, _ in tables]
 
 
 def _sibling(path: str, suffix: str) -> str:
-    stem, dot, _ = path.rpartition(".")
-    return (stem if dot else path) + suffix
+    return os.path.splitext(path)[0] + suffix
 
 
 def best_sigmoid(report: ExperimentReport, ratio: float) -> AggregateRow | None:

@@ -10,13 +10,12 @@ mixed diagonal/identity preconditioner.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import model
-from .data import SparseDataset, _fmt, read_lines, write_lines
+from .data import SparseDataset, read_table, write_table
 from .model import ModelParams, PcgInfo
 
 
@@ -124,7 +123,7 @@ def compute_psi_norms(params: ModelParams, tr: SparseDataset,
     """Norm of the parameter influence H^{-1} grad_i for every training row.
 
     Runs one conjugate-gradient solve per row, so cost scales linearly with
-    the training set; rows with a zero gradient short-circuit to zero.
+    the training set; a row with a zero gradient solves to exactly zero.
     """
     H = model.curvature(params, tr)
     p = model._sigma(params, tr)
@@ -134,9 +133,6 @@ def compute_psi_norms(params: ModelParams, tr: SparseDataset,
         idx, vals = tr.row(i)
         rhs = base.copy()
         rhs[idx] += (p[i] - tr.y[i]) * vals
-        if not np.any(rhs):
-            norms[i] = 0.0
-            continue
         sol, info = inverse_hvp_pcg(H, rhs, cfg)
         if not info.converged:
             raise ConvergenceError(
@@ -147,36 +143,16 @@ def compute_psi_norms(params: ModelParams, tr: SparseDataset,
 
 def write_influence_csv(report: InfluenceReport, path: str) -> None:
     """Emit ``index,phi`` rows, with a ``psi_norm`` column when present."""
-    psi = report.psi_norms
-    header = "index,phi" if psi is None else "index,phi,psi_norm"
-    rows = (f"{i},{_fmt(value)}" if psi is None else f"{i},{_fmt(value)},{_fmt(psi[i])}"
-            for i, value in enumerate(report.phi))
-    write_lines(path, itertools.chain([header], rows))
+    psi = [] if report.psi_norms is None else [report.psi_norms]
+    write_table(path, ["index", "phi", "psi_norm"][:2 + len(psi)],
+                [range(report.phi.size), report.phi, *psi])
 
 
 def read_influence_csv(path: str) -> InfluenceReport:
     """Read scores written by ``write_influence_csv``; diagnostics are not stored."""
-    lines = read_lines(path)
-    if not lines:
-        raise ValueError(f"{path}: empty influence file")
-    header = lines[0].split(",")
-    if header[:2] != ["index", "phi"]:
-        raise ValueError(f"{path}: unexpected header {lines[0]!r}")
-    with_psi = len(header) == 3 and header[2] == "psi_norm"
-    phi: list[float] = []
-    psi: list[float] = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != (3 if with_psi else 2):
-            raise ValueError(f"{path}: bad row {ln!r}")
-        if int(parts[0]) != len(phi):
-            raise ValueError(f"{path}: rows must be indexed 0..n-1 in order")
-        phi.append(float(parts[1]))
-        if with_psi:
-            psi.append(float(parts[2]))
-    return InfluenceReport(
-        phi=np.asarray(phi),
-        psi_norms=np.asarray(psi) if with_psi else None,
-        cg_iters=0,
-        residual=float("nan"),
-    )
+    _, header, columns = read_table(path)
+    if header not in (["index", "phi"], ["index", "phi", "psi_norm"]):
+        raise ValueError(f"{path}: unexpected header {','.join(header)!r}")
+    phi, *psi = (np.array(col, dtype=np.float64) for col in columns[1:])
+    return InfluenceReport(phi=phi, psi_norms=psi[0] if psi else None,
+                           cg_iters=0, residual=float("nan"))

@@ -9,13 +9,11 @@ sqrt(2 delta + 1) * sqrt(mean(relu(l - eta)^2)) + eta (Namkoong & Duchi
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .data import _fmt, write_lines
+from .data import write_table
 from .model import ModelParams
 
 
@@ -121,38 +119,7 @@ def cov_phi_eps(phi: np.ndarray, probs: np.ndarray) -> float:
     return float(np.sum((phi - phi.mean()) * (eps - eps.mean())) / (n - 1))
 
 
-@dataclass(frozen=True)
-class RobustnessReport:
-    """Bundle of the diagnostics for one subset-trained model."""
-
-    worst_case: float
-    eta_star: float
-    gamma: float
-    cov_phi_eps: float
-
-
-def evaluate_robustness(te_losses: np.ndarray, delta: float, full: ModelParams,
-                        subset: ModelParams, phi: np.ndarray,
-                        probs: np.ndarray) -> RobustnessReport:
-    """Run all three diagnostics against one subset fit."""
-    value, eta = worst_case_risk(te_losses, delta)
-    return RobustnessReport(
-        worst_case=value,
-        eta_star=eta,
-        gamma=gamma_shift(full, subset),
-        cov_phi_eps=cov_phi_eps(phi, probs),
-    )
-
-
 def write_worst_case_curve_csv(rows: Sequence[tuple[float, float, float]], path: str) -> None:
     """Emit ``delta,worst_case,eta_star`` rows."""
-    write_lines(path, itertools.chain(
-        ["delta,worst_case,eta_star"],
-        (f"{_fmt(delta)},{_fmt(value)},{_fmt(eta)}" for delta, value, eta in rows)))
-
-
-def write_gamma_csv(rows: Sequence[tuple[float, str, float]], path: str) -> None:
-    """Emit ``ratio,method,gamma`` rows."""
-    write_lines(path, itertools.chain(
-        ["ratio,method,gamma"],
-        (f"{_fmt(ratio)},{method},{_fmt(gamma)}" for ratio, method, gamma in rows)))
+    write_table(path, ["delta", "worst_case", "eta_star"],
+                np.array(rows, dtype=np.float64).reshape(-1, 3).T)

@@ -9,13 +9,12 @@ sample untouched, pi = 0 removes it.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import model
-from .data import SparseDataset, _fmt, read_lines, round_half_up, write_lines
+from .data import SparseDataset, read_table, round_half_up, write_table
 from .model import ModelParams
 
 METHODS = ("dropout", "linear", "sigmoid", "optlr", "random")
@@ -169,12 +168,11 @@ def draw_subset(probs: np.ndarray, target_ratio: float, labels: np.ndarray,
     """Draw an exact-size subset whose per-class counts track the full set.
 
     Each class contributes round-half-up(target_ratio * class size) rows.
-    Dropout is deterministic: rows ranked by ascending phi (ties broken by
-    row index), most helpful first; without phi the ranking falls back to
-    descending probability. The other methods draw rows without replacement
-    with chance proportional to their probability; rows at pi = 0 become
-    eligible, uniformly, only once every positive-probability row of the
-    class is in.
+    Dropout is deterministic and needs ``phi``: rows ranked by ascending phi
+    (ties broken by row index), most helpful first. The other methods draw
+    rows without replacement with chance proportional to their probability;
+    rows at pi = 0 become eligible, uniformly, only once every
+    positive-probability row of the class is in.
     """
     if method not in METHODS:
         raise SamplingError(f"unknown method {method!r}")
@@ -186,6 +184,8 @@ def draw_subset(probs: np.ndarray, target_ratio: float, labels: np.ndarray,
         raise SamplingError(f"{labels.shape[0]} labels for {probs.shape[0]} probabilities")
     if not 0.0 < target_ratio <= 1.0:
         raise SamplingError(f"target_ratio must be in (0, 1], got {target_ratio}")
+    if method == "dropout" and phi is None:
+        raise SamplingError("dropout ranks rows by phi; pass the influence scores")
     if phi is not None:
         phi = _finite_vector(phi, "phi")
         if phi.shape != probs.shape:
@@ -199,8 +199,7 @@ def draw_subset(probs: np.ndarray, target_ratio: float, labels: np.ndarray,
         if quota == 0:
             continue
         if method == "dropout":
-            key = phi[cls] if phi is not None else -probs[cls]
-            order = np.lexsort((cls, key))
+            order = np.lexsort((cls, phi[cls]))
             picked.append(cls[order[:quota]])
             continue
         w = probs[cls]
@@ -212,15 +211,11 @@ def draw_subset(probs: np.ndarray, target_ratio: float, labels: np.ndarray,
             order = np.lexsort((cls[pos], keys))
             picked.append(cls[pos[order[:quota]]])
         else:
-            take = [cls[pos]]
+            # pos.size < quota <= cls.size, so the rows at pi = 0 always
+            # hold the quota - pos.size still missing.
             zero = np.flatnonzero(w == 0)
-            short = quota - pos.size
-            if short > 0:
-                if zero.size < short:
-                    raise SamplingError("quota exceeds class size")  # unreachable: quota <= cls.size
-                fill = rng.permutation(zero.size)[:short]
-                take.append(cls[zero[fill]])
-            picked.append(np.concatenate(take))
+            fill = rng.permutation(zero.size)[:quota - pos.size]
+            picked.append(np.concatenate([cls[pos], cls[zero[fill]]]))
 
     selected = np.sort(np.concatenate(picked)) if picked else np.empty(0, dtype=np.int64)
     return SamplingPlan(method=method, probs=probs, selected=selected,
@@ -254,41 +249,30 @@ def write_plan_csv(plan: SamplingPlan, path: str) -> None:
     """Emit ``index,prob,selected`` rows under a metadata comment line."""
     chosen = np.zeros(plan.probs.size, dtype=np.int64)
     chosen[plan.selected] = 1
-    head = [f"# method={plan.method} alpha={_fmt(plan.alpha)} "
-            f"seed={plan.seed} ratio={_fmt(plan.target_ratio)}",
-            "index,prob,selected"]
-    rows = (f"{i},{_fmt(pr)},{sel}" for i, (pr, sel) in enumerate(zip(plan.probs, chosen)))
-    write_lines(path, itertools.chain(head, rows))
+    write_table(path, ["index", "prob", "selected"], [range(plan.probs.size), plan.probs, chosen],
+                comment=f"method={plan.method} alpha={float(plan.alpha)!r} "
+                        f"seed={plan.seed} ratio={float(plan.target_ratio)!r}")
 
 
 def read_plan_csv(path: str) -> SamplingPlan:
     """Read a plan written by ``write_plan_csv``."""
-    lines = read_lines(path)
-    if len(lines) < 2 or not lines[0].startswith("#"):
+    try:
+        comment, header, columns = read_table(path)
+    except ValueError as exc:
+        raise SamplingError(str(exc)) from None
+    if comment is None:
         raise SamplingError(f"{path}: missing metadata comment")
-    meta: dict[str, str] = {}
-    for tok in lines[0].lstrip("#").split():
-        key, _, val = tok.partition("=")
-        meta[key] = val
-    if lines[1] != "index,prob,selected":
-        raise SamplingError(f"{path}: unexpected header {lines[1]!r}")
-    probs: list[float] = []
-    selected: list[int] = []
-    for ln in lines[2:]:
-        parts = ln.split(",")
-        if len(parts) != 3:
-            raise SamplingError(f"{path}: bad row {ln!r}")
-        if int(parts[0]) != len(probs):
-            raise SamplingError(f"{path}: rows must be indexed 0..n-1 in order")
-        probs.append(float(parts[1]))
-        if parts[2] == "1":
-            selected.append(len(probs) - 1)
-        elif parts[2] != "0":
-            raise SamplingError(f"{path}: selected flag must be 0 or 1, got {parts[2]!r}")
+    if header != ["index", "prob", "selected"]:
+        raise SamplingError(f"{path}: unexpected header {','.join(header)!r}")
+    meta = dict(tok.partition("=")[::2] for tok in comment.split())
+    _, probs, flags = columns
+    bad = next((f for f in flags if f not in ("0", "1")), None)
+    if bad is not None:
+        raise SamplingError(f"{path}: selected flag must be 0 or 1, got {bad!r}")
     return SamplingPlan(
         method=meta.get("method", ""),
-        probs=np.asarray(probs),
-        selected=np.asarray(selected, dtype=np.int64),
+        probs=np.array(probs, dtype=np.float64),
+        selected=np.flatnonzero(np.array(flags, dtype=str) == "1"),
         target_ratio=float(meta.get("ratio", "nan")),
         seed=int(meta.get("seed", "0")),
         alpha=float(meta.get("alpha", "nan")),

@@ -112,6 +112,24 @@ def test_evaluate_prints_all_diagnostics(files, tmp_path, capsys):
     assert len(lines) == 4
 
 
+def test_evaluate_out_needs_deltas(files, tmp_path, capsys):
+    curve = tmp_path / "curve.csv"
+    code = cli.main(["evaluate", "--model", files["model"], "--data", files["va"],
+                     "--out", str(curve)])
+    assert code == 2
+    assert "needs --deltas" in capsys.readouterr().err
+    assert not curve.exists()
+
+
+@pytest.mark.parametrize("given", ["--influence", "--plan"])
+def test_evaluate_influence_and_plan_go_together(files, tmp_path, capsys, given):
+    # The path need not exist: the flag pair is checked before anything is read.
+    code = cli.main(["evaluate", "--model", files["model"], "--data", files["va"],
+                     given, str(tmp_path / "missing.csv")])
+    assert code == 2
+    assert "--influence and --plan go together" in capsys.readouterr().err
+
+
 def test_evaluate_rejects_dimension_mismatch(files, tmp_path):
     narrow = tmp_path / "narrow.svm"
     write_libsvm(random_ds(np.random.default_rng(1), n=12, d=2), str(narrow))
@@ -202,6 +220,32 @@ def test_pipeline_config_rejects_deltas_key(files, tmp_path, capsys):
     code = cli.main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "report.csv")])
     assert code == 2
     assert "unknown config key 'deltas'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, match", [
+    (["--method", "random,random", "--ratio", "0.9,0.9", "--repeats", "2"],
+     "methods has duplicate"),
+    (["--method", "sigmoid", "--alpha=-1"], "sigmoid alpha must be positive"),
+], ids=["duplicate-grid", "negative-alpha"])
+def test_pipeline_rejects_bad_grid_before_loading(tmp_path, capsys, flags, match):
+    # The dataset does not exist: the grid must be refused before it is read.
+    out = tmp_path / "report.csv"
+    code = cli.main(["pipeline", "--dataset", str(tmp_path / "missing.svm"), *flags,
+                     "--out", str(out)])
+    assert code == 2
+    assert match in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_pipeline_rejects_bad_pcg_setting_before_fitting(files, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("pcg_alpha = 3\n")
+    out = tmp_path / "report.csv"
+    code = cli.main(["pipeline", "--config", str(cfg), "--dataset", files["full"],
+                     "--method", "random", "--repeats", "1", "--out", str(out)])
+    assert code == 2
+    assert "alpha_precond" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_noise_runs_and_reports_accuracy(files, tmp_path, capsys):

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from conftest import make_ds
 from infsub.data import (DataError, SparseDataset, SplitSpec, flip_labels,
-                         load_libsvm, parse_libsvm, round_half_up, split,
-                         with_feature_dim, write_libsvm)
+                         load_libsvm, parse_libsvm, read_table, round_half_up,
+                         split, with_feature_dim, write_libsvm, write_table)
 
 
 def test_round_half_up():
@@ -158,6 +158,44 @@ def test_write_rejects_unknown_style(tmp_path):
     ds = make_ds([[1.0]], [1])
     with pytest.raises(DataError, match="label_style"):
         write_libsvm(ds, str(tmp_path / "x.svm"), label_style="binary")
+
+
+# ---------------------------------------------------------------- CSV tables
+
+def test_table_round_trip_formats_each_column_by_dtype(tmp_path):
+    path = tmp_path / "t.csv"
+    write_table(str(path), ["index", "x", "name", "n"],
+                [range(3), np.array([1.0, 1.0 / 3.0, -np.inf]), ["a", "b", "c"],
+                 np.array([7, 8, 9])], comment="k=v")
+    assert path.read_text() == ("# k=v\nindex,x,name,n\n"
+                                "0,1.0,a,7\n1,0.3333333333333333,b,8\n2,-inf,c,9\n")
+    comment, header, columns = read_table(str(path))
+    assert comment == "k=v"
+    assert header == ["index", "x", "name", "n"]
+    assert columns == [["0", "1", "2"], ["1.0", "0.3333333333333333", "-inf"],
+                       ["a", "b", "c"], ["7", "8", "9"]]
+    write_table(str(path), ["x", "y"], [[], []])
+    assert read_table(str(path)) == (None, ["x", "y"], [[], []])
+
+
+def test_table_writer_rejects_ragged_columns(tmp_path):
+    with pytest.raises(ValueError):
+        write_table(str(tmp_path / "t.csv"), ["a", "b"], [[1.0, 2.0], [3.0]])
+
+
+def test_table_reader_checks(tmp_path):
+    path = tmp_path / "t.csv"
+    for text, match in (("", "empty table"), ("# only a comment\n", "empty table"),
+                        ("a,b\n1,2\n3\n", "bad row '3'"),
+                        ("index,x\n0,1\n2,1\n", "indexed 0..n-1"),
+                        ("index,x\n1,1\n", "indexed 0..n-1")):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=match):
+            read_table(str(path))
+    path.write_text("\n\nx,index\n\n5,9\n")
+    assert read_table(str(path)) == (None, ["x", "index"], [["5"], ["9"]])
+    with pytest.raises(RuntimeError, match="cannot read"):
+        read_table(str(tmp_path / "missing.csv"))
 
 
 # ------------------------------------------------------------- the dataset type

@@ -5,12 +5,13 @@ import pytest
 
 from conftest import dataset_path, make_ds, random_ds
 from infsub import model
-from infsub.data import load_libsvm, write_libsvm
+from infsub.data import SplitSpec, load_libsvm, write_libsvm
 from infsub.experiment import (AggregateRow, CellResult, ConfigError,
                                ExperimentConfig, ExperimentReport, best_sigmoid,
-                               config_from_mapping, derive_seed,
-                               emit_gamma_csv, emit_report, expand_methods,
-                               load_splits, read_config, run_pipeline, _sibling)
+                               config_from_mapping, derive_seed, emit_report,
+                               expand_methods, load_splits, read_config,
+                               run_pipeline, _sibling)
+from infsub.influence import PcgConfig
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +61,39 @@ def test_config_validates_grid():
         ExperimentConfig(dataset_path="a", ratios=[1.2])
     with pytest.raises(ConfigError, match="flip_fraction"):
         ExperimentConfig(dataset_path="a", flip_fraction=1.2)
+
+
+@pytest.mark.parametrize("bad, match", [
+    (dict(ratios=[]), "ratios must both be nonempty"),
+    (dict(methods=["random", "random"]), "methods has duplicate"),
+    (dict(ratios=[0.9, 0.9]), "ratios has duplicate"),
+    (dict(sigmoid_alphas=[5.0, 5.0]), "sigmoid_alphas has duplicate"),
+    (dict(methods=["sigmoid"], sigmoid_alphas=[]), "sigmoid_alphas is empty"),
+    (dict(sigmoid_alphas=[-1.0]), "sigmoid alpha must be positive"),
+    (dict(linear_alpha=0.0), "linear_alpha must be positive"),
+    (dict(optlr_floor=0.0), "optlr_floor"),
+    (dict(optlr_floor=1.5), "optlr_floor"),
+    (dict(pcg_alpha=3.0), "alpha_precond"),
+    (dict(pcg_tol=0.0), "tol must be positive"),
+    (dict(pcg_max_iter=0), "max_iter"),
+    (dict(va_fraction=1.5), "va_fraction"),
+    (dict(va_fraction=0.5, te_fraction=0.5), "room for training rows"),
+], ids=["no-ratios", "dup-methods", "dup-ratios", "dup-alphas", "no-alphas", "negative-alpha", "zero-linear-alpha",
+        "zero-floor", "floor-above-one", "pcg-alpha", "pcg-tol", "pcg-max-iter",
+        "va-fraction", "no-training-rows"])
+def test_config_rejects_bad_grid_before_reading_data(bad, match):
+    # "a" does not exist: the error must come from the config itself.
+    with pytest.raises(ValueError, match=match):
+        ExperimentConfig(dataset_path="a", **bad)
+
+
+def test_config_builds_solver_and_split_settings():
+    cfg = ExperimentConfig(dataset_path="a", va_fraction=0.25, te_fraction=0.1, split_seed=3,
+                           pcg_alpha=0.5, pcg_tol=1e-6, pcg_max_iter=50)
+    assert cfg.pcg == PcgConfig(alpha_precond=0.5, tol=1e-6, max_iter=50)
+    assert cfg.split_spec == SplitSpec(0.25, 0.1, seed=3)
+    # Pre-split files ignore the split fractions.
+    assert ExperimentConfig(tr_path="t", va_path="v", va_fraction=2.0).split_spec is None
 
 
 def test_config_from_mapping_parses_types():
@@ -279,9 +313,7 @@ def test_emit_report_is_byte_stable(data_file, tmp_path):
     assert lines[1].startswith("full,1.0,1,")
     head = p1.read_text().splitlines()[0]
     assert head == "method,ratio,repeat,va_logloss,te_logloss"
-    g1 = tmp_path / "gamma.csv"
-    emit_gamma_csv(report, str(g1))
-    glines = g1.read_text().splitlines()
+    glines = (tmp_path / "rep1_gamma.csv").read_text().splitlines()
     assert glines[0] == "ratio,method,gamma"
     assert len(glines) == 1 + len(report.aggregates())
 
@@ -297,9 +329,57 @@ def test_emit_report_accuracy_column_tracks_noise(data_file, tmp_path):
     assert agg[0].endswith(",accuracy_mean")
 
 
+def hand_built_report(with_accuracy, with_gamma=False):
+    """Three dropout repeats, one sigmoid repeat and one failed sigmoid cell,
+    with values whose means and standard deviations are exact in binary."""
+    cells = [CellResult("dropout", 0.95, k, seed=k, va_logloss=va, te_logloss=te,
+                        te_accuracy=acc, gamma=0.125, n_selected=9)
+             for k, (va, te, acc) in enumerate([(0.25, 0.75, 0.5), (0.5, 0.5, 0.75),
+                                                (0.75, 0.25, 1.0)])]
+    cells += [CellResult("sigmoid@1", 0.9, 0, seed=3, va_logloss=0.375, te_logloss=0.125,
+                         te_accuracy=1.0, gamma=0.0625, n_selected=8),
+              CellResult("sigmoid@1", 0.9, 1, seed=4, error="SamplingError: boom")]
+    return ExperimentReport(cells=cells, full_va_logloss=0.5, full_te_logloss=0.75,
+                            full_te_accuracy=0.625, methods=["dropout", "sigmoid@1"],
+                            ratios=[0.95, 0.9], repeats=3, with_accuracy=with_accuracy,
+                            with_gamma=with_gamma)
+
+
+@pytest.mark.parametrize("with_accuracy", [False, True], ids=["plain", "accuracy"])
+def test_report_and_aggregate_csv_contents(tmp_path, with_accuracy):
+    path = tmp_path / "report.csv"
+    written = emit_report(hand_built_report(with_accuracy), str(path))
+    assert written == [str(path), str(tmp_path / "report_aggregate.csv")]
+    assert not (tmp_path / "report_gamma.csv").exists()
+    acc = (lambda text: text) if with_accuracy else (lambda text: "")
+    assert path.read_text() == (
+        "method,ratio,repeat,va_logloss,te_logloss" + acc(",accuracy") + "\n"
+        "dropout,0.95,0,0.25,0.75" + acc(",0.5") + "\n"
+        "dropout,0.95,1,0.5,0.5" + acc(",0.75") + "\n"
+        "dropout,0.95,2,0.75,0.25" + acc(",1.0") + "\n"
+        "sigmoid@1,0.9,0,0.375,0.125" + acc(",1.0") + "\n")
+    assert (tmp_path / "report_aggregate.csv").read_text() == (
+        "method,ratio,n,va_logloss_mean,va_logloss_std,te_logloss_mean,te_logloss_std"
+        + acc(",accuracy_mean") + "\n"
+        "full,1.0,1,0.5,0.0,0.75,0.0" + acc(",0.625") + "\n"
+        "dropout,0.95,3,0.5,0.25,0.5,0.25" + acc(",0.75") + "\n"
+        "sigmoid@1,0.9,1,0.375,0.0,0.125,0.0" + acc(",1.0") + "\n")
+
+
+def test_gamma_csv_contents(tmp_path):
+    path = tmp_path / "report.csv"
+    written = emit_report(hand_built_report(False, with_gamma=True), str(path))
+    gamma = tmp_path / "report_gamma.csv"
+    assert written[-1] == str(gamma)
+    assert gamma.read_text() == ("ratio,method,gamma\n"
+                                 "0.95,dropout,0.125\n"
+                                 "0.9,sigmoid@1,0.0625\n")
+
+
 def test_sibling_path_rules():
     assert _sibling("out/report.csv", "_aggregate.csv") == "out/report_aggregate.csv"
     assert _sibling("report", "_gamma.csv") == "report_gamma.csv"
+    assert _sibling("runs.v2/report", "_gamma.csv") == "runs.v2/report_gamma.csv"
 
 
 def test_best_sigmoid_selection(data_file):

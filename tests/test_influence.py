@@ -296,6 +296,25 @@ def test_influence_csv_round_trip_with_psi(tmp_path):
     assert path.read_text().splitlines()[0] == "index,phi,psi_norm"
 
 
+@pytest.mark.parametrize("with_psi", [False, True], ids=["phi", "phi-psi"])
+def test_influence_csv_contents(tmp_path, with_psi):
+    psi = np.array([2.0, 0.1, 1e-300]) if with_psi else None
+    rep = InfluenceReport(phi=np.array([0.125, -3.0, 1.0 / 3.0]), psi_norms=psi,
+                          cg_iters=4, residual=1e-9)
+    path = tmp_path / "phi.csv"
+    write_influence_csv(rep, str(path))
+    if with_psi:
+        assert path.read_text() == ("index,phi,psi_norm\n"
+                                    "0,0.125,2.0\n"
+                                    "1,-3.0,0.1\n"
+                                    "2,0.3333333333333333,1e-300\n")
+    else:
+        assert path.read_text() == ("index,phi\n"
+                                    "0,0.125\n"
+                                    "1,-3.0\n"
+                                    "2,0.3333333333333333\n")
+
+
 def test_influence_csv_read_errors(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("index,phi\n1,0.5\n")

@@ -10,9 +10,8 @@ import numpy as np
 import pytest
 
 from infsub.model import ModelParams
-from infsub.risk import (RobustnessReport, cov_phi_eps, evaluate_robustness,
-                         gamma_shift, worst_case_curve, worst_case_risk,
-                         write_gamma_csv, write_worst_case_curve_csv)
+from infsub.risk import (cov_phi_eps, gamma_shift, worst_case_curve,
+                         worst_case_risk, write_worst_case_curve_csv)
 from infsub.sampling import dropout_probs, linear_probs, sigmoid_probs
 
 
@@ -163,22 +162,6 @@ def test_cov_short_and_mismatched_inputs():
         cov_phi_eps(np.zeros(3), np.zeros(4))
 
 
-# ------------------------------------------------------------------- bundle
-
-def test_evaluate_robustness_bundles_diagnostics():
-    rng = np.random.default_rng(58)
-    losses = rng.uniform(0.1, 1.0, size=20)
-    full = ModelParams(np.array([1.0, 2.0]), 0.1)
-    sub = ModelParams(np.array([1.5, 2.0]), 0.1)
-    phi = rng.normal(size=30)
-    probs = sigmoid_probs(phi, 1.0)
-    rep = evaluate_robustness(losses, 0.5, full, sub, phi, probs)
-    assert isinstance(rep, RobustnessReport)
-    assert rep.worst_case == worst_case_risk(losses, 0.5)[0]
-    assert rep.gamma == pytest.approx(0.25, abs=1e-12)
-    assert rep.cov_phi_eps == cov_phi_eps(phi, probs)
-
-
 # ----------------------------------------------------------------------- CSV
 
 def test_curve_csv_contents(tmp_path):
@@ -188,12 +171,3 @@ def test_curve_csv_contents(tmp_path):
     assert path.read_text() == ("delta,worst_case,eta_star\n"
                                 "0.0,0.5,-1.0\n"
                                 "2.0,0.75,0.25\n")
-
-
-def test_gamma_csv_contents(tmp_path):
-    rows = [(0.95, "dropout", 0.125), (0.9, "sigmoid@1", 0.0625)]
-    path = tmp_path / "gamma.csv"
-    write_gamma_csv(rows, str(path))
-    assert path.read_text() == ("ratio,method,gamma\n"
-                                "0.95,dropout,0.125\n"
-                                "0.9,sigmoid@1,0.0625\n")

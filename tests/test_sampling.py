@@ -198,10 +198,10 @@ def test_dropout_is_seed_independent():
     assert np.array_equal(a.selected, b.selected)
 
 
-def test_dropout_without_phi_ranks_by_probability():
+def test_dropout_without_phi_is_rejected():
     probs = np.array([0.2, 0.9, 0.5])
-    plan = draw_subset(probs, 2.0 / 3.0, np.zeros(3, dtype=int), "dropout", seed=0)
-    assert plan.selected.tolist() == [1, 2]
+    with pytest.raises(SamplingError, match="dropout ranks rows by phi"):
+        draw_subset(probs, 2.0 / 3.0, np.zeros(3, dtype=int), "dropout", seed=0)
 
 
 def test_weighted_draw_deterministic_per_seed():
@@ -350,6 +350,19 @@ def test_plan_csv_round_trip(tmp_path):
     assert back.alpha == 5.0
     first = path.read_text().splitlines()[0]
     assert first == "# method=sigmoid alpha=5.0 seed=11 ratio=0.5"
+
+
+def test_plan_csv_contents(tmp_path):
+    plan = SamplingPlan("sigmoid", np.array([0.25, 1.0, 1.0 / 3.0, 0.0]), np.array([1, 2]),
+                        0.5, seed=11, alpha=5.0)
+    path = tmp_path / "plan.csv"
+    write_plan_csv(plan, str(path))
+    assert path.read_text() == ("# method=sigmoid alpha=5.0 seed=11 ratio=0.5\n"
+                                "index,prob,selected\n"
+                                "0,0.25,0\n"
+                                "1,1.0,1\n"
+                                "2,0.3333333333333333,1\n"
+                                "3,0.0,0\n")
 
 
 def test_plan_csv_round_trip_nan_alpha(tmp_path):
