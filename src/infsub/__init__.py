@@ -3,10 +3,9 @@
 Layers, bottom up: ``data`` (libsvm ingestion, splits, label noise),
 ``model`` (the classifier, its Hessian-free curvature operator and the
 conjugate-gradient solver), ``influence`` (per-sample influence via
-preconditioned solves),
-``sampling`` (influence-to-probability maps and stratified subset draws),
-``risk`` (worst-case risk and robustness diagnostics), ``experiment`` and
-``cli`` (the train/validate/test harness).
+Jacobi-preconditioned solves), ``sampling`` (influence-to-probability maps
+and stratified subset draws), ``risk`` (worst-case risk and robustness
+diagnostics), ``experiment`` and ``cli`` (the train/validate/test harness).
 """
 
 from .data import (DataError, SparseDataset, SplitSpec, flip_labels,

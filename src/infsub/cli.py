@@ -15,7 +15,7 @@ import numpy as np
 
 from . import experiment, influence, model, risk, sampling
 from .data import load_libsvm, with_feature_dim
-from .experiment import ConfigError, config_from_mapping, read_config
+from .experiment import ConfigError, ExperimentConfig, config_from_mapping, read_config
 from .influence import PcgConfig
 
 _C_HELP = ("regularization strength C; the objective is mean log loss "
@@ -47,15 +47,6 @@ _CONFIG_FLAGS = (
 )
 
 
-def _add_pcg_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--pcg-alpha", type=float, default=1.0,
-                   help="preconditioner mix: 1 = Hessian diagonal, 0 = identity")
-    p.add_argument("--pcg-tol", type=float, default=1e-8,
-                   help="relative residual tolerance for the linear solves")
-    p.add_argument("--pcg-max-iter", type=int, default=1000,
-                   help="iteration cap for the linear solves")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="infsub",
@@ -64,9 +55,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="fit a model on a libsvm file")
     p.add_argument("--tr", required=True, help="training data (libsvm text, .gz ok)")
-    p.add_argument("--reg-c", type=float, default=0.1, help=_C_HELP)
-    p.add_argument("--tol", type=float, default=1e-8, help="gradient-norm stopping tolerance")
-    p.add_argument("--max-iter", type=int, default=100, help="Newton iteration cap")
+    p.add_argument("--reg-c", type=float, default=ExperimentConfig.reg_c, help=_C_HELP)
+    p.add_argument("--tol", type=float, default=ExperimentConfig.train_tol,
+                   help="gradient-norm stopping tolerance")
+    p.add_argument("--max-iter", type=int, default=ExperimentConfig.train_max_iter,
+                   help="Newton iteration cap")
     p.add_argument("--n-features", type=int, default=None,
                    help="fixed feature dimension (default: max index + 1)")
     p.add_argument("--out", required=True, help="where to write the model file")
@@ -79,7 +72,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-features", type=int, default=None)
     p.add_argument("--psi", action="store_true",
                    help="also compute per-row parameter-influence norms (one solve per row)")
-    _add_pcg_args(p)
+    p.add_argument("--pcg-tol", type=float, default=PcgConfig.tol,
+                   help="relative residual tolerance for the Jacobi-preconditioned solves")
+    p.add_argument("--pcg-max-iter", type=int, default=PcgConfig.max_iter,
+                   help="iteration cap for the linear solves")
     p.add_argument("--out", required=True, help="where to write index,phi[,psi_norm] CSV")
     p.set_defaults(func=_cmd_influence)
 
@@ -90,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True, choices=sampling.METHODS)
     p.add_argument("--ratio", type=float, required=True, help="target |subset|/|Tr|")
     p.add_argument("--alpha", type=float, default=None,
-                   help="method hyperparameter (sigmoid/linear scale)")
+                   help="scale of the linear or sigmoid map; other methods read none")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="where to write the sampling plan CSV")
     p.set_defaults(func=_cmd_sample)
@@ -141,13 +137,13 @@ def _load_model_for(path: str, ds_dim: int) -> model.ModelParams:
 
 
 def _cmd_influence(args: argparse.Namespace) -> int:
+    cfg = PcgConfig(tol=args.pcg_tol, max_iter=args.pcg_max_iter)
     tr = load_libsvm(args.tr, args.n_features)
     va = load_libsvm(args.va, args.n_features)
     d = max(tr.n_features, va.n_features)
     tr = with_feature_dim(tr, d)
     va = with_feature_dim(va, d)
     params = _load_model_for(args.model, tr.n_features)
-    cfg = PcgConfig(alpha_precond=args.pcg_alpha, tol=args.pcg_tol, max_iter=args.pcg_max_iter)
     report = influence.compute_phi(params, tr, va, cfg)
     if args.psi:
         psi = influence.compute_psi_norms(params, tr, cfg)
@@ -178,7 +174,10 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    if args.out and not args.deltas:
+    deltas = [float(tok) for tok in (args.deltas or "").split(",") if tok.strip()]
+    if args.deltas is not None and not deltas:
+        raise ConfigError(f"--deltas {args.deltas!r} names no radius")
+    if args.out and not deltas:
         raise ConfigError("--out writes the worst-case curve; it needs --deltas")
     if bool(args.influence) != bool(args.plan):
         raise ConfigError("--influence and --plan go together: the covariance check needs both")
@@ -187,8 +186,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     losses = model.per_sample_loss(params, ds, regularized=False)
     print(f"mean logloss {np.mean(losses):.6f}, accuracy {model.accuracy(params, ds):.4f} "
           f"on {ds.n_rows} rows")
-    if args.deltas:
-        deltas = [float(tok) for tok in args.deltas.split(",") if tok.strip()]
+    if deltas:
         curve = risk.worst_case_curve(losses, deltas)
         for delta, value, eta in curve:
             print(f"  delta={delta:g}: worst-case {value:.6f} (eta* {eta:.6f})")

@@ -8,9 +8,11 @@ seed through a keyed hash, so a config reproduces its report byte for byte.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import os
 import time
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +23,8 @@ from .data import (SparseDataset, SplitSpec, flip_labels, load_libsvm, split,
 from .influence import ConvergenceError, PcgConfig
 from .model import ModelParams
 
-_LIST_FIELDS = {"methods", "ratios", "sigmoid_alphas"}
+# Grid keys read only by one method, and that method.
+_METHOD_KEYS = {"sigmoid_alphas": "sigmoid", "linear_alpha": "linear", "optlr_floor": "optlr"}
 
 
 class ConfigError(ValueError):
@@ -49,8 +52,8 @@ class ExperimentConfig:
     split_seed: int = 0
 
     reg_c: float = 0.1
-    train_tol: float = 1e-8
-    train_max_iter: int = 100
+    train_tol: float = model.TRAIN_TOL
+    train_max_iter: int = model.TRAIN_MAX_ITER
 
     methods: list[str] = field(default_factory=lambda: ["random", "dropout", "linear", "sigmoid"])
     ratios: list[float] = field(default_factory=lambda: [0.95])
@@ -58,11 +61,10 @@ class ExperimentConfig:
     seed: int = 0
     sigmoid_alphas: list[float] = field(default_factory=lambda: [0.1, 1.0, 5.0, 10.0, 50.0])
     linear_alpha: float | None = None
-    optlr_floor: float = 0.01
+    optlr_floor: float = sampling.OPTLR_FLOOR
 
-    pcg_alpha: float = 1.0
-    pcg_tol: float = 1e-8
-    pcg_max_iter: int = 1000
+    pcg_tol: float = PcgConfig.tol
+    pcg_max_iter: int = PcgConfig.max_iter
 
     flip_fraction: float | None = None
     compute_gamma: bool = False
@@ -84,9 +86,8 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in sampling.METHODS:
                 raise ConfigError(f"unknown method {m!r}")
-        for name in sorted(_LIST_FIELDS):
-            values = getattr(self, name)
-            if len(set(values)) != len(values):
+        for name, values in vars(self).items():
+            if isinstance(values, list) and len(set(values)) != len(values):
                 raise ConfigError(f"{name} has duplicate entries: {values}")
         for r in self.ratios:
             if not 0.0 < r <= 1.0:
@@ -100,7 +101,7 @@ class ExperimentConfig:
             raise ConfigError(f"optlr_floor must be in (0, 1], got {self.optlr_floor}")
         if self.flip_fraction is not None and not 0.0 <= self.flip_fraction <= 1.0:
             raise ConfigError(f"flip_fraction must be in [0, 1], got {self.flip_fraction}")
-        self.pcg = PcgConfig(self.pcg_alpha, self.pcg_tol, self.pcg_max_iter)
+        self.pcg = PcgConfig(self.pcg_tol, self.pcg_max_iter)
         self.split_spec = (SplitSpec(self.va_fraction, self.te_fraction, self.split_seed)
                            if self.dataset_path is not None else None)
 
@@ -120,25 +121,30 @@ def _coerce(name: str, kind, raw: str):
 
 
 def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
-    """Build a config from string key/value pairs, e.g. a parsed config file."""
-    kinds = {
-        "tr_path": str, "va_path": str, "te_path": str, "dataset_path": str,
-        "n_features": int, "va_fraction": float, "te_fraction": float, "split_seed": int,
-        "reg_c": float, "train_tol": float, "train_max_iter": int,
-        "methods": str, "ratios": float, "repeats": int, "seed": int,
-        "sigmoid_alphas": float, "linear_alpha": float, "optlr_floor": float,
-        "pcg_alpha": float, "pcg_tol": float, "pcg_max_iter": int,
-        "flip_fraction": float, "compute_gamma": bool,
-    }
+    """Build a config from string key/value pairs, e.g. a parsed config file.
+
+    Keys are the ``ExperimentConfig`` init fields, parsed as their annotations
+    say (a ``list[...]`` from comma-separated items). A ``_METHOD_KEYS`` key
+    whose method is not requested is rejected: its value would change nothing.
+    """
+    hints = typing.get_type_hints(ExperimentConfig)
+    keys = {f.name for f in dataclasses.fields(ExperimentConfig) if f.init}
     kwargs = {}
     for key, raw in mapping.items():
-        if key not in kinds:
+        if key not in keys:
             raise ConfigError(f"unknown config key {key!r}")
-        if key in _LIST_FIELDS:
-            kwargs[key] = [_coerce(key, kinds[key], tok) for tok in raw.split(",") if tok.strip()]
+        hint = hints[key]
+        kind = next((a for a in typing.get_args(hint) if a is not type(None)), hint)
+        if typing.get_origin(hint) is list:
+            kwargs[key] = [_coerce(key, kind, tok) for tok in raw.split(",") if tok.strip()]
         else:
-            kwargs[key] = _coerce(key, kinds[key], raw)
-    return ExperimentConfig(**kwargs)
+            kwargs[key] = _coerce(key, kind, raw)
+    cfg = ExperimentConfig(**kwargs)
+    for key, method in _METHOD_KEYS.items():
+        if key in kwargs and method not in cfg.methods:
+            raise ConfigError(f"{key} is set but no requested method reads it; "
+                              f"it needs method {method}")
+    return cfg
 
 
 def read_config(path: str) -> dict[str, str]:

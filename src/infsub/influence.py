@@ -4,8 +4,9 @@ The score of training sample i against a validation set is
 phi_i = -g_va . H^{-1} grad_i, where H is the regularized training Hessian,
 g_va the summed validation log-loss gradient, and grad_i the regularized
 per-sample training gradient. Negative phi marks samples whose upweighting
-lowers validation risk. All solves are matrix-free conjugate gradient with a
-mixed diagonal/identity preconditioner.
+lowers validation risk. Every solve is ``model.pcg``, matrix-free conjugate
+gradient preconditioned by the exact Hessian diagonal (Jacobi); Newton steps
+in ``model.train`` use the same loop without a preconditioner.
 """
 
 from __future__ import annotations
@@ -25,19 +26,12 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class PcgConfig:
-    """Solver knobs: preconditioner mix, relative tolerance, iteration cap.
+    """Solver settings of the influence solves: relative tolerance, iteration cap."""
 
-    ``alpha_precond`` blends the exact Hessian diagonal (1.0) with the
-    identity (0.0); the inverse of the blend is applied each iteration.
-    """
-
-    alpha_precond: float = 1.0
     tol: float = 1e-8
     max_iter: int = 1000
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.alpha_precond <= 1.0:
-            raise ValueError(f"alpha_precond must be in [0, 1], got {self.alpha_precond}")
         if not self.tol > 0.0:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
@@ -73,22 +67,21 @@ class InfluenceReport:
 
 def inverse_hvp_pcg(H: model.Curvature, v: np.ndarray,
                     cfg: PcgConfig = PcgConfig()) -> tuple[np.ndarray, PcgInfo]:
-    """Solve H t = v by ``model.pcg`` with the diagonal/identity blend of ``cfg``.
+    """Solve H t = v by ``model.pcg``, preconditioned by the diagonal ``H.diag``.
 
     Terminates when ||H t - v|| <= tol ||v||; a stalled preconditioner is
     dropped for plain CG, and a solve that hits max_iter returns its best
-    iterate with converged False (see ``model.pcg``).
+    iterate with converged False (see ``model.pcg``). H must carry a positive
+    C wbar term: a zero C or all-zero weights leave it singular.
     """
-    if not H.reg_c > 0.0:
+    if not H.c_wbar > 0.0:
         raise ValueError("inverse HVP needs reg_c > 0 for a positive definite Hessian")
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (H.dim,):
         raise ValueError(f"vector shape {v.shape} does not match dimension {H.dim}")
     if not np.all(np.isfinite(v)):
         raise ValueError("right-hand side must be finite")
-    alpha = cfg.alpha_precond
-    mdiag = alpha * H.diag + (1.0 - alpha) if alpha > 0.0 else None
-    return model.pcg(H, v, cfg.tol, cfg.max_iter, mdiag)
+    return model.pcg(H, v, cfg.tol, cfg.max_iter, H.diag)
 
 
 def _validation_gradient(params: ModelParams, va: SparseDataset) -> np.ndarray:

@@ -24,6 +24,9 @@ PROB_CLIP = 1e-12
 # PCG drops its preconditioner after this many iterations without a new best
 # preconditioned residual.
 STALL_LIMIT = 10
+# Newton stops at this gradient norm, or after this many steps.
+TRAIN_TOL = 1e-8
+TRAIN_MAX_ITER = 100
 
 
 class ModelError(ValueError):
@@ -153,7 +156,6 @@ class Curvature:
 
     X: sp.csr_array
     s: np.ndarray
-    reg_c: float
     c_wbar: float
 
     @property
@@ -179,7 +181,7 @@ def curvature(params: ModelParams, ds: SparseDataset,
     else:
         s = w * s
         wbar = float(np.mean(w))
-    return Curvature(X, s, params.reg_c, params.reg_c * wbar)
+    return Curvature(X, s, params.reg_c * wbar)
 
 
 def hvp(H: Curvature, v: np.ndarray) -> np.ndarray:
@@ -280,7 +282,7 @@ def pcg(H: Curvature, b: np.ndarray, tol: float, max_iter: int,
     return x_best, PcgInfo(max_iter, best_res, False, restarted)
 
 
-def train(ds: SparseDataset, reg_c: float, tol: float = 1e-8, max_iter: int = 100,
+def train(ds: SparseDataset, reg_c: float, tol: float = TRAIN_TOL, max_iter: int = TRAIN_MAX_ITER,
           sample_weight: np.ndarray | None = None) -> ModelParams:
     """Fit by damped Newton from a zero start.
 

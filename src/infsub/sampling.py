@@ -18,6 +18,8 @@ from .data import SparseDataset, read_table, round_half_up, write_table
 from .model import ModelParams
 
 METHODS = ("dropout", "linear", "sigmoid", "optlr", "random")
+# Least optlr acceptance probability unless a caller sets one.
+OPTLR_FLOOR = 0.01
 
 
 class SamplingError(ValueError):
@@ -78,26 +80,22 @@ def sigmoid_probs(phi: np.ndarray, alpha: float) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(alpha * phi / spread))
 
 
-def optlr_probs(psi_norms: np.ndarray, floor: float = 0.01,
-                lam: float | None = None) -> np.ndarray:
-    """pi = max(floor, min(1, lam ||psi||)); lam defaults to 1/max||psi||.
+def optlr_probs(psi_norms: np.ndarray, floor: float = OPTLR_FLOOR) -> np.ndarray:
+    """pi = max(floor, min(1, ||psi|| / max||psi||)).
 
-    The floor keeps every acceptance probability positive so the inverse
-    weights 1/pi stay bounded.
+    The largest norm lands at pi = 1. The floor keeps every acceptance
+    probability positive so the inverse weights 1/pi stay bounded. All-zero
+    norms carry no scale and are rejected.
     """
     psi_norms = _finite_vector(psi_norms, "psi_norms")
     if np.any(psi_norms < 0):
         raise SamplingError("psi_norms must be nonnegative")
     if not 0.0 < floor <= 1.0:
         raise SamplingError(f"floor must be in (0, 1], got {floor}")
-    if lam is None:
-        top = float(np.max(psi_norms))
-        if top == 0.0:
-            raise SamplingError("all-zero psi norms; pass an explicit lam")
-        lam = 1.0 / top
-    if not lam > 0.0:
-        raise SamplingError(f"lam must be positive, got {lam}")
-    return np.clip(lam * psi_norms, floor, 1.0)
+    top = float(np.max(psi_norms))
+    if top == 0.0:
+        raise SamplingError("all-zero psi norms; optlr has no scale")
+    return np.clip((1.0 / top) * psi_norms, floor, 1.0)
 
 
 def random_probs(n: int, target_ratio: float) -> np.ndarray:
@@ -111,14 +109,17 @@ def random_probs(n: int, target_ratio: float) -> np.ndarray:
 
 def probs_for(method: str, ratio: float, phi: np.ndarray | None = None,
               psi: np.ndarray | None = None, alpha: float | None = None,
-              floor: float = 0.01, n: int | None = None) -> np.ndarray:
+              floor: float = OPTLR_FLOOR, n: int | None = None) -> np.ndarray:
     """Acceptance probabilities for ``method``, the one map from a method name.
 
     dropout, linear and sigmoid read the influence scores ``phi``; optlr
     reads the psi norms with ``floor``; random needs only the row count
     ``n`` (default: the length of ``phi``) and ``ratio``. ``alpha`` None
-    means 1/max|phi| for linear and 1.0 for sigmoid.
+    means 1/max|phi| for linear and 1.0 for sigmoid; the other methods read
+    no alpha and reject one rather than record a value the draw never used.
     """
+    if alpha is not None and method not in ("linear", "sigmoid"):
+        raise SamplingError(f"{method} reads no alpha; only linear and sigmoid do")
     if method == "random":
         return random_probs(len(phi) if n is None else n, ratio)
     if method == "optlr":

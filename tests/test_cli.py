@@ -52,6 +52,19 @@ def test_train_flags_nonconvergence(files, tmp_path, capsys):
     assert model.load_params(str(out)).dim == 4
 
 
+@pytest.mark.parametrize("flags, match", [
+    (["--pcg-tol", "0"], "tol must be positive"),
+    (["--pcg-max-iter", "0"], "max_iter must be at least 1"),
+], ids=["pcg-tol", "pcg-max-iter"])
+def test_influence_rejects_bad_pcg_setting_before_loading(tmp_path, capsys, flags, match):
+    # No input file exists: the solver settings must be refused before any read.
+    missing = str(tmp_path / "missing")
+    code = cli.main(["influence", "--model", missing, "--tr", missing, "--va", missing,
+                     *flags, "--out", str(tmp_path / "i.csv")])
+    assert code == 2
+    assert match in capsys.readouterr().err
+
+
 def test_influence_csv_contents(files):
     rep = influence.read_influence_csv(files["inf"])
     assert rep.phi.size == 80
@@ -82,6 +95,17 @@ def test_sample_optlr_needs_psi_column(files, tmp_path, capsys):
                      "--out", str(tmp_path / "p.csv")])
     assert code == 2
     assert "psi" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["random", "dropout", "optlr"])
+def test_sample_rejects_alpha_the_method_does_not_read(files, tmp_path, capsys, method):
+    plan_path = tmp_path / "p.csv"
+    code = cli.main(["sample", "--influence", files["inf_psi"], "--tr", files["tr"],
+                     "--method", method, "--alpha", "5", "--ratio", "0.8",
+                     "--out", str(plan_path)])
+    assert code == 2
+    assert f"{method} reads no alpha" in capsys.readouterr().err
+    assert not plan_path.exists()
 
 
 def test_sample_rejects_row_count_mismatch(files, tmp_path):
@@ -118,6 +142,15 @@ def test_evaluate_out_needs_deltas(files, tmp_path, capsys):
                      "--out", str(curve)])
     assert code == 2
     assert "needs --deltas" in capsys.readouterr().err
+    assert not curve.exists()
+
+
+def test_evaluate_rejects_deltas_without_a_radius(files, tmp_path, capsys):
+    curve = tmp_path / "curve.csv"
+    code = cli.main(["evaluate", "--model", files["model"], "--data", files["va"],
+                     "--deltas", ",", "--out", str(curve)])
+    assert code == 2
+    assert "names no radius" in capsys.readouterr().err
     assert not curve.exists()
 
 
@@ -239,12 +272,41 @@ def test_pipeline_rejects_bad_grid_before_loading(tmp_path, capsys, flags, match
 
 def test_pipeline_rejects_bad_pcg_setting_before_fitting(files, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("pcg_alpha = 3\n")
+    cfg.write_text("pcg_tol = 0\n")
     out = tmp_path / "report.csv"
     code = cli.main(["pipeline", "--config", str(cfg), "--dataset", files["full"],
                      "--method", "random", "--repeats", "1", "--out", str(out)])
     assert code == 2
-    assert "alpha_precond" in capsys.readouterr().err
+    assert "tol must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_pipeline_config_rejects_pcg_alpha_key(files, tmp_path, capsys):
+    # Influence solves always use the Jacobi preconditioner; there is no mix to set.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"dataset_path = {files['full']}\n"
+                   "pcg_alpha = 1\n")
+    code = cli.main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "report.csv")])
+    assert code == 2
+    assert "unknown config key 'pcg_alpha'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting, key", [
+    ("--alpha=5", "sigmoid_alphas"),
+    ("linear_alpha = 2", "linear_alpha"),
+    ("optlr_floor = 0.5", "optlr_floor"),
+], ids=["sigmoid-alphas", "linear-alpha", "optlr-floor"])
+def test_pipeline_rejects_key_no_requested_method_reads(tmp_path, capsys, setting, key):
+    # The dataset does not exist: the unused setting is refused before it is read.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("" if setting.startswith("--") else setting + "\n")
+    flags = [setting] if setting.startswith("--") else []
+    out = tmp_path / "report.csv"
+    code = cli.main(["pipeline", "--config", str(cfg), "--dataset",
+                     str(tmp_path / "missing.svm"), "--method", "random,dropout", *flags,
+                     "--out", str(out)])
+    assert code == 2
+    assert f"{key} is set but no requested method reads it" in capsys.readouterr().err
     assert not out.exists()
 
 

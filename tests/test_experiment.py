@@ -73,13 +73,12 @@ def test_config_validates_grid():
     (dict(linear_alpha=0.0), "linear_alpha must be positive"),
     (dict(optlr_floor=0.0), "optlr_floor"),
     (dict(optlr_floor=1.5), "optlr_floor"),
-    (dict(pcg_alpha=3.0), "alpha_precond"),
     (dict(pcg_tol=0.0), "tol must be positive"),
     (dict(pcg_max_iter=0), "max_iter"),
     (dict(va_fraction=1.5), "va_fraction"),
     (dict(va_fraction=0.5, te_fraction=0.5), "room for training rows"),
 ], ids=["no-ratios", "dup-methods", "dup-ratios", "dup-alphas", "no-alphas", "negative-alpha", "zero-linear-alpha",
-        "zero-floor", "floor-above-one", "pcg-alpha", "pcg-tol", "pcg-max-iter",
+        "zero-floor", "floor-above-one", "pcg-tol", "pcg-max-iter",
         "va-fraction", "no-training-rows"])
 def test_config_rejects_bad_grid_before_reading_data(bad, match):
     # "a" does not exist: the error must come from the config itself.
@@ -89,8 +88,8 @@ def test_config_rejects_bad_grid_before_reading_data(bad, match):
 
 def test_config_builds_solver_and_split_settings():
     cfg = ExperimentConfig(dataset_path="a", va_fraction=0.25, te_fraction=0.1, split_seed=3,
-                           pcg_alpha=0.5, pcg_tol=1e-6, pcg_max_iter=50)
-    assert cfg.pcg == PcgConfig(alpha_precond=0.5, tol=1e-6, max_iter=50)
+                           pcg_tol=1e-6, pcg_max_iter=50)
+    assert cfg.pcg == PcgConfig(tol=1e-6, max_iter=50)
     assert cfg.split_spec == SplitSpec(0.25, 0.1, seed=3)
     # Pre-split files ignore the split fractions.
     assert ExperimentConfig(tr_path="t", va_path="v", va_fraction=2.0).split_spec is None

@@ -18,7 +18,7 @@ from infsub.influence import (ConvergenceError, InfluenceReport, PcgConfig,
 from infsub.model import ModelParams, train
 from infsub.synthdata import ill_conditioned
 
-TIGHT = PcgConfig(alpha_precond=1.0, tol=1e-12, max_iter=2000)
+TIGHT = PcgConfig(tol=1e-12, max_iter=2000)
 
 
 @pytest.fixture(scope="module")
@@ -29,8 +29,6 @@ def fitted():
 
 
 def test_pcg_config_validation():
-    with pytest.raises(ValueError, match="alpha_precond"):
-        PcgConfig(alpha_precond=1.5)
     with pytest.raises(ValueError, match="tol"):
         PcgConfig(tol=0.0)
     with pytest.raises(ValueError, match="max_iter"):
@@ -61,11 +59,12 @@ def test_solution_matches_dense_solve(fitted):
     ds, params = fitted
     H = dense_hessian(params, ds)
     rng = np.random.default_rng(2)
-    for alpha in (0.0, 0.5, 1.0):
-        cfg = PcgConfig(alpha_precond=alpha, tol=1e-10, max_iter=1000)
+    solvers = (lambda Hop, v: model.pcg(Hop, v, 1e-10, 1000),
+               lambda Hop, v: inverse_hvp_pcg(Hop, v, PcgConfig(tol=1e-10, max_iter=1000)))
+    for solve in solvers:
         for _ in range(4):
             v = rng.normal(size=params.dim)
-            t, info = inverse_hvp_pcg(model.curvature(params, ds), v, cfg)
+            t, info = solve(model.curvature(params, ds), v)
             assert info.converged
             ref = np.linalg.solve(H, v)
             assert np.linalg.norm(t - ref) <= 1e-6 * np.linalg.norm(ref)
@@ -75,7 +74,7 @@ def test_residual_meets_relative_tolerance(fitted):
     ds, params = fitted
     rng = np.random.default_rng(3)
     v = rng.normal(size=params.dim)
-    cfg = PcgConfig(alpha_precond=1.0, tol=1e-8, max_iter=1000)
+    cfg = PcgConfig(tol=1e-8, max_iter=1000)
     t, info = inverse_hvp_pcg(model.curvature(params, ds), v, cfg)
     assert info.converged
     true_res = np.linalg.norm(model.hvp(model.curvature(params, ds), t) - v)
@@ -98,8 +97,8 @@ def test_identity_block_direction_is_exact():
 def test_plain_and_preconditioned_agree(fitted):
     ds, params = fitted
     v = np.random.default_rng(4).normal(size=params.dim)
-    t1, _ = inverse_hvp_pcg(model.curvature(params, ds), v, PcgConfig(alpha_precond=1.0, tol=1e-10))
-    t0, _ = inverse_hvp_pcg(model.curvature(params, ds), v, PcgConfig(alpha_precond=0.0, tol=1e-10))
+    t1, _ = inverse_hvp_pcg(model.curvature(params, ds), v, PcgConfig(tol=1e-10))
+    t0, _ = model.pcg(model.curvature(params, ds), v, 1e-10, 1000)
     assert np.linalg.norm(t1 - t0) <= 1e-8 * np.linalg.norm(t1)
 
 
@@ -107,8 +106,8 @@ def test_preconditioner_cuts_iterations_when_scales_vary():
     ds = ill_conditioned(n=200, d=40, seed=5)
     H = model.curvature(ModelParams(np.zeros(ds.n_features), 1e-4), ds)
     v = np.random.default_rng(0).normal(size=ds.n_features)
-    _, with_pre = inverse_hvp_pcg(H, v, PcgConfig(alpha_precond=1.0, tol=1e-8, max_iter=5000))
-    _, plain = inverse_hvp_pcg(H, v, PcgConfig(alpha_precond=0.0, tol=1e-8, max_iter=5000))
+    _, with_pre = inverse_hvp_pcg(H, v, PcgConfig(tol=1e-8, max_iter=5000))
+    _, plain = model.pcg(H, v, 1e-8, 5000)
     assert with_pre.converged and plain.converged
     assert with_pre.iters < plain.iters
 
@@ -116,7 +115,7 @@ def test_preconditioner_cuts_iterations_when_scales_vary():
 def test_max_iter_returns_best_iterate_flagged(fitted):
     ds, params = fitted
     v = np.random.default_rng(5).normal(size=params.dim)
-    cfg = PcgConfig(alpha_precond=1.0, tol=1e-14, max_iter=2)
+    cfg = PcgConfig(tol=1e-14, max_iter=2)
     t, info = inverse_hvp_pcg(model.curvature(params, ds), v, cfg)
     assert not info.converged
     assert info.iters == 2
@@ -141,7 +140,7 @@ def test_stalled_preconditioner_restarts_as_plain_cg(fitted, monkeypatch):
 
     monkeypatch.setattr(influence_mod.model, "hessian_diag", misleading_diag)
     H = model.curvature(params, ds)
-    t, info = inverse_hvp_pcg(H, v, PcgConfig(alpha_precond=1.0, tol=1e-8, max_iter=2000))
+    t, info = inverse_hvp_pcg(H, v, PcgConfig(tol=1e-8, max_iter=2000))
     assert info.restarted
     assert info.converged
     assert np.linalg.norm(model.hvp(H, t) - v) <= 1e-8 * np.linalg.norm(v)
@@ -150,11 +149,9 @@ def test_stalled_preconditioner_restarts_as_plain_cg(fitted, monkeypatch):
 def test_breakdown_reports_iterations_done():
     # s < 0 makes this hand-built H negative definite, so the very first
     # direction has p.Hp < 0 with or without the diagonal preconditioner.
-    H = model.Curvature(make_ds(np.eye(2), [0, 1]).X, s=np.array([-1.0, -1.0]),
-                        reg_c=0.1, c_wbar=0.1)
+    H = model.Curvature(make_ds(np.eye(2), [0, 1]).X, s=np.array([-1.0, -1.0]), c_wbar=0.1)
     v = np.array([1.0, 2.0])
-    for alpha in (0.0, 1.0):
-        t, info = inverse_hvp_pcg(H, v, PcgConfig(alpha_precond=alpha))
+    for t, info in (model.pcg(H, v, 1e-8, 1000), inverse_hvp_pcg(H, v)):
         assert info.iters == 0
         assert not info.converged
         assert np.array_equal(t, np.zeros(2))
@@ -166,6 +163,9 @@ def test_solver_input_validation(fitted):
     with pytest.raises(ValueError, match="reg_c"):
         inverse_hvp_pcg(model.curvature(ModelParams(np.zeros(params.dim), 0.0), ds),
                         np.ones(params.dim))
+    # All-zero weights drop the C wbar term, so H is singular despite C > 0.
+    with pytest.raises(ValueError, match="reg_c"):
+        inverse_hvp_pcg(model.curvature(params, ds, np.zeros(ds.n_rows)), np.ones(params.dim))
     with pytest.raises(ValueError, match="shape"):
         inverse_hvp_pcg(model.curvature(params, ds), np.ones(params.dim + 1))
     with pytest.raises(ValueError, match="finite"):
@@ -219,7 +219,7 @@ def test_phi_raises_on_nonconvergence(fitted):
     ds, params = fitted
     va = random_ds(np.random.default_rng(34), n=10, d=5)
     with pytest.raises(ConvergenceError, match="residual"):
-        compute_phi(params, ds, va, PcgConfig(alpha_precond=1.0, tol=1e-14, max_iter=1))
+        compute_phi(params, ds, va, PcgConfig(tol=1e-14, max_iter=1))
 
 
 def test_phi_rejects_empty_validation(fitted):

@@ -66,6 +66,9 @@ def test_probs_for_dispatches_with_defaults():
         probs_for("optlr", 0.5, phi)
     with pytest.raises(SamplingError, match="unknown method"):
         probs_for("magic", 0.5, phi)
+    for method in ("random", "dropout", "optlr"):
+        with pytest.raises(SamplingError, match=f"{method} reads no alpha"):
+            probs_for(method, 0.5, phi, psi, alpha=5.0)
 
 
 @pytest.mark.parametrize("phi", [np.zeros(3), np.array([0.0, 2.2e-311])])
@@ -129,8 +132,6 @@ def test_optlr_validation():
         optlr_probs(np.array([1.0]), floor=0.0)
     with pytest.raises(SamplingError, match="all-zero"):
         optlr_probs(np.zeros(3))
-    with pytest.raises(SamplingError, match="lam"):
-        optlr_probs(np.array([1.0]), lam=-2.0)
 
 
 def test_random_probs_constant():
