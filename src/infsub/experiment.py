@@ -156,10 +156,12 @@ def read_config(path: str) -> dict[str, str]:
                 line = raw.split("#", 1)[0].strip()
                 if not line:
                     continue
-                key, sep, val = line.partition("=")
+                key, sep, val = (part.strip() for part in line.partition("="))
                 if not sep:
                     raise ConfigError(f"{path}:{line_no}: expected key = value")
-                mapping[key.strip()] = val.strip()
+                if key in mapping:
+                    raise ConfigError(f"{path}:{line_no}: duplicate key {key!r}")
+                mapping[key] = val
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     return mapping

@@ -84,12 +84,6 @@ def inverse_hvp_pcg(H: model.Curvature, v: np.ndarray,
     return model.pcg(H, v, cfg.tol, cfg.max_iter, H.diag)
 
 
-def _validation_gradient(params: ModelParams, va: SparseDataset) -> np.ndarray:
-    """Summed unregularized log-loss gradient over the validation rows."""
-    resid = model._sigma(params, va) - va.y
-    return va.X.T @ resid
-
-
 def compute_phi(params: ModelParams, tr: SparseDataset, va: SparseDataset,
                 cfg: PcgConfig = PcgConfig()) -> InfluenceReport:
     """Influence of every training row on the summed validation log loss.
@@ -100,7 +94,7 @@ def compute_phi(params: ModelParams, tr: SparseDataset, va: SparseDataset,
     """
     if va.n_rows == 0:
         raise ValueError("empty validation set")
-    g_va = _validation_gradient(params, va)
+    g_va = va.X.T @ (model._sigma(params, va) - va.y)
     s, info = inverse_hvp_pcg(model.curvature(params, tr), g_va, cfg)
     if not info.converged:
         raise ConvergenceError(

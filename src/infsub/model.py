@@ -63,95 +63,14 @@ class ModelParams:
         return self.theta.shape[0]
 
 
-def _feature_matrix(x: SparseDataset | sp.csr_array, dim: int) -> sp.csr_array:
-    X = x.X if isinstance(x, SparseDataset) else x
-    if X.shape[1] != dim:
-        raise ModelError(f"feature dimension {X.shape[1]} does not match model dimension {dim}")
-    return X
-
-
-def _weights(ds: SparseDataset, sample_weight: np.ndarray | None) -> np.ndarray | None:
-    if sample_weight is None:
-        return None
-    w = np.asarray(sample_weight, dtype=np.float64)
-    if w.shape != (ds.n_rows,):
-        raise ModelError(f"sample_weight shape {w.shape} does not match {ds.n_rows} rows")
-    if not np.all(np.isfinite(w)) or np.any(w < 0):
-        raise ModelError("sample_weight must be finite and nonnegative")
-    return w
-
-
-def _sigma(params: ModelParams, ds: SparseDataset) -> np.ndarray:
-    """Unclipped sigmoid(X theta); gradients and curvature use this directly."""
-    return expit(_feature_matrix(ds, params.dim) @ params.theta)
-
-
-def predict_proba(params: ModelParams, x: SparseDataset | sp.csr_array) -> np.ndarray:
-    """Per-row sigmoid(theta . x), clipped to [1e-12, 1 - 1e-12]."""
-    X = _feature_matrix(x, params.dim)
-    return np.clip(expit(X @ params.theta), PROB_CLIP, 1.0 - PROB_CLIP)
-
-
-def per_sample_loss(params: ModelParams, ds: SparseDataset, regularized: bool = True) -> np.ndarray:
-    """Log loss of each row, plus (C/2)||theta||^2 when ``regularized``."""
-    if ds.n_rows == 0:
-        raise ModelError("empty dataset")
-    p = predict_proba(params, ds)
-    y = ds.y
-    losses = -(y * np.log(p) + (1 - y) * np.log1p(-p))
-    if regularized:
-        losses = losses + 0.5 * params.reg_c * float(params.theta @ params.theta)
-    return losses
-
-
-def risk(params: ModelParams, ds: SparseDataset, sample_weight: np.ndarray | None = None) -> float:
-    """Weighted mean of the regularized per-sample losses (weights default to 1)."""
-    losses = per_sample_loss(params, ds, regularized=False)
-    w = _weights(ds, sample_weight)
-    if w is None:
-        base = float(np.mean(losses))
-        wbar = 1.0
-    else:
-        base = float(np.mean(w * losses))
-        wbar = float(np.mean(w))
-    return base + 0.5 * params.reg_c * wbar * float(params.theta @ params.theta)
-
-
-def mean_logloss(params: ModelParams, ds: SparseDataset) -> float:
-    """Unregularized mean log loss; the reporting metric."""
-    return float(np.mean(per_sample_loss(params, ds, regularized=False)))
-
-
-def accuracy(params: ModelParams, ds: SparseDataset) -> float:
-    """Fraction of rows classified correctly at threshold 0.5."""
-    if ds.n_rows == 0:
-        raise ModelError("empty dataset")
-    p = predict_proba(params, ds)
-    return float(np.mean((p >= 0.5) == (ds.y == 1)))
-
-
-def gradient(params: ModelParams, ds: SparseDataset, sample_weight: np.ndarray | None = None) -> np.ndarray:
-    """Gradient of ``risk`` at ``params``: (1/n) X^T (w (p - y)) + C wbar theta."""
-    if ds.n_rows == 0:
-        raise ModelError("empty dataset")
-    resid = _sigma(params, ds) - ds.y
-    w = _weights(ds, sample_weight)
-    if w is None:
-        wbar = 1.0
-    else:
-        resid = w * resid
-        wbar = float(np.mean(w))
-    return (ds.X.T @ resid) / ds.n_rows + params.reg_c * wbar * params.theta
-
-
 @dataclass(frozen=True)
 class Curvature:
     """The regularized Hessian at fixed (params, dataset, weights), as an operator.
 
     H = (1/n) X^T diag(s) X + c_wbar I, with s = w p(1-p) and c_wbar = C wbar
-    fixed when the operator is built by ``curvature``. ``diag``, the exact
-    diagonal, is computed on first use and kept. Negative entries of ``s``
-    make H indefinite, which only hand-built instances do.
+    fixed when the operator is built from the margins X theta. ``diag``, the
+    exact diagonal, is computed on first use and kept. Negative entries of
+    ``s`` make H indefinite, which only hand-built instances do.
     """
 
     X: sp.csr_array
@@ -167,21 +86,92 @@ class Curvature:
         return hessian_diag(self)
 
 
+def _margins(params: ModelParams, ds: SparseDataset) -> np.ndarray:
+    """z = X theta for a nonempty ``ds``: the one input of every loss and derivative."""
+    if ds.n_rows == 0:
+        raise ModelError("empty dataset")
+    if ds.n_features != params.dim:
+        raise ModelError(
+            f"feature dimension {ds.n_features} does not match model dimension {params.dim}")
+    return ds.X @ params.theta
+
+
+def _weights(ds: SparseDataset, sample_weight: np.ndarray | None) -> np.ndarray:
+    """Validated per-row weights; None means all ones, which changes no value."""
+    if sample_weight is None:
+        return np.ones(ds.n_rows)
+    w = np.asarray(sample_weight, dtype=np.float64)
+    if w.shape != (ds.n_rows,):
+        raise ModelError(f"sample_weight shape {w.shape} does not match {ds.n_rows} rows")
+    if not np.all(np.isfinite(w)) or np.any(w < 0):
+        raise ModelError("sample_weight must be finite and nonnegative")
+    return w
+
+
+def _log_loss(z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-row log loss at margins z, with probabilities clipped to [1e-12, 1 - 1e-12]."""
+    p = np.clip(expit(z), PROB_CLIP, 1.0 - PROB_CLIP)
+    return -(y * np.log(p) + (1 - y) * np.log1p(-p))
+
+
+def _risk(params: ModelParams, ds: SparseDataset, z: np.ndarray, w: np.ndarray) -> float:
+    """Weighted mean log loss at margins z = X theta, plus (C/2) wbar ||theta||^2."""
+    return (float(np.mean(w * _log_loss(z, ds.y)))
+            + 0.5 * params.reg_c * float(np.mean(w)) * float(params.theta @ params.theta))
+
+
+def _derivatives(params: ModelParams, ds: SparseDataset, z: np.ndarray,
+                 w: np.ndarray) -> tuple[np.ndarray, Curvature]:
+    """Gradient and Hessian operator of ``_risk`` at margins z = X theta; one sigmoid."""
+    p = expit(z)
+    wbar = float(np.mean(w))
+    g = (ds.X.T @ (w * (p - ds.y))) / ds.n_rows + params.reg_c * wbar * params.theta
+    return g, Curvature(ds.X, w * (p * (1.0 - p)), params.reg_c * wbar)
+
+
+def _sigma(params: ModelParams, ds: SparseDataset) -> np.ndarray:
+    """Unclipped sigmoid(X theta), for the influence residuals p - y."""
+    return expit(_margins(params, ds))
+
+
+def predict_proba(params: ModelParams, ds: SparseDataset) -> np.ndarray:
+    """Per-row sigmoid(theta . x), clipped to [1e-12, 1 - 1e-12]."""
+    return np.clip(expit(_margins(params, ds)), PROB_CLIP, 1.0 - PROB_CLIP)
+
+
+def per_sample_loss(params: ModelParams, ds: SparseDataset, regularized: bool = True) -> np.ndarray:
+    """Log loss of each row, plus (C/2)||theta||^2 when ``regularized``."""
+    losses = _log_loss(_margins(params, ds), ds.y)
+    if regularized:
+        losses = losses + 0.5 * params.reg_c * float(params.theta @ params.theta)
+    return losses
+
+
+def risk(params: ModelParams, ds: SparseDataset, sample_weight: np.ndarray | None = None) -> float:
+    """Weighted mean of the regularized per-sample losses (weights default to 1)."""
+    return _risk(params, ds, _margins(params, ds), _weights(ds, sample_weight))
+
+
+def mean_logloss(params: ModelParams, ds: SparseDataset) -> float:
+    """Unregularized mean log loss; the reporting metric."""
+    return float(np.mean(per_sample_loss(params, ds, regularized=False)))
+
+
+def accuracy(params: ModelParams, ds: SparseDataset) -> float:
+    """Fraction of rows classified correctly at threshold 0.5."""
+    p = predict_proba(params, ds)
+    return float(np.mean((p >= 0.5) == (ds.y == 1)))
+
+
+def gradient(params: ModelParams, ds: SparseDataset, sample_weight: np.ndarray | None = None) -> np.ndarray:
+    """Gradient of ``risk`` at ``params``: (1/n) X^T (w (p - y)) + C wbar theta."""
+    return _derivatives(params, ds, _margins(params, ds), _weights(ds, sample_weight))[0]
+
+
 def curvature(params: ModelParams, ds: SparseDataset,
               sample_weight: np.ndarray | None = None) -> Curvature:
     """Build the Hessian operator of ``risk`` at ``params``; the sigmoid runs once here."""
-    if ds.n_rows == 0:
-        raise ModelError("empty dataset")
-    X = _feature_matrix(ds, params.dim)
-    p = _sigma(params, ds)
-    s = p * (1.0 - p)
-    w = _weights(ds, sample_weight)
-    if w is None:
-        wbar = 1.0
-    else:
-        s = w * s
-        wbar = float(np.mean(w))
-    return Curvature(X, s, params.reg_c * wbar)
+    return _derivatives(params, ds, _margins(params, ds), _weights(ds, sample_weight))[1]
 
 
 def hvp(H: Curvature, v: np.ndarray) -> np.ndarray:
@@ -301,33 +291,32 @@ def train(ds: SparseDataset, reg_c: float, tol: float = TRAIN_TOL, max_iter: int
     if max_iter < 1:
         raise ModelError(f"max_iter must be at least 1, got {max_iter}")
     w = _weights(ds, sample_weight)
-    active = ds.y if w is None else ds.y[w > 0]
+    active = ds.y[w > 0]
     if active.size == 0 or np.all(active == active[0]):
         raise ModelError("training data carries a single class")
 
-    d = ds.n_features
-    theta = np.zeros(d)
-    inner_cap = min(max(2 * d, 20), 1000)
-    n_iter = 0
-    for n_iter in range(1, max_iter + 1):
-        params = ModelParams(theta, reg_c)
-        g = gradient(params, ds, w)
+    params = ModelParams(np.zeros(ds.n_features), reg_c)
+    z = ds.X @ params.theta
+    f = _risk(params, ds, z, w)
+    inner_cap = min(max(2 * params.dim, 20), 1000)
+    for n_iter in range(max_iter + 1):
+        g, H = _derivatives(params, ds, z, w)
         gnorm = float(np.linalg.norm(g))
-        if gnorm <= tol:
-            return ModelParams(theta, reg_c, gnorm, n_iter - 1, True)
-        step, _ = pcg(curvature(params, ds, w), -g, min(0.5, np.sqrt(gnorm)), inner_cap)
-        f0 = risk(params, ds, w)
+        if gnorm <= tol or n_iter == max_iter:
+            return ModelParams(params.theta, reg_c, gnorm, n_iter, gnorm <= tol)
+        step, _ = pcg(H, -g, min(0.5, np.sqrt(gnorm)), inner_cap)
         slope = float(g @ step)
+        # The accepted trial's margins and risk carry over to the next step;
+        # if all 60 halvings fail, the 2^-60 step is taken untested.
         t = 1.0
-        for _ in range(60):
-            if risk(ModelParams(theta + t * step, reg_c), ds, w) <= f0 + 1e-4 * t * slope:
+        for halvings in range(61):
+            trial = ModelParams(params.theta + t * step, reg_c)
+            z = ds.X @ trial.theta
+            f_trial = _risk(trial, ds, z, w)
+            if halvings == 60 or f_trial <= f + 1e-4 * t * slope:
                 break
             t *= 0.5
-        theta = theta + t * step
-
-    final = ModelParams(theta, reg_c)
-    gnorm = float(np.linalg.norm(gradient(final, ds, w)))
-    return ModelParams(theta, reg_c, gnorm, n_iter, gnorm <= tol)
+        params, f = trial, f_trial
 
 
 def save_params(params: ModelParams, path: str) -> None:
@@ -341,25 +330,39 @@ def save_params(params: ModelParams, path: str) -> None:
         raise ModelError(f"cannot write {path}: {exc}") from exc
 
 
+def _int_float(path: str, no: int, line: str, what: str) -> tuple[int, float]:
+    """The two fields ``int float`` of a header or weight line; the float must be finite."""
+    try:
+        k_s, v_s = line.split()
+        k, v = int(k_s), float(v_s)
+    except ValueError:
+        k, v = 0, float("nan")
+    if not np.isfinite(v):
+        raise ModelError(f"{path}:{no}: bad {what} {line!r}")
+    return k, v
+
+
 def load_params(path: str) -> ModelParams:
-    """Inverse of ``save_params``; weights round-trip exactly."""
+    """Inverse of ``save_params``; weights round-trip exactly. Errors name the 1-based line."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
+            lines = [(no, ln.strip()) for no, ln in enumerate(fh, start=1) if ln.strip()]
     except OSError as exc:
         raise ModelError(f"cannot read {path}: {exc}") from exc
     if not lines:
         raise ModelError(f"{path}: empty model file")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ModelError(f"{path}: bad header {lines[0]!r}")
-    d = int(head[0])
-    reg_c = float(head[1])
+    (no, head), *body = lines
+    d, reg_c = _int_float(path, no, head, "header")
+    if d < 0:
+        raise ModelError(f"{path}:{no}: negative dimension {d}")
     theta = np.zeros(d)
-    for ln in lines[1:]:
-        k_s, _, v_s = ln.partition(" ")
-        k = int(k_s)
+    seen: set[int] = set()
+    for no, ln in body:
+        k, theta_k = _int_float(path, no, ln, "weight line")
         if not 0 <= k < d:
-            raise ModelError(f"{path}: index {k} out of range for dimension {d}")
-        theta[k] = float(v_s)
+            raise ModelError(f"{path}:{no}: index {k} out of range for dimension {d}")
+        if k in seen:
+            raise ModelError(f"{path}:{no}: duplicate index {k}")
+        seen.add(k)
+        theta[k] = theta_k
     return ModelParams(theta, reg_c)

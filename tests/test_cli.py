@@ -170,6 +170,13 @@ def test_evaluate_rejects_dimension_mismatch(files, tmp_path):
                      "--data", str(narrow)]) == 2
 
 
+def test_evaluate_rejects_model_with_repeated_index(files, tmp_path, capsys):
+    bad = tmp_path / "model.txt"
+    bad.write_text("4 0.1\n0 1.0\n0 2.0\n")
+    assert cli.main(["evaluate", "--model", str(bad), "--data", files["va"]]) == 2
+    assert f"{bad}:3: duplicate index 0" in capsys.readouterr().err
+
+
 def test_missing_input_file_is_a_clean_error(tmp_path, capsys):
     code = cli.main(["train", "--tr", str(tmp_path / "nope.svm"),
                      "--out", str(tmp_path / "m.txt")])
@@ -253,6 +260,20 @@ def test_pipeline_config_rejects_deltas_key(files, tmp_path, capsys):
     code = cli.main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "report.csv")])
     assert code == 2
     assert "unknown config key 'deltas'" in capsys.readouterr().err
+
+
+def test_pipeline_config_rejects_duplicate_key(files, tmp_path, capsys):
+    # A later line must not silently override an earlier one.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"dataset_path = {files['full']}\n"
+                   "methods = random\n"
+                   "repeats = 2\n"
+                   "repeats = 5\n")
+    rep = tmp_path / "report.csv"
+    code = cli.main(["pipeline", "--config", str(cfg), "--out", str(rep)])
+    assert code == 2
+    assert f"{cfg}:4: duplicate key 'repeats'" in capsys.readouterr().err
+    assert not rep.exists()
 
 
 @pytest.mark.parametrize("flags, match", [

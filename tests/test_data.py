@@ -8,7 +8,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_ds
+from conftest import dataset_path, make_ds
+from infsub import synthdata
 from infsub.data import (DataError, SparseDataset, SplitSpec, flip_labels,
                          load_libsvm, parse_libsvm, read_table, round_half_up,
                          split, with_feature_dim, write_libsvm, write_table)
@@ -388,3 +389,13 @@ def test_flip_is_an_involution(n, fraction, seed):
     ds = make_ds([[float(i + 1)] for i in range(n)], labels)
     twice = flip_labels(flip_labels(ds, fraction, seed), fraction, seed)
     assert np.array_equal(twice.y, ds.y)
+
+
+# ------------------------------------------------------------ bundled data
+
+def test_synthdata_regenerates_bundled_files_byte_for_byte(tmp_path, capsys):
+    assert synthdata._main([str(tmp_path)]) == 0
+    for name in ("breast_cancer_like.svm", "pima_like.svm"):
+        with open(dataset_path(name), "rb") as fh:
+            assert (tmp_path / name).read_bytes() == fh.read(), name
+    assert capsys.readouterr().out.count("wrote ") == 2

@@ -7,14 +7,16 @@ its own optimality contract and by an exact reweighting equivalence.
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from conftest import dataset_path, dense_hessian, make_ds, random_ds
 from infsub import model
 from infsub.data import SplitSpec, split, load_libsvm
-from infsub.model import (PROB_CLIP, ModelError, ModelParams, accuracy,
+from infsub.model import (PROB_CLIP, Curvature, ModelError, ModelParams, accuracy,
                           curvature, gradient, hessian_diag, hvp, load_params,
                           mean_logloss, pcg, per_sample_loss, predict_proba,
                           save_params, train)
+from infsub.synthdata import ill_conditioned
 
 RNG = np.random.default_rng(1234)
 
@@ -402,6 +404,128 @@ def test_train_on_bundled_dataset_logloss_band():
     assert 0.05 <= mean_logloss(params, te) <= 0.25
 
 
+def _reference_weights(ds, sample_weight):
+    if sample_weight is None:
+        return None
+    w = np.asarray(sample_weight, dtype=np.float64)
+    if w.shape != (ds.n_rows,):
+        raise ModelError(f"sample_weight shape {w.shape} does not match {ds.n_rows} rows")
+    if not np.all(np.isfinite(w)) or np.any(w < 0):
+        raise ModelError("sample_weight must be finite and nonnegative")
+    return w
+
+
+def _reference_sigma(params, ds):
+    return expit(ds.X @ params.theta)
+
+
+def reference_risk(params, ds, sample_weight=None):
+    """``model.risk`` as it was before losses and derivatives shared the margins."""
+    p = np.clip(expit(ds.X @ params.theta), PROB_CLIP, 1.0 - PROB_CLIP)
+    y = ds.y
+    losses = -(y * np.log(p) + (1 - y) * np.log1p(-p))
+    w = _reference_weights(ds, sample_weight)
+    if w is None:
+        base = float(np.mean(losses))
+        wbar = 1.0
+    else:
+        base = float(np.mean(w * losses))
+        wbar = float(np.mean(w))
+    return base + 0.5 * params.reg_c * wbar * float(params.theta @ params.theta)
+
+
+def reference_gradient(params, ds, sample_weight=None):
+    if ds.n_rows == 0:
+        raise ModelError("empty dataset")
+    resid = _reference_sigma(params, ds) - ds.y
+    w = _reference_weights(ds, sample_weight)
+    if w is None:
+        wbar = 1.0
+    else:
+        resid = w * resid
+        wbar = float(np.mean(w))
+    return (ds.X.T @ resid) / ds.n_rows + params.reg_c * wbar * params.theta
+
+
+def reference_curvature(params, ds, sample_weight=None):
+    if ds.n_rows == 0:
+        raise ModelError("empty dataset")
+    X = ds.X
+    p = _reference_sigma(params, ds)
+    s = p * (1.0 - p)
+    w = _reference_weights(ds, sample_weight)
+    if w is None:
+        wbar = 1.0
+    else:
+        s = w * s
+        wbar = float(np.mean(w))
+    return Curvature(X, s, params.reg_c * wbar)
+
+
+def reference_train(ds, reg_c, tol=model.TRAIN_TOL, max_iter=model.TRAIN_MAX_ITER,
+                    sample_weight=None):
+    """Newton as it ran when every step recomputed X theta for each of
+    ``gradient``, ``curvature`` and ``risk``; ``train`` must match it bit for bit."""
+    w = _reference_weights(ds, sample_weight)
+    d = ds.n_features
+    theta = np.zeros(d)
+    inner_cap = min(max(2 * d, 20), 1000)
+    n_iter = 0
+    for n_iter in range(1, max_iter + 1):
+        params = ModelParams(theta, reg_c)
+        g = reference_gradient(params, ds, w)
+        gnorm = float(np.linalg.norm(g))
+        if gnorm <= tol:
+            return ModelParams(theta, reg_c, gnorm, n_iter - 1, True)
+        step, _ = pcg(reference_curvature(params, ds, w), -g, min(0.5, np.sqrt(gnorm)), inner_cap)
+        f0 = reference_risk(params, ds, w)
+        slope = float(g @ step)
+        t = 1.0
+        for _ in range(60):
+            if reference_risk(ModelParams(theta + t * step, reg_c), ds, w) <= f0 + 1e-4 * t * slope:
+                break
+            t *= 0.5
+        theta = theta + t * step
+
+    final = ModelParams(theta, reg_c)
+    gnorm = float(np.linalg.norm(reference_gradient(final, ds, w)))
+    return ModelParams(theta, reg_c, gnorm, n_iter, gnorm <= tol)
+
+
+def _newton_cases():
+    rng = np.random.default_rng(2024)
+    ds = random_ds(rng, 300, 12, zero_frac=0.3)
+    w = rng.uniform(0.0, 3.0, ds.n_rows)
+    w[rng.random(ds.n_rows) < 0.25] = 0.0
+    return {
+        "unweighted": (ds, 0.01, {}),
+        "weighted-with-zeros": (ds, 0.01, {"sample_weight": w}),
+        "ill-conditioned": (ill_conditioned(n=300, d=20, scale_span=1e3), 1e-3, {}),
+        "one-step": (random_ds(rng, 200, 20), 0.01, {"tol": 1e-14, "max_iter": 1}),
+    }
+
+
+@pytest.mark.parametrize("case", list(_newton_cases()))
+def test_train_is_bit_identical_to_reference_newton(case):
+    ds, reg_c, kwargs = _newton_cases()[case]
+    got = train(ds, reg_c, **kwargs)
+    want = reference_train(ds, reg_c, **kwargs)
+    assert np.array_equal(got.theta, want.theta)
+    assert (got.grad_norm, got.n_iter, got.converged) == (
+        want.grad_norm, want.n_iter, want.converged)
+    assert got.converged == (case != "one-step")
+
+
+def test_public_kernels_match_reference_bit_for_bit():
+    ds, _, kwargs = _newton_cases()["weighted-with-zeros"]
+    params = ModelParams(np.random.default_rng(3).normal(0.0, 0.5, ds.n_features), 0.01)
+    for w in (None, kwargs["sample_weight"]):
+        assert model.risk(params, ds, w) == reference_risk(params, ds, w)
+        assert np.array_equal(gradient(params, ds, w), reference_gradient(params, ds, w))
+        H, ref = curvature(params, ds, w), reference_curvature(params, ds, w)
+        assert np.array_equal(H.s, ref.s) and H.c_wbar == ref.c_wbar
+
+
 # ---------------------------------------------------------------- persistence
 
 def test_save_load_round_trip_exact(tmp_path, small_fit):
@@ -440,3 +564,23 @@ def test_load_params_errors(tmp_path):
     oob.write_text("2 0.1\n5 1.0\n")
     with pytest.raises(ModelError, match="out of range"):
         load_params(str(oob))
+
+
+@pytest.mark.parametrize("text, match", [
+    ("x 0.1\n", r":1: bad header 'x 0.1'"),
+    ("3\n", r":1: bad header '3'"),
+    ("3 abc\n", r":1: bad header"),
+    ("-2 0.1\n", r":1: negative dimension -2"),
+    ("3 0.1\n\n0\n", r":3: bad weight line '0'"),
+    ("3 0.1\n0 1.0\n1 abc\n", r":3: bad weight line '1 abc'"),
+    ("3 0.1\n1 nan\n", r":2: bad weight line"),
+    ("3 0.1\n0 1.0 2.0\n", r":2: bad weight line"),
+    ("3 0.1\n0 1.0\n0 2.0\n", r":3: duplicate index 0"),
+], ids=["header-dim", "header-short", "header-reg-c", "negative-dim", "no-value",
+        "bad-value", "nan-value", "extra-field", "repeated-index"])
+def test_load_params_names_malformed_line(tmp_path, text, match):
+    path = tmp_path / "model.txt"
+    path.write_text(text)
+    with pytest.raises(ModelError, match=match) as err:
+        load_params(str(path))
+    assert str(err.value).startswith(f"{path}:")
