@@ -157,6 +157,8 @@ def _cmd_influence(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
     tr = load_libsvm(args.tr, args.n_features)
     rep = influence.read_influence_csv(args.influence)
     phi = rep.phi

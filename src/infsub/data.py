@@ -8,9 +8,10 @@ labels are canonical {0, 1}.
 from __future__ import annotations
 
 import gzip
+import io
 import itertools
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -159,72 +160,194 @@ class SplitSpec:
             raise DataError("va_fraction + te_fraction must leave room for training rows")
 
 
-def parse_libsvm(source: Iterable[str] | IO[str], n_features: int | None = None) -> SparseDataset:
-    """Parse svmlight/libsvm text into a SparseDataset.
+# libsvm text is read as bytes, a block of whole lines at a time, and each
+# block is split, checked and converted with numpy rather than token by token.
+BLOCK_BYTES = 1 << 17
+# libsvm text is written a batch of rows at a time, about this many entries.
+WRITE_ENTRIES = 1 << 12
+_INDEX_MAX = np.iinfo(np.int32).max
 
-    Each non-blank line is ``label idx:val idx:val ...``. Accepted label
-    alphabets are {0,1} (kept as-is), {-1,+1} (mapped to {0,1}) and {1,2}
-    (mapped to {0,1}); precedence is in that order, so an all-1 file reads as
-    all-positive. Indices may start at 0 or 1 and are stored as given; the
-    feature dimension is max index + 1 unless ``n_features`` overrides it.
-    Malformed lines raise DataError with their 1-based line number.
+
+# Bytes no number can hold: all but blanks, digits, signs, the point, the
+# exponent and the letters of inf, infinity and nan (colons are counted
+# apart). Blanks are the ASCII whitespace str.split() splits on; line ends
+# are "\n" alone by the time a block is parsed, "\r\n" and a bare "\r"
+# having been rewritten to it.
+_STRAY = np.ones(256, dtype=bool)
+_STRAY[list(b" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f0123456789+-.eEinfatyINFATY:")] = False
+_BREAKS_AS_SPACE = str.maketrans("\r\n", "  ")
+
+# What can be wrong with one token, in the order its checks run, and what
+# the error then says.
+_BAD_LABEL, _NONINT_LABEL, _NO_COLON, _BAD_FEATURE, _NEGATIVE, _HUGE, _NONFINITE = range(1, 8)
+_MESSAGES = {
+    _BAD_LABEL: "bad label {tok!r}",
+    _NONINT_LABEL: "non-integer label {tok!r}",
+    _NO_COLON: "expected idx:val, got {tok!r}",
+    _BAD_FEATURE: "bad feature {tok!r}",
+    _NEGATIVE: "negative feature index {index}",
+    _HUGE: "feature index {index} exceeds " + str(_INDEX_MAX),
+    _NONFINITE: "non-finite value in {tok!r}",
+}
+
+
+def _token_error(fault: int, token: bytes, line_no: int) -> DataError:
+    tok = token.decode("utf-8", "replace")
+    index = int(tok.partition(":")[0]) if fault in (_NEGATIVE, _HUGE) else None
+    return DataError(f"line {line_no}: " + _MESSAGES[fault].format(tok=tok, index=index))
+
+
+def _line_blocks(fh: IO[bytes]) -> Iterator[bytes]:
+    """Whole lines of a binary file, about BLOCK_BYTES at a time, with
+    "\\r\\n" and a bare "\\r" rewritten to "\\n" as text mode reads them."""
+    pending = bytearray()
+    while chunk := fh.read(BLOCK_BYTES):
+        # Only the new bytes, and a "\r" held back from the last chunk, can
+        # end a line. A "\r" last in the chunk may be half of "\r\n", so it waits.
+        fresh = max(len(pending) - 1, 0)
+        pending += chunk
+        cut = max(pending.rfind(b"\n", fresh), pending.rfind(b"\r", fresh, len(pending) - 1)) + 1
+        if cut:
+            block = bytes(pending[:cut])
+            del pending[:cut]
+            yield block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if pending:
+        yield bytes(pending).replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+
+
+def _numbers(block: bytes, text: np.ndarray, start: np.ndarray, sep: np.ndarray,
+             end: np.ndarray, clean: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each token's number, a label or the value after the colon, and which
+    tokens converted; ``text`` holds these numbers one per line.
+
+    Well-formed blocks convert in one np.loadtxt call. Otherwise the clean
+    tokens are retried one by one with float(), to find the ones that fail.
     """
-    labels: list[float] = []
-    indptr: list[int] = [0]
-    indices: list[int] = []
-    values: list[float] = []
-    max_index = -1
-
-    for line_no, raw in enumerate(source, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        tokens = line.split()
+    if clean.all():
         try:
-            label = float(tokens[0])
+            num = np.loadtxt(io.StringIO(text.tobytes().decode("ascii")),
+                             dtype=np.float64, comments=None, ndmin=1)
+            if num.size == start.size:
+                return num, clean
         except ValueError:
-            raise DataError(f"line {line_no}: bad label {tokens[0]!r}") from None
-        if label != int(label):
-            raise DataError(f"line {line_no}: non-integer label {tokens[0]!r}")
-        labels.append(int(label))
+            pass
+    num = np.full(start.size, np.nan)
+    ok = clean.copy()
+    for t in np.flatnonzero(clean):
+        try:
+            num[t] = float(block[start[t] if sep[t] == end[t] else sep[t] + 1:end[t]])
+        except ValueError:
+            ok[t] = False
+    return num, ok
 
-        row_idx: list[int] = []
-        row_val: list[float] = []
-        for tok in tokens[1:]:
-            idx_s, sep, val_s = tok.partition(":")
-            if not sep:
-                raise DataError(f"line {line_no}: expected idx:val, got {tok!r}")
-            try:
-                idx = int(idx_s)
-                val = float(val_s)
-            except ValueError:
-                raise DataError(f"line {line_no}: bad feature {tok!r}") from None
-            if idx < 0:
-                raise DataError(f"line {line_no}: negative feature index {idx}")
-            if not np.isfinite(val):
-                raise DataError(f"line {line_no}: non-finite value in {tok!r}")
-            row_idx.append(idx)
-            row_val.append(val)
 
-        if len(set(row_idx)) != len(row_idx):
-            raise DataError(f"line {line_no}: duplicate feature index")
-        order = np.argsort(row_idx, kind="stable")
-        indices.extend(row_idx[k] for k in order)
-        values.extend(row_val[k] for k in order)
-        indptr.append(len(indices))
-        if row_idx:
-            max_index = max(max_index, max(row_idx))
+def _parse_block(block: bytes, line0: int) -> tuple[np.ndarray, ...]:
+    """Labels, per-row entry counts, indices and values of whole libsvm lines
+    whose first is line ``line0 + 1``; indices come sorted within each row.
 
-    label_set = set(labels)
+    Raises the DataError of the first faulty line; within a line, of its
+    first faulty token, and a duplicate index only if every token is sound.
+    """
+    a = np.frombuffer(block, dtype=np.uint8)
+    blank = (a == ord(" ")) | (a - 9 <= 4) | (a - 28 <= 3)   # " ", "\t" to "\r", "\x1c" to "\x1f"
+    edges = np.flatnonzero(np.diff(~blank, prepend=False, append=False))
+    start, end = edges[0::2], edges[1::2]
+    if not start.size:
+        return np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32), np.empty(0)
+    line = np.searchsorted(np.flatnonzero(a == ord("\n")), start)
+    is_label = np.ones(start.size, dtype=bool)
+    is_label[1:] = line[1:] != line[:-1]
+    feat = ~is_label
+    row = np.cumsum(is_label) - 1
+
+    colons = np.flatnonzero(a == ord(":"))
+    owner = np.searchsorted(start, colons, side="right") - 1
+    n_colon = np.bincount(owner, minlength=start.size)
+    first = np.ones(owner.size, dtype=bool)
+    first[1:] = owner[1:] != owner[:-1]
+    sep = end.copy()                        # a token's first colon, if it has one
+    sep[owner[first]] = colons[first]
+    stray = np.zeros(start.size, dtype=bool)
+    stray[np.searchsorted(start, np.flatnonzero(np.take(_STRAY, a)), side="right") - 1] = True
+
+    # An index is ASCII digits after at most one sign. It is read here, digit
+    # by digit, and left out of ``text``: the labels and values, one per
+    # line, for the float conversion. Past _INDEX_MAX a magnitude only needs
+    # to stay too large.
+    keep = ~blank & (a != ord(":"))
+    pair = np.flatnonzero(feat & (n_colon == 1))
+    lo = start[pair]
+    signed = (a[lo] == ord("+")) | (a[lo] == ord("-"))
+    keep[lo[signed]] = False
+    lo = lo + signed
+    width = sep[pair] - lo
+    digits_ok = width > 0
+    magnitude = np.zeros(pair.size, dtype=np.int64)
+    for k in range(int(width.max(initial=0))):
+        live = np.flatnonzero(width > k)
+        at = lo[live] + k
+        digit = a[at] - ord("0")
+        digits_ok[live] &= digit <= 9
+        magnitude[live] = np.minimum(magnitude[live] * 10 + digit, _INDEX_MAX + 1)
+        keep[at] = False
+    keep[end[end < a.size]] = True
+    text = np.where(blank, np.uint8(ord("\n")), a)[keep]
+    index = np.zeros(start.size, dtype=np.int64)
+    index[pair] = np.where(signed & (a[start[pair]] == ord("-")), -magnitude, magnitude)
+    well_formed = np.zeros(start.size, dtype=bool)
+    well_formed[pair] = digits_ok & (sep[pair] < end[pair] - 1)
+    clean = ~stray & np.where(is_label, n_colon == 0, well_formed)
+
+    num, ok = _numbers(block, text, start, sep, end, clean)
+    fault = np.select(
+        [is_label & ~ok, is_label & ~(np.isfinite(num) & (num == np.floor(num))),
+         feat & (n_colon == 0), feat & ~ok, feat & (index < 0), feat & (index > _INDEX_MAX),
+         feat & ~np.isfinite(num)],
+        [_BAD_LABEL, _NONINT_LABEL, _NO_COLON, _BAD_FEATURE, _NEGATIVE, _HUGE, _NONFINITE], 0)
+
+    index, value, frow = index[feat], num[feat], row[feat]
+    same_row = frow[1:] == frow[:-1]
+    unsorted = same_row & (index[1:] < index[:-1])
+    if unsorted.any():
+        # Sort only the rows that are out of order.
+        at = np.flatnonzero(np.isin(frow, frow[1:][unsorted]))
+        order = at[np.lexsort((index[at], frow[at]))]
+        index[at], value[at] = index[order], value[order]
+    dup_rows = frow[1:][same_row & (index[1:] == index[:-1])]
+
+    faulty = np.flatnonzero(fault)
+    if faulty.size or dup_rows.size:
+        row_line = line[is_label]
+        if faulty.size and not (dup_rows.size and row_line[dup_rows[0]] < line[faulty[0]]):
+            t = faulty[0]
+            raise _token_error(int(fault[t]), block[start[t]:end[t]], line0 + int(line[t]) + 1)
+        raise DataError(f"line {line0 + int(row_line[dup_rows[0]]) + 1}: duplicate feature index")
+    n_rows = int(row[-1]) + 1
+    return num[is_label], np.bincount(frow, minlength=n_rows), index.astype(np.int32), value
+
+
+def _read_libsvm(fh: IO[bytes], n_features: int | None) -> SparseDataset:
+    """Parse a binary libsvm stream block by block into one SparseDataset."""
+    parts = [(np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32),
+              np.empty(0))]
+    line0 = 0
+    for block in _line_blocks(fh):
+        parts.append(_parse_block(block, line0))
+        line0 += block.count(b"\n")
+    labels, counts, indices, values = (np.concatenate(p) for p in zip(*parts))
+    del parts
+
+    label_set = {int(v) for v in np.unique(labels)}
     if label_set <= {0, 1}:
-        y = np.array(labels, dtype=np.int8)
+        y = labels
     elif label_set <= {-1, 1}:
-        y = np.array([(v + 1) // 2 for v in labels], dtype=np.int8)
+        y = (labels + 1) / 2
     elif label_set <= {1, 2}:
-        y = np.array([v - 1 for v in labels], dtype=np.int8)
+        y = labels - 1
     else:
         raise DataError(f"label alphabet {sorted(label_set)} is not a recognized binary coding")
 
+    max_index = int(indices.max()) if indices.size else -1
     if n_features is None:
         d = max_index + 1
     else:
@@ -234,44 +357,73 @@ def parse_libsvm(source: Iterable[str] | IO[str], n_features: int | None = None)
             raise DataError(f"feature index {max_index} overflows dimension {n_features}")
         d = n_features
 
-    X = sp.csr_array(
-        (np.asarray(values, dtype=np.float64),
-         np.asarray(indices, dtype=np.int32),
-         np.asarray(indptr, dtype=np.int64)),
-        shape=(len(labels), d),
-    )
-    return SparseDataset(X, y)
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    X = sp.csr_array((values, indices, indptr), shape=(labels.size, d))
+    return SparseDataset(X, y.astype(np.int8))
+
+
+def parse_libsvm(source: Iterable[str] | IO[str], n_features: int | None = None) -> SparseDataset:
+    """Parse svmlight/libsvm text into a SparseDataset.
+
+    Each item of ``source`` is one line; a non-blank line is ``label
+    idx:val idx:val ...``, split on ASCII whitespace. Accepted label
+    alphabets are {0,1} (kept as-is), {-1,+1} (mapped to {0,1}) and {1,2}
+    (mapped to {0,1}); precedence is in that order, so an all-1 file reads as
+    all-positive. A label is any integral number; an index is ASCII digits
+    with an optional sign, at most 2**31 - 1; a value is any finite number
+    float() reads, in ASCII and without underscores. Indices may start at 0
+    or 1, in any order within a row, and are stored as given; the feature
+    dimension is max index + 1 unless ``n_features`` overrides it. Malformed
+    lines raise DataError with their 1-based line number.
+    """
+    text = "\n".join(line.translate(_BREAKS_AS_SPACE) for line in source)
+    return _read_libsvm(io.BytesIO(text.encode("utf-8", "surrogatepass")), n_features)
 
 
 def load_libsvm(path: str, n_features: int | None = None) -> SparseDataset:
-    """Read a libsvm file from disk; names ending in .gz are gunzipped."""
+    """Read a libsvm file from disk, as ``parse_libsvm`` reads lines; names
+    ending in .gz are gunzipped. "\\n", "\\r\\n" and a bare "\\r" end a line."""
     opener = gzip.open if str(path).endswith(".gz") else open
     try:
-        with opener(path, "rt", encoding="utf-8") as fh:  # type: ignore[operator]
-            return parse_libsvm(fh, n_features=n_features)
-    except OSError as exc:
+        with opener(path, "rb") as fh:  # type: ignore[operator]
+            return _read_libsvm(fh, n_features)
+    except (OSError, EOFError) as exc:   # EOFError: a truncated gzip stream
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 
 def write_libsvm(ds: SparseDataset, path: str, label_style: str = "01") -> None:
     """Write a dataset back out as libsvm text.
 
-    ``label_style`` is "01" or "pm1"; indices are written exactly as stored.
+    ``label_style`` is "01" or "pm1"; indices are written exactly as stored,
+    and values by ``repr``, the shortest text that reads back as the same float.
     """
     if label_style not in ("01", "pm1"):
         raise DataError(f"unknown label_style {label_style!r}")
+    X = ds.X
+    nnz = int(X.indptr[-1])
+    # One string per index used and per distinct value; values are told
+    # apart by their bits, so 0.0 and -0.0 keep their own text.
+    used, idx_of = np.unique(X.indices[:nnz], return_inverse=True)
+    bits, val_of = np.unique(X.data[:nnz].view(np.uint64), return_inverse=True)
+    idx_s = np.array([f"{j}:" for j in used.tolist()], dtype=object)
+    val_s = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    labels = np.array(["-1" if label_style == "pm1" else "0", "1"], dtype=object)[ds.y]
 
-    def rows():
-        for i in range(ds.n_rows):
-            lab = int(ds.y[i])
-            if label_style == "pm1":
-                lab = 1 if lab == 1 else -1
-            idx, val = ds.row(i)
-            parts = [str(lab)]
-            parts.extend(f"{j}:{v!r}" for j, v in zip(idx, (float(v) for v in val)))
-            yield " ".join(parts)
+    def lines() -> Iterator[str]:
+        # Rows go out in batches of about WRITE_ENTRIES entries, which bounds
+        # the memory their strings take.
+        firsts = np.searchsorted(X.indptr, np.arange(0, nnz, WRITE_ENTRIES), side="right") - 1
+        cuts = np.unique(np.concatenate(([0], firsts, [ds.n_rows]))).tolist()
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            ptr = X.indptr[lo:hi + 1] - X.indptr[lo]
+            span = slice(X.indptr[lo], X.indptr[hi])
+            tokens = idx_s[idx_of[span]] + val_s[val_of[span]]
+            # Row i of the batch is its label, placed at ptr[i] + i, then its tokens.
+            words = np.insert(tokens, ptr[:-1], labels[lo:hi]).tolist()
+            bounds = (ptr + np.arange(hi - lo + 1)).tolist()
+            yield from (" ".join(words[a:b]) for a, b in zip(bounds[:-1], bounds[1:]))
 
-    write_lines(path, rows())
+    write_lines(path, lines())
 
 
 def with_feature_dim(ds: SparseDataset, n_features: int) -> SparseDataset:

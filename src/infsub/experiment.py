@@ -79,6 +79,12 @@ class ExperimentConfig:
             raise ConfigError("dataset_path and tr_path are mutually exclusive")
         if self.repeats < 1:
             raise ConfigError("repeats must be at least 1")
+        if not 0.0 < self.reg_c < float("inf"):
+            raise ConfigError(f"reg_c must be finite and positive, got {self.reg_c}")
+        if not self.train_tol > 0.0:
+            raise ConfigError(f"train_tol must be positive, got {self.train_tol}")
+        if self.train_max_iter < 1:
+            raise ConfigError(f"train_max_iter must be at least 1, got {self.train_max_iter}")
         if not self.methods or not self.ratios:
             raise ConfigError("methods and ratios must both be nonempty")
         if "sigmoid" in self.methods and not self.sigmoid_alphas:

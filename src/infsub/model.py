@@ -54,8 +54,8 @@ class ModelParams:
             raise ModelError("theta must be a flat vector")
         if not np.all(np.isfinite(theta)):
             raise ModelError("theta must be finite")
-        if not self.reg_c >= 0.0:
-            raise ModelError(f"reg_c must be nonnegative, got {self.reg_c}")
+        if not 0.0 <= self.reg_c < np.inf:
+            raise ModelError(f"reg_c must be finite and nonnegative, got {self.reg_c}")
         object.__setattr__(self, "theta", theta)
 
     @property
@@ -284,8 +284,8 @@ def train(ds: SparseDataset, reg_c: float, tol: float = TRAIN_TOL, max_iter: int
     """
     if ds.n_rows == 0:
         raise ModelError("empty dataset")
-    if not reg_c > 0.0:
-        raise ModelError(f"reg_c must be positive for training, got {reg_c}")
+    if not 0.0 < reg_c < np.inf:
+        raise ModelError(f"reg_c must be finite and positive for training, got {reg_c}")
     if not tol > 0.0:
         raise ModelError(f"tol must be positive, got {tol}")
     if max_iter < 1:

@@ -291,6 +291,33 @@ def test_pipeline_rejects_bad_grid_before_loading(tmp_path, capsys, flags, match
     assert not out.exists()
 
 
+def test_pipeline_rejects_zero_reg_c_before_loading(tmp_path, capsys):
+    # The dataset does not exist: reg_c must be refused before it is read.
+    out = tmp_path / "report.csv"
+    code = cli.main(["pipeline", "--dataset", str(tmp_path / "nonexistent.svm"),
+                     "--method", "random", "--reg-c", "0", "--out", str(out)])
+    assert code == 2
+    assert "reg_c must be finite and positive, got 0.0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_rejects_infinite_reg_c(files, tmp_path, capsys):
+    out = tmp_path / "m.txt"
+    code = cli.main(["train", "--tr", files["tr"], "--reg-c", "inf", "--out", str(out)])
+    assert code == 2
+    assert "reg_c must be finite and positive for training, got inf" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sample_rejects_negative_seed(files, tmp_path, capsys):
+    out = tmp_path / "plan.csv"
+    code = cli.main(["sample", "--influence", files["inf"], "--tr", files["tr"],
+                     "--method", "random", "--ratio", "0.5", "--seed", "-3", "--out", str(out)])
+    assert code == 2
+    assert "--seed must be nonnegative, got -3" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_pipeline_rejects_bad_pcg_setting_before_fitting(files, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("pcg_tol = 0\n")

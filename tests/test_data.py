@@ -135,6 +135,14 @@ def test_load_missing_file():
         load_libsvm("/nonexistent/data.svm")
 
 
+def test_load_truncated_gzip(tmp_path):
+    packed = gzip.compress(b"1 0:1\n0 1:2\n" * 100)
+    path = tmp_path / "cut.svm.gz"
+    path.write_bytes(packed[:len(packed) // 2])
+    with pytest.raises(DataError, match="cannot read .*end-of-stream"):
+        load_libsvm(str(path))
+
+
 def test_write_libsvm_unwritable_path(tmp_path):
     ds = make_ds([[1.0, 0.0]], [1])
     with pytest.raises(RuntimeError, match="cannot write"):

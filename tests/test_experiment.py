@@ -77,9 +77,15 @@ def test_config_validates_grid():
     (dict(pcg_max_iter=0), "max_iter"),
     (dict(va_fraction=1.5), "va_fraction"),
     (dict(va_fraction=0.5, te_fraction=0.5), "room for training rows"),
+    (dict(reg_c=0.0), "reg_c must be finite and positive"),
+    (dict(reg_c=float("inf")), "reg_c must be finite and positive"),
+    (dict(reg_c=float("nan")), "reg_c must be finite and positive"),
+    (dict(train_tol=0.0), "train_tol must be positive"),
+    (dict(train_max_iter=0), "train_max_iter must be at least 1"),
 ], ids=["no-ratios", "dup-methods", "dup-ratios", "dup-alphas", "no-alphas", "negative-alpha", "zero-linear-alpha",
         "zero-floor", "floor-above-one", "pcg-tol", "pcg-max-iter",
-        "va-fraction", "no-training-rows"])
+        "va-fraction", "no-training-rows", "zero-reg-c", "infinite-reg-c", "nan-reg-c",
+        "zero-train-tol", "zero-train-max-iter"])
 def test_config_rejects_bad_grid_before_reading_data(bad, match):
     # "a" does not exist: the error must come from the config itself.
     with pytest.raises(ValueError, match=match):

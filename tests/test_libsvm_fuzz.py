@@ -1,0 +1,191 @@
+"""Differential tests: the block-wise libsvm reader and writer against the
+token-by-token oracle in ``libsvm_oracle``.
+
+Random files, valid and malformed, go through both readers: plain files,
+gzipped files and lists of lines, with blocks shrunk to a few bytes so that
+lines straddle block ends. Both must give the same CSR and labels, or the
+same DataError message, line number included.
+
+Deliberate differences are kept out of the alphabet below, by name:
+underscores in numbers (``1_0``), non-ASCII whitespace and digits, bytes
+that are not UTF-8, ``inf``/``nan`` labels (the oracle crashes on them with
+OverflowError or ValueError) and indices above 2**31 - 1. Each is pinned by
+its own test at the end.
+"""
+
+import gzip
+import re
+from unittest import mock
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import libsvm_oracle as oracle
+from conftest import dataset_path
+from infsub import data
+from infsub.data import DataError, SparseDataset, load_libsvm, parse_libsvm, write_libsvm
+
+LABELS = ["0", "1", "-1", "+1", "2", "1.0", "1e0", "-0", "0.0", "10e-1", "-1.00",
+          "3", "1.5", "spam", "1:1", "1e", "+", "\x00", "NaNa"]
+BAD_INDICES = ["1.0", "1e1", "a", "", "+", "-", "+-1", "1-", "inf", "0x1"]
+WORDS = ["1.5", "-2.5E+2", ".5", "5.", "+0", "-0.0", "1e-3", "1E5", "1e400", "1e-400",
+         "0.1000000000000000055511151231257827", "inf", "-Infinity", "nan", "NaN",
+         "abc", "", "1e", "--1", "+.e1", "0x1", "1d5", "infinit", "tiny", "é"]
+SEPARATORS = [" ", "  ", "\t", " \t ", "\x0b", "\x0c", "\x1c", "\x1f"]
+LINE_ENDS = ["\n", "\r\n", "\r"]
+
+indices = st.one_of(
+    st.integers(0, 40).map(str),
+    st.integers(0, 40).map(lambda i: f"+{i}"),
+    st.integers(0, 9).map(lambda i: f"00{i}"),
+    st.integers(0, 3).map(lambda i: f"-{i}"),
+    st.just(str(2**31 - 1)),
+    st.sampled_from(BAD_INDICES),
+)
+values = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-5, 5).map(str),
+    st.sampled_from(WORDS),
+)
+# Tokens that fail more than one check at once, to pin the order of the checks.
+edge_features = st.tuples(st.sampled_from(["-1", "-0", "+2", "7", "1.0", ""]),
+                          st.sampled_from(["inf", "nan", "1e400", "2", "x", ""])).map(":".join)
+features = st.one_of(
+    edge_features,
+    st.tuples(indices, values).map(":".join),
+    st.tuples(indices, values, values).map(":".join),
+    st.sampled_from(["novalue", "5", ":5", "5:", ":"]),
+)
+# Mostly well-formed rows, so that files often parse and errors land late.
+good_rows = st.tuples(
+    st.sampled_from(["0", "1"]),
+    st.lists(st.tuples(st.integers(0, 30), st.floats(-1e3, 1e3)), max_size=6),
+).map(lambda r: " ".join([r[0]] + [f"{i}:{v!r}" for i, v in r[1]]))
+any_rows = st.tuples(st.sampled_from(LABELS), st.lists(features, max_size=5),
+                     st.lists(st.sampled_from(SEPARATORS), min_size=6, max_size=6)).map(
+    lambda r: "".join(t + s for t, s in zip([r[0]] + r[1], r[2])).rstrip(" "))
+blank_rows = st.sampled_from(["", " ", "\t", " \x0c "])
+files = st.tuples(
+    st.lists(st.one_of(good_rows, good_rows, good_rows, any_rows, blank_rows), max_size=12),
+    st.lists(st.sampled_from(LINE_ENDS), min_size=12, max_size=12),
+    st.booleans(),
+).map(lambda f: "".join(r + e for r, e in zip(f[0], f[1]))[:None if f[2] else -1])
+
+
+def outcome(parse):
+    """A parse result reduced to comparable parts, or its DataError text."""
+    try:
+        ds = parse()
+    except DataError as exc:
+        return str(exc)
+    X = ds.X
+    return (X.shape, ds.y.tolist(), X.indptr.tolist(), X.indices.tolist(),
+            X.data.view(np.uint64).tolist(), X.indices.dtype, X.indptr.dtype)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=files, block=st.sampled_from([1, 2, 7, 64, 1 << 17]),
+       n_features=st.sampled_from([None, None, 31, 41]))
+def test_reader_agrees_with_oracle(tmp_path_factory, text, block, n_features):
+    root = tmp_path_factory.getbasetemp()
+    plain, packed = root / "fuzz.svm", root / "fuzz.svm.gz"
+    plain.write_bytes(text.encode("utf-8"))
+    packed.write_bytes(gzip.compress(text.encode("utf-8")))
+    with open(plain, encoding="utf-8") as fh:
+        lines = list(fh)
+    want = outcome(lambda: oracle.parse_libsvm(lines, n_features))
+    with mock.patch.object(data, "BLOCK_BYTES", block):
+        assert outcome(lambda: load_libsvm(str(plain), n_features)) == want
+        assert outcome(lambda: load_libsvm(str(packed), n_features)) == want
+        assert outcome(lambda: parse_libsvm(lines, n_features)) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(lines=st.lists(st.one_of(good_rows, st.text(alphabet=" \t\r\n01:.-", max_size=12)),
+                      max_size=6))
+def test_lines_with_embedded_breaks_agree(lines):
+    # An item is one line even when it holds "\r" or "\n": they are blanks in it.
+    assert outcome(lambda: parse_libsvm(lines)) == outcome(lambda: oracle.parse_libsvm(lines))
+
+
+def test_reader_agrees_on_bundled_files():
+    for name in ("breast_cancer_like.svm", "pima_like.svm"):
+        with open(dataset_path(name), encoding="utf-8") as fh:
+            want = outcome(lambda: oracle.parse_libsvm(fh))
+        assert outcome(lambda: load_libsvm(dataset_path(name))) == want
+
+
+def test_blank_blocks_raise_no_warning(tmp_path):
+    # A block of blank lines has no numbers; np.loadtxt would warn on it.
+    path = tmp_path / "blank.svm"
+    path.write_bytes(b"1 0:1\n" + b" \n" * 40 + b"0 1:2\n")
+    with mock.patch.object(data, "BLOCK_BYTES", 8):
+        assert load_libsvm(str(path)).n_rows == 2
+
+
+# ------------------------------------------------ deliberate differences
+
+@pytest.mark.parametrize("line, match", [
+    ("1_0 0:1", "bad label '1_0'"),
+    ("1 1_0:1", "bad feature '1_0:1'"),
+    ("1 0:1_0", "bad feature '0:1_0'"),
+    ("1 ٣:1", "bad feature '٣:1'"),
+    ("1 0:1\u00a02:1", "bad feature '0:1\\xa02:1'"),
+    ("1\u20030:1", "bad label '1\\u20030:1'"),
+    ("inf 0:1", "non-integer label 'inf'"),
+    ("nan 0:1", "non-integer label 'nan'"),
+    ("1 2147483648:1", "feature index 2147483648 exceeds 2147483647"),
+])
+def test_deliberate_differences_from_the_oracle(line, match):
+    with pytest.raises(DataError, match=re.escape(f"line 1: {match}")):
+        parse_libsvm([line])
+
+
+def test_bytes_that_are_not_utf8_are_a_bad_token(tmp_path):
+    path = tmp_path / "latin1.svm"
+    path.write_bytes(b"1 0:1\n1 0:\xe9\n")
+    with pytest.raises(DataError, match="line 2: bad feature '0:\ufffd'"):
+        load_libsvm(str(path))
+
+
+# ------------------------------------------------------------- the writer
+
+rows_strategy = st.lists(
+    st.dictionaries(st.integers(0, 20),
+                    st.one_of(st.sampled_from([0.0, -0.0, 1.0, 1.0 / 3.0, -2.5]),
+                              st.floats(allow_nan=False, allow_infinity=False)),
+                    max_size=5),
+    max_size=8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=rows_strategy, labels=st.lists(st.integers(0, 1), min_size=8, max_size=8),
+       style=st.sampled_from(["01", "pm1"]), batch=st.sampled_from([1, 3, 1 << 15]))
+def test_writer_bytes_match_oracle(tmp_path_factory, rows, labels, style, batch):
+    n = len(rows)
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    idx = np.array([j for r in rows for j in sorted(r)], dtype=np.int32)
+    val = np.array([r[j] for r in rows for j in sorted(r)], dtype=np.float64)
+    ds = SparseDataset(sp.csr_array((val, idx, indptr), shape=(n, 21)),
+                       np.array(labels[:n], dtype=np.int8))
+    root = tmp_path_factory.getbasetemp()
+    with mock.patch.object(data, "WRITE_ENTRIES", batch):
+        write_libsvm(ds, str(root / "new.svm"), label_style=style)
+    oracle.write_libsvm(ds, str(root / "old.svm"), label_style=style)
+    assert (root / "new.svm").read_bytes() == (root / "old.svm").read_bytes()
+
+
+def test_line_ends_count_as_text_mode_counts_them(tmp_path):
+    # "\r\n" is one line end, and a bare "\r" is one too, even across blocks.
+    path = tmp_path / "ends.svm"
+    path.write_bytes(b"1 0:1\r0 1:2\r\n\rspam\n")
+    with open(path, encoding="utf-8") as fh:
+        with pytest.raises(DataError, match="line 4: bad label 'spam'"):
+            oracle.parse_libsvm(fh)
+    for block in (1, 6, 1 << 17):
+        with mock.patch.object(data, "BLOCK_BYTES", block):
+            with pytest.raises(DataError, match="line 4: bad label 'spam'"):
+                load_libsvm(str(path))

@@ -37,6 +37,8 @@ def test_params_validation():
         ModelParams(np.array([np.nan]), 0.1)
     with pytest.raises(ModelError, match="reg_c"):
         ModelParams(np.zeros(2), -0.5)
+    with pytest.raises(ModelError, match="reg_c must be finite"):
+        ModelParams(np.zeros(2), np.inf)
     p = ModelParams([0.0, 1.5], 0.1)
     assert p.dim == 2
     assert p.theta.dtype == np.float64
@@ -377,6 +379,8 @@ def test_train_validation_errors():
     ds = make_ds([[1.0], [2.0]], [1, 0])
     with pytest.raises(ModelError, match="reg_c"):
         train(ds, 0.0)
+    with pytest.raises(ModelError, match="reg_c must be finite"):
+        train(ds, np.inf)
     with pytest.raises(ModelError, match="tol"):
         train(ds, 0.1, tol=0.0)
     with pytest.raises(ModelError, match="max_iter"):
