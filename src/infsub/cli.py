@@ -71,7 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--va", required=True, help="validation data to score against")
     p.add_argument("--n-features", type=int, default=None)
     p.add_argument("--psi", action="store_true",
-                   help="also compute per-row parameter-influence norms (one solve per row)")
+                   help="also compute per-row parameter-influence norms "
+                        "(one solve per row, run in blocks of rows)")
     p.add_argument("--pcg-tol", type=float, default=PcgConfig.tol,
                    help="relative residual tolerance for the Jacobi-preconditioned solves")
     p.add_argument("--pcg-max-iter", type=int, default=PcgConfig.max_iter,
@@ -118,6 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
+    model.check_train_settings(args.reg_c, args.tol, args.max_iter)
     ds = load_libsvm(args.tr, args.n_features)
     params = model.train(ds, args.reg_c, tol=args.tol, max_iter=args.max_iter)
     model.save_params(params, args.out)

@@ -6,7 +6,9 @@ g_va the summed validation log-loss gradient, and grad_i the regularized
 per-sample training gradient. Negative phi marks samples whose upweighting
 lowers validation risk. Every solve is ``model.pcg``, matrix-free conjugate
 gradient preconditioned by the exact Hessian diagonal (Jacobi); Newton steps
-in ``model.train`` use the same loop without a preconditioner.
+in ``model.train`` use the same loop without a preconditioner. The psi norms
+need one solve per training row; those run a block of rows at a time, as the
+columns of one block solve.
 """
 
 from __future__ import annotations
@@ -18,6 +20,11 @@ import numpy as np
 from . import model
 from .data import SparseDataset, read_table, write_table
 from .model import ModelParams, PcgInfo
+
+# Work-array budget of one psi block: k = PSI_BLOCK_BYTES // (8 d) rows are
+# solved together (32 at d = 1002), so each dense (d, k) array of the solve
+# stays near 256 KiB.
+PSI_BLOCK_BYTES = 256 * 1024
 
 
 class ConvergenceError(RuntimeError):
@@ -32,10 +39,10 @@ class PcgConfig:
     max_iter: int = 1000
 
     def __post_init__(self) -> None:
-        if not self.tol > 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError(f"pcg_tol must be positive and finite, got {self.tol}")
         if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+            raise ValueError(f"pcg_max_iter must be at least 1, got {self.max_iter}")
 
 
 @dataclass(frozen=True)
@@ -43,7 +50,7 @@ class InfluenceReport:
     """Influence scores for every training row plus solver diagnostics.
 
     ``psi_norms`` (per-sample parameter-influence norms) is filled only when
-    requested; it costs one linear solve per row.
+    requested; it costs one linear solve per row, run in blocks of rows.
     """
 
     phi: np.ndarray
@@ -69,15 +76,16 @@ def inverse_hvp_pcg(H: model.Curvature, v: np.ndarray,
                     cfg: PcgConfig = PcgConfig()) -> tuple[np.ndarray, PcgInfo]:
     """Solve H t = v by ``model.pcg``, preconditioned by the diagonal ``H.diag``.
 
-    Terminates when ||H t - v|| <= tol ||v||; a stalled preconditioner is
-    dropped for plain CG, and a solve that hits max_iter returns its best
+    ``v`` is one right-hand side of shape (d,) or a block of them, shape
+    (d, k), solved column by column. Each solve terminates when
+    ||H t - v|| <= tol ||v||; one that hits max_iter returns its best
     iterate with converged False (see ``model.pcg``). H must carry a positive
     C wbar term: a zero C or all-zero weights leave it singular.
     """
     if not H.c_wbar > 0.0:
         raise ValueError("inverse HVP needs reg_c > 0 for a positive definite Hessian")
     v = np.asarray(v, dtype=np.float64)
-    if v.shape != (H.dim,):
+    if v.ndim not in (1, 2) or v.shape[0] != H.dim:
         raise ValueError(f"vector shape {v.shape} does not match dimension {H.dim}")
     if not np.all(np.isfinite(v)):
         raise ValueError("right-hand side must be finite")
@@ -109,22 +117,27 @@ def compute_psi_norms(params: ModelParams, tr: SparseDataset,
                       cfg: PcgConfig = PcgConfig()) -> np.ndarray:
     """Norm of the parameter influence H^{-1} grad_i for every training row.
 
-    Runs one conjugate-gradient solve per row, so cost scales linearly with
-    the training set; a row with a zero gradient solves to exactly zero.
+    Runs one conjugate-gradient solve per row, k rows at a time as the
+    columns of one block solve (k from ``PSI_BLOCK_BYTES``), so cost scales
+    linearly with the training set; a row with a zero gradient solves to
+    exactly zero. A solve that misses its tolerance raises ConvergenceError
+    naming the first such row.
     """
     H = model.curvature(params, tr)
-    p = model._sigma(params, tr)
+    resid = model._sigma(params, tr) - tr.y
     base = params.reg_c * params.theta
+    k = max(1, PSI_BLOCK_BYTES // (8 * max(params.dim, 1)))
     norms = np.empty(tr.n_rows)
-    for i in range(tr.n_rows):
-        idx, vals = tr.row(i)
-        rhs = base.copy()
-        rhs[idx] += (p[i] - tr.y[i]) * vals
-        sol, info = inverse_hvp_pcg(H, rhs, cfg)
-        if not info.converged:
+    for lo in range(0, tr.n_rows, k):
+        rows = slice(lo, min(lo + k, tr.n_rows))
+        # Column j is grad_{lo+j} = (p - y) x + C theta, formed densely.
+        grads = tr.X[rows].multiply(resid[rows, None]).T.toarray() + base[:, None]
+        sol, info = inverse_hvp_pcg(H, grads, cfg)
+        if not np.all(info.converged):
+            j = int(np.argmin(info.converged))
             raise ConvergenceError(
-                f"sample {i}: inverse HVP stopped at residual {info.residual:.3e}")
-        norms[i] = float(np.linalg.norm(sol))
+                f"sample {lo + j}: inverse HVP stopped at residual {info.residual[j]:.3e}")
+        norms[rows] = np.linalg.norm(sol, axis=0)
     return norms
 
 

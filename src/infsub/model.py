@@ -21,9 +21,6 @@ from scipy.special import expit
 from .data import SparseDataset
 
 PROB_CLIP = 1e-12
-# PCG drops its preconditioner after this many iterations without a new best
-# preconditioned residual.
-STALL_LIMIT = 10
 # Newton stops at this gradient norm, or after this many steps.
 TRAIN_TOL = 1e-8
 TRAIN_MAX_ITER = 100
@@ -177,14 +174,16 @@ def curvature(params: ModelParams, ds: SparseDataset,
 def hvp(H: Curvature, v: np.ndarray) -> np.ndarray:
     """Hessian-vector product (1/n) X^T (s (X v)) + C wbar v.
 
-    One forward and one transposed sparse matvec; the Hessian itself is never
-    formed. With C > 0 and nonnegative weights, not all zero, the operator
-    is positive definite.
+    ``v`` is a vector of shape (d,) or a block of column vectors, shape
+    (d, k). One forward and one transposed sparse product; the Hessian
+    itself is never formed. With C > 0 and nonnegative weights, not all
+    zero, the operator is positive definite.
     """
     v = np.asarray(v, dtype=np.float64)
-    if v.shape != (H.dim,):
+    if v.ndim not in (1, 2) or v.shape[0] != H.dim:
         raise ModelError(f"vector shape {v.shape} does not match model dimension {H.dim}")
-    return (H.X.T @ (H.s * (H.X @ v))) / H.X.shape[0] + H.c_wbar * v
+    s = H.s if v.ndim == 1 else H.s[:, None]
+    return (H.X.T @ (s * (H.X @ v))) / H.X.shape[0] + H.c_wbar * v
 
 
 def hessian_diag(H: Curvature) -> np.ndarray:
@@ -199,77 +198,122 @@ def hessian_diag(H: Curvature) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PcgInfo:
-    """Outcome of one solve: iterations, final residual norm, flags."""
+    """Outcome of a solve: iterations, final residual norm, whether it converged.
+
+    For a block of right-hand sides ``residual`` and ``converged`` hold one
+    entry per column, and ``iters`` counts the iterations of the block's
+    longest-running column. ``restarted`` is always False: the solver never
+    drops its preconditioner, and the field stays only because the
+    benchmark's tracer still reads it.
+    """
 
     iters: int
-    residual: float
-    converged: bool
+    residual: float | np.ndarray
+    converged: bool | np.ndarray
     restarted: bool = False
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
+    """a . b for vectors; the column-wise products a_j . b_j for (d, k) blocks."""
+    return float(a @ b) if a.ndim == 1 else np.einsum("ij,ij->j", a, b)
+
+
+def _norm(a: np.ndarray) -> float | np.ndarray:
+    """||a|| for a vector; the norm of each column for a (d, k) block."""
+    return float(np.linalg.norm(a)) if a.ndim == 1 else np.linalg.norm(a, axis=0)
 
 
 def pcg(H: Curvature, b: np.ndarray, tol: float, max_iter: int,
         mdiag: np.ndarray | None = None) -> tuple[np.ndarray, PcgInfo]:
     """Solve H x = b by conjugate gradient, preconditioned by 1/mdiag if given.
 
-    Terminates when ||H x - b|| <= tol ||b||. If the preconditioned residual
-    makes no progress for STALL_LIMIT iterations the preconditioner is
-    dropped and the solve restarts as plain CG from the current iterate. On
-    hitting max_iter, or on a direction with p.Hp <= 0 (H not positive
-    definite), the best iterate seen is returned with converged False and
-    the iterations actually done; callers decide whether that is fatal.
-    Every product goes through ``hvp``.
+    ``b`` is one right-hand side of shape (d,) or a block of k of them, shape
+    (d, k): a block runs k independent solves in lockstep, each column with
+    its own step sizes and stopping rule. A column stops once
+    ||H x - b|| <= tol ||b|| and then leaves the block, so later products
+    cover only the columns still running. On hitting max_iter, or on a
+    direction with p.Hp <= 0 (H not positive definite), a column stops with
+    the best iterate seen, flagged not converged, after the iterations it
+    actually did; callers decide whether that is fatal. Every product goes
+    through ``hvp``.
     """
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
+    block = b.ndim == 2
+    bnorm = _norm(b)
+    if block:
+        if mdiag is not None:
+            mdiag = mdiag[:, None]
+        # Each column's outcome, filled in as it stops; zero columns stop at once.
+        sol = np.zeros_like(b)
+        residual = np.zeros_like(bnorm)
+        converged = bnorm == 0.0
+        cols = np.flatnonzero(~converged)
+        if cols.size == 0:
+            return sol, PcgInfo(0, residual, converged)
+        b, bnorm = b[:, cols], bnorm[cols]
+        n_iter = 0
+    elif bnorm == 0.0:
         return np.zeros_like(b), PcgInfo(0, 0.0, True)
 
     x = np.zeros_like(b)
     r = b.copy()
     z = r / mdiag if mdiag is not None else r.copy()
     p = z.copy()
-    rz = float(r @ z)
-    best_pre = rz
+    rz = _dot(r, z)
     best_res = bnorm
     x_best = x
-    stall = 0
-    restarted = False
 
     for k in range(1, max_iter + 1):
         q = hvp(H, p)
-        pq = float(p @ q)
-        if pq <= 0.0:
-            return x_best, PcgInfo(k - 1, best_res, False, restarted)
-        a = rz / pq
+        pq = _dot(p, q)
+        if not block and pq <= 0.0:
+            return x_best, PcgInfo(k - 1, best_res, False)
+        # A block column whose direction breaks down takes no step and stops below.
+        broke = pq <= 0.0
+        a = np.divide(rz, pq, out=np.zeros_like(pq), where=~broke) if block else rz / pq
         x = x + a * p
         r = r - a * q
-        res = float(np.linalg.norm(r))
-        if res < best_res:
-            best_res = res
-            x_best = x
-        if res <= tol * bnorm:
-            return x, PcgInfo(k, res, True, restarted)
+        res = _norm(r)
+        if block:
+            better = res < best_res
+            best_res = np.where(better, res, best_res)
+            x_best = np.where(better, x, x_best)
+        elif res < best_res:
+            best_res, x_best = res, x
+        done = res <= tol * bnorm
+        if not block and done:
+            return x, PcgInfo(k, res, True)
+        if block and np.any(stop := done | broke):
+            j = cols[stop]
+            sol[:, j] = np.where(done, x, x_best)[:, stop]
+            residual[j] = np.where(done, res, best_res)[stop]
+            converged[j] = done[stop]
+            n_iter = max(n_iter, k if np.any(done) else k - 1)
+            keep = ~stop
+            x, r, p, x_best = (v[:, keep] for v in (x, r, p, x_best))
+            rz, bnorm, best_res, cols = (v[keep] for v in (rz, bnorm, best_res, cols))
+            if cols.size == 0:
+                break
 
         z = r / mdiag if mdiag is not None else r
-        rz_new = float(r @ z)
-        if rz_new < best_pre:
-            best_pre = rz_new
-            stall = 0
-        else:
-            stall += 1
-        if mdiag is not None and stall >= STALL_LIMIT:
-            # Preconditioned residual is stuck; fall back to plain CG.
-            mdiag = None
-            restarted = True
-            stall = 0
-            z = r.copy()
-            rz = float(r @ z)
-            p = z.copy()
-            best_pre = rz
-            continue
+        rz_new = _dot(r, z)
         p = z + (rz_new / rz) * p
         rz = rz_new
 
-    return x_best, PcgInfo(max_iter, best_res, False, restarted)
+    if not block:
+        return x_best, PcgInfo(max_iter, best_res, False)
+    if cols.size:
+        sol[:, cols], residual[cols], n_iter = x_best, best_res, max_iter
+    return sol, PcgInfo(n_iter, residual, converged)
+
+
+def check_train_settings(reg_c: float, tol: float, max_iter: int) -> None:
+    """Refuse the ``train`` settings no fit can run with, before any data is read."""
+    if not 0.0 < reg_c < np.inf:
+        raise ModelError(f"reg_c must be finite and positive for training, got {reg_c}")
+    if not 0.0 < tol < np.inf:
+        raise ModelError(f"tol must be positive and finite, got {tol}")
+    if max_iter < 1:
+        raise ModelError(f"max_iter must be at least 1, got {max_iter}")
 
 
 def train(ds: SparseDataset, reg_c: float, tol: float = TRAIN_TOL, max_iter: int = TRAIN_MAX_ITER,
@@ -282,14 +326,9 @@ def train(ds: SparseDataset, reg_c: float, tol: float = TRAIN_TOL, max_iter: int
     max_iter steps; a non-converged fit is returned flagged, not raised.
     Deterministic for fixed inputs.
     """
+    check_train_settings(reg_c, tol, max_iter)
     if ds.n_rows == 0:
         raise ModelError("empty dataset")
-    if not 0.0 < reg_c < np.inf:
-        raise ModelError(f"reg_c must be finite and positive for training, got {reg_c}")
-    if not tol > 0.0:
-        raise ModelError(f"tol must be positive, got {tol}")
-    if max_iter < 1:
-        raise ModelError(f"max_iter must be at least 1, got {max_iter}")
     w = _weights(ds, sample_weight)
     active = ds.y[w > 0]
     if active.size == 0 or np.all(active == active[0]):

@@ -55,7 +55,8 @@ def test_train_flags_nonconvergence(files, tmp_path, capsys):
 @pytest.mark.parametrize("flags, match", [
     (["--pcg-tol", "0"], "tol must be positive"),
     (["--pcg-max-iter", "0"], "max_iter must be at least 1"),
-], ids=["pcg-tol", "pcg-max-iter"])
+    (["--pcg-tol", "inf", "--psi"], "pcg_tol must be positive and finite, got inf"),
+], ids=["pcg-tol", "pcg-max-iter", "infinite-pcg-tol"])
 def test_influence_rejects_bad_pcg_setting_before_loading(tmp_path, capsys, flags, match):
     # No input file exists: the solver settings must be refused before any read.
     missing = str(tmp_path / "missing")
@@ -298,6 +299,22 @@ def test_pipeline_rejects_zero_reg_c_before_loading(tmp_path, capsys):
                      "--method", "random", "--reg-c", "0", "--out", str(out)])
     assert code == 2
     assert "reg_c must be finite and positive, got 0.0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, match", [
+    (["--reg-c", "0"], "reg_c must be finite and positive for training, got 0.0"),
+    (["--max-iter", "0"], "max_iter must be at least 1, got 0"),
+    (["--tol", "inf"], "tol must be positive and finite, got inf"),
+    (["--tol", "0"], "tol must be positive and finite, got 0.0"),
+], ids=["zero-reg-c", "zero-max-iter", "infinite-tol", "zero-tol"])
+def test_train_rejects_bad_setting_before_loading(tmp_path, capsys, flags, match):
+    # The training file does not exist: the setting must be refused before it is read.
+    out = tmp_path / "m.txt"
+    code = cli.main(["train", "--tr", str(tmp_path / "nonexistent.svm"), *flags,
+                     "--out", str(out)])
+    assert code == 2
+    assert match in capsys.readouterr().err
     assert not out.exists()
 
 

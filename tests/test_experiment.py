@@ -82,10 +82,12 @@ def test_config_validates_grid():
     (dict(reg_c=float("nan")), "reg_c must be finite and positive"),
     (dict(train_tol=0.0), "train_tol must be positive"),
     (dict(train_max_iter=0), "train_max_iter must be at least 1"),
+    (dict(train_tol=float("inf")), "train_tol must be positive and finite, got inf"),
+    (dict(pcg_tol=float("inf")), "pcg_tol must be positive and finite, got inf"),
 ], ids=["no-ratios", "dup-methods", "dup-ratios", "dup-alphas", "no-alphas", "negative-alpha", "zero-linear-alpha",
         "zero-floor", "floor-above-one", "pcg-tol", "pcg-max-iter",
         "va-fraction", "no-training-rows", "zero-reg-c", "infinite-reg-c", "nan-reg-c",
-        "zero-train-tol", "zero-train-max-iter"])
+        "zero-train-tol", "zero-train-max-iter", "infinite-train-tol", "infinite-pcg-tol"])
 def test_config_rejects_bad_grid_before_reading_data(bad, match):
     # "a" does not exist: the error must come from the config itself.
     with pytest.raises(ValueError, match=match):

@@ -31,6 +31,10 @@ def fitted():
 def test_pcg_config_validation():
     with pytest.raises(ValueError, match="tol"):
         PcgConfig(tol=0.0)
+    with pytest.raises(ValueError, match="pcg_tol must be positive and finite, got inf"):
+        PcgConfig(tol=np.inf)
+    with pytest.raises(ValueError, match="tol"):
+        PcgConfig(tol=np.nan)
     with pytest.raises(ValueError, match="max_iter"):
         PcgConfig(max_iter=0)
 
@@ -125,27 +129,6 @@ def test_max_iter_returns_best_iterate_flagged(fitted):
         info.residual, rel=1e-12)
 
 
-def test_stalled_preconditioner_restarts_as_plain_cg(fitted, monkeypatch):
-    # A wildly wrong diagonal makes the preconditioned residual stagnate;
-    # the solver must drop it and still converge.
-    ds = ill_conditioned(n=200, d=40, seed=5)
-    params = ModelParams(np.zeros(ds.n_features), 1e-4)
-    v = np.random.default_rng(0).normal(size=ds.n_features)
-
-    def misleading_diag(H):
-        out = np.ones(H.dim)
-        out[::2] = 1e12
-        out[1::2] = 1e-12
-        return out
-
-    monkeypatch.setattr(influence_mod.model, "hessian_diag", misleading_diag)
-    H = model.curvature(params, ds)
-    t, info = inverse_hvp_pcg(H, v, PcgConfig(tol=1e-8, max_iter=2000))
-    assert info.restarted
-    assert info.converged
-    assert np.linalg.norm(model.hvp(H, t) - v) <= 1e-8 * np.linalg.norm(v)
-
-
 def test_breakdown_reports_iterations_done():
     # s < 0 makes this hand-built H negative definite, so the very first
     # direction has p.Hp < 0 with or without the diagonal preconditioner.
@@ -170,9 +153,68 @@ def test_solver_input_validation(fitted):
         inverse_hvp_pcg(model.curvature(params, ds), np.ones(params.dim + 1))
     with pytest.raises(ValueError, match="finite"):
         inverse_hvp_pcg(model.curvature(params, ds), np.full(params.dim, np.nan))
+    with pytest.raises(ValueError, match="shape"):
+        inverse_hvp_pcg(model.curvature(params, ds), np.ones((params.dim + 1, 2)))
+    with pytest.raises(ValueError, match="shape"):
+        inverse_hvp_pcg(model.curvature(params, ds), np.ones((params.dim, 2, 1)))
+    with pytest.raises(ValueError, match="finite"):
+        inverse_hvp_pcg(model.curvature(params, ds), np.full((params.dim, 2), np.inf))
     empty = make_ds(np.zeros((0, params.dim)), [])
     with pytest.raises(ValueError, match="empty"):
         inverse_hvp_pcg(model.curvature(params, empty), np.ones(params.dim))
+
+
+# ------------------------------------------------------------- block solves
+
+def test_block_solve_matches_separate_solves():
+    # Columns need different iteration counts here, so the block shrinks as
+    # they stop; the zero column stops before the first product.
+    ds = ill_conditioned(n=200, d=40, seed=5)
+    H = model.curvature(ModelParams(np.zeros(ds.n_features), 1e-3), ds)
+    rng = np.random.default_rng(8)
+    B = rng.normal(size=(ds.n_features, 6)) * np.array([1.0, 1e-3, 0.0, 1e3, 1.0, 1.0])
+    B[:5, 4] = 0.0
+    B[::2, 5] = 0.0
+    cfg = PcgConfig(tol=1e-10, max_iter=2000)
+    T, info = inverse_hvp_pcg(H, B, cfg)
+    assert info.residual.shape == info.converged.shape == (6,)
+    assert np.all(info.converged)
+    iters = []
+    for j in range(B.shape[1]):
+        t, one = inverse_hvp_pcg(H, B[:, j], cfg)
+        iters.append(one.iters)
+        assert np.linalg.norm(T[:, j] - t) <= 1e-8 * max(np.linalg.norm(t), 1e-300)
+        true_res = np.linalg.norm(model.hvp(H, T[:, j]) - B[:, j])
+        assert true_res <= 1e-10 * np.linalg.norm(B[:, j])
+        assert info.residual[j] == pytest.approx(one.residual, rel=1e-3, abs=1e-300)
+    assert np.array_equal(T[:, 2], np.zeros(ds.n_features))
+    assert info.residual[2] == 0.0
+    assert len(set(iters)) > 2
+    assert info.iters == max(iters)
+    assert not info.restarted
+
+
+def test_block_max_iter_returns_best_iterates_flagged(fitted):
+    ds, params = fitted
+    H = model.curvature(params, ds)
+    B = np.random.default_rng(9).normal(size=(params.dim, 3))
+    B[:, 1] = 0.0
+    T, info = inverse_hvp_pcg(H, B, PcgConfig(tol=1e-14, max_iter=2))
+    assert info.iters == 2
+    assert info.converged.tolist() == [False, True, False]
+    for j in (0, 2):
+        assert np.linalg.norm(model.hvp(H, T[:, j]) - B[:, j]) == pytest.approx(
+            info.residual[j], rel=1e-12)
+
+
+def test_block_breakdown_reports_iterations_done():
+    H = model.Curvature(make_ds(np.eye(2), [0, 1]).X, s=np.array([-1.0, -1.0]), c_wbar=0.1)
+    B = np.array([[1.0, 0.0, -3.0], [2.0, 0.0, 0.5]])
+    T, info = model.pcg(H, B, 1e-8, 1000, H.diag)
+    assert info.iters == 0
+    assert info.converged.tolist() == [False, True, False]
+    assert np.array_equal(T, np.zeros((2, 3)))
+    assert np.array_equal(info.residual, np.linalg.norm(B, axis=0))
 
 
 # ----------------------------------------------------------------- phi scores
@@ -252,6 +294,29 @@ def test_psi_norms_compute_the_diagonal_once(fitted, monkeypatch):
     assert len(calls) == 1
 
 
+def _block_width(monkeypatch, k, d):
+    """Make ``compute_psi_norms`` solve k rows per block at dimension d."""
+    monkeypatch.setattr(influence_mod, "PSI_BLOCK_BYTES", 8 * d * k)
+
+
+@pytest.mark.parametrize("k", [1, 3, 7, 20, 64], ids=lambda k: f"k{k}")
+def test_psi_norms_match_per_row_solves(monkeypatch, k):
+    # Oracle: one tight vector PCG solve per row. n = 20 covers a block
+    # wider than n, one exactly n wide, and widths that do not divide n.
+    rng = np.random.default_rng(43)
+    tr = random_ds(rng, n=20, d=6, zero_frac=0.3)
+    params = train(tr, reg_c=0.05, tol=1e-12)
+    _block_width(monkeypatch, k, params.dim)
+    norms = compute_psi_norms(params, tr, TIGHT)
+    H = model.curvature(params, tr)
+    g_tr = dense_grad_rows(params, tr, regularized=True)
+    for i in range(tr.n_rows):
+        t, info = model.pcg(H, g_tr[i], 1e-12, 2000, H.diag)
+        assert info.converged
+        want = np.linalg.norm(t)
+        assert abs(norms[i] - want) <= 1e-8 * want
+
+
 def test_psi_zero_gradient_row_is_zero():
     # With theta = 0 an all-zero feature row has a zero per-sample gradient.
     tr = make_ds([[1.0, 2.0], [0.0, 0.0], [-1.0, 0.5]], [0, 1, 1])
@@ -259,6 +324,25 @@ def test_psi_zero_gradient_row_is_zero():
     norms = compute_psi_norms(params, tr)
     assert norms[1] == 0.0
     assert np.all(norms[[0, 2]] > 0)
+
+
+@pytest.mark.parametrize("k", [1, 2], ids=lambda k: f"k{k}")
+def test_psi_zero_gradient_row_is_zero_in_narrow_blocks(monkeypatch, k):
+    # The zero row alone in its block (k = 1) or beside a live row (k = 2).
+    tr = make_ds([[1.0, 2.0], [0.0, 0.0], [-1.0, 0.5]], [0, 1, 1])
+    params = ModelParams(np.zeros(2), 0.5)
+    _block_width(monkeypatch, k, 2)
+    norms = compute_psi_norms(params, tr)
+    assert norms[1] == 0.0
+    assert np.all(norms[[0, 2]] > 0)
+
+
+def test_psi_without_features_is_zero():
+    # d = 0 leaves every gradient empty; the block width must not divide by d.
+    tr = make_ds(np.zeros((3, 0)), [0, 1, 1])
+    params = train(tr, reg_c=0.1)
+    assert params.dim == 0
+    assert np.array_equal(compute_psi_norms(params, tr), np.zeros(3))
 
 
 def test_psi_equal_for_duplicated_rows():
@@ -269,6 +353,33 @@ def test_psi_equal_for_duplicated_rows():
     params = train(tr, reg_c=0.3, tol=1e-10)
     norms = compute_psi_norms(params, tr, TIGHT)
     assert norms[5] == norms[0]
+
+
+@pytest.mark.parametrize("k", [2, 4], ids=lambda k: f"k{k}")
+def test_psi_equal_for_duplicated_rows_in_different_blocks(monkeypatch, k):
+    rng = np.random.default_rng(42)
+    base = rng.normal(size=(5, 3))
+    rows = np.vstack([base, base[0]])
+    tr = make_ds(rows, [0, 1, 0, 1, 1, 0])
+    params = train(tr, reg_c=0.3, tol=1e-10)
+    _block_width(monkeypatch, k, 3)
+    norms = compute_psi_norms(params, tr, TIGHT)
+    assert norms[5] == norms[0]
+
+
+@pytest.mark.parametrize("k, first_miss", [(2, 1), (2, 2), (8, 2)])
+def test_psi_names_first_row_that_missed(monkeypatch, k, first_miss):
+    # Rows before ``first_miss`` have zero gradients and solve exactly, so the
+    # first solve to miss a one-iteration cap is that row's, in the first
+    # block or a later one.
+    rng = np.random.default_rng(44)
+    rows = rng.normal(size=(6, 3))
+    rows[:first_miss] = 0.0
+    tr = make_ds(rows, [0, 1, 0, 1, 1, 0])
+    params = ModelParams(np.zeros(3), 0.5)
+    _block_width(monkeypatch, k, 3)
+    with pytest.raises(ConvergenceError, match=f"^sample {first_miss}: inverse HVP stopped"):
+        compute_psi_norms(params, tr, PcgConfig(tol=1e-14, max_iter=1))
 
 
 # ------------------------------------------------------------------ CSV files

@@ -256,10 +256,24 @@ def test_hvp_linear_symmetric_positive_definite(small_fit):
         assert float(v @ hvp(H, v)) >= params.reg_c * float(v @ v) - 1e-12
 
 
+def test_block_hvp_is_column_hvps(small_fit):
+    ds, params = small_fit
+    H = curvature(params, ds, np.random.default_rng(15).uniform(0.0, 2.0, ds.n_rows))
+    V = np.random.default_rng(16).normal(size=(params.dim, 5))
+    out = hvp(H, V)
+    assert out.shape == V.shape
+    for j in range(V.shape[1]):
+        assert np.allclose(out[:, j], hvp(H, V[:, j]), rtol=1e-14, atol=1e-15)
+
+
 def test_hvp_dimension_error(small_fit):
     ds, params = small_fit
     with pytest.raises(ModelError, match="shape"):
         hvp(curvature(params, ds), np.zeros(params.dim + 1))
+    with pytest.raises(ModelError, match="shape"):
+        hvp(curvature(params, ds), np.zeros((params.dim + 1, 3)))
+    with pytest.raises(ModelError, match="shape"):
+        hvp(curvature(params, ds), np.zeros((params.dim, 3, 1)))
     with pytest.raises(ModelError, match="dimension"):
         curvature(ModelParams(np.zeros(params.dim + 1), 0.1), ds)
 
@@ -383,6 +397,8 @@ def test_train_validation_errors():
         train(ds, np.inf)
     with pytest.raises(ModelError, match="tol"):
         train(ds, 0.1, tol=0.0)
+    with pytest.raises(ModelError, match="tol must be positive and finite, got inf"):
+        train(ds, 0.1, tol=np.inf)
     with pytest.raises(ModelError, match="max_iter"):
         train(ds, 0.1, max_iter=0)
     with pytest.raises(ModelError, match="single class"):
