@@ -147,11 +147,8 @@ def _cmd_influence(args: argparse.Namespace) -> int:
     va = with_feature_dim(va, d)
     params = _load_model_for(args.model, tr.n_features)
     report = influence.compute_phi(params, tr, va, cfg)
-    if args.psi:
-        psi = influence.compute_psi_norms(params, tr, cfg)
-        report = influence.InfluenceReport(phi=report.phi, psi_norms=psi,
-                                           cg_iters=report.cg_iters, residual=report.residual)
-    influence.write_influence_csv(report, args.out)
+    psi = influence.compute_psi_norms(params, tr, cfg) if args.psi else None
+    influence.write_influence_csv(args.out, report.phi, psi)
     print(f"scored {tr.n_rows} rows against {va.n_rows} validation rows "
           f"({report.cg_iters} CG iterations, residual {report.residual:.3e}); "
           f"influence -> {args.out}")
@@ -162,12 +159,11 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
     tr = load_libsvm(args.tr, args.n_features)
-    rep = influence.read_influence_csv(args.influence)
-    phi = rep.phi
+    phi, psi = influence.read_influence_csv(args.influence)
     if phi.size != tr.n_rows:
         raise sampling.SamplingError(
             f"{phi.size} influence rows for {tr.n_rows} training rows")
-    probs = sampling.probs_for(args.method, args.ratio, phi, rep.psi_norms, args.alpha)
+    probs = sampling.probs_for(args.method, args.ratio, phi, psi, args.alpha)
     plan = sampling.draw_subset(
         probs, args.ratio, tr.y, args.method, args.seed, phi=phi,
         alpha=float("nan") if args.alpha is None else args.alpha)
@@ -201,9 +197,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         base = _load_model_for(args.baseline_model, ds.n_features)
         print(f"squared parameter shift vs baseline: {risk.gamma_shift(base, params):.6e}")
     if args.influence:
-        rep = influence.read_influence_csv(args.influence)
+        phi, _ = influence.read_influence_csv(args.influence)
         plan = sampling.read_plan_csv(args.plan)
-        cov = risk.cov_phi_eps(rep.phi, plan.probs)
+        cov = risk.cov_phi_eps(phi, plan.probs)
         print(f"cov(influence, weight shift): {cov:.6e} "
               f"({'aimed' if cov <= 0 else 'NOT aimed'} at lowering validation risk)")
     return 0

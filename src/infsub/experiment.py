@@ -227,7 +227,6 @@ class ExperimentReport:
     full_te_accuracy: float
     methods: list[str]
     ratios: list[float]
-    repeats: int
     with_accuracy: bool
     with_gamma: bool = False
     influence_seconds: float = 0.0
@@ -345,7 +344,6 @@ def run_pipeline(cfg: ExperimentConfig) -> ExperimentReport:
         full_te_accuracy=full_acc,
         methods=[label for label, _, _ in labels],
         ratios=[float(r) for r in cfg.ratios],
-        repeats=cfg.repeats,
         with_accuracy=bool(cfg.flip_fraction),
         with_gamma=cfg.compute_gamma,
         influence_seconds=influence_seconds,

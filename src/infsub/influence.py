@@ -41,35 +41,21 @@ class PcgConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.tol < np.inf:
             raise ValueError(f"pcg_tol must be positive and finite, got {self.tol}")
+        if self.tol >= 1.0:
+            # The zero start already has ||b|| <= tol ||b||: no solve would run.
+            raise ValueError(f"pcg_tol must be below 1, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"pcg_max_iter must be at least 1, got {self.max_iter}")
 
 
 @dataclass(frozen=True)
 class InfluenceReport:
-    """Influence scores for every training row plus solver diagnostics.
-
-    ``psi_norms`` (per-sample parameter-influence norms) is filled only when
-    requested; it costs one linear solve per row, run in blocks of rows.
-    """
+    """What ``compute_phi`` computed: phi for every training row, and the
+    iterations and final residual norm of its one converged solve."""
 
     phi: np.ndarray
-    psi_norms: np.ndarray | None
     cg_iters: int
     residual: float
-
-    def __post_init__(self) -> None:
-        phi = np.asarray(self.phi, dtype=np.float64)
-        if not np.all(np.isfinite(phi)):
-            raise ValueError("phi must be finite")
-        object.__setattr__(self, "phi", phi)
-        if self.psi_norms is not None:
-            ns = np.asarray(self.psi_norms, dtype=np.float64)
-            if ns.shape != phi.shape:
-                raise ValueError("psi_norms length must match phi")
-            if not np.all(np.isfinite(ns)) or np.any(ns < 0):
-                raise ValueError("psi_norms must be finite and nonnegative")
-            object.__setattr__(self, "psi_norms", ns)
 
 
 def inverse_hvp_pcg(H: model.Curvature, v: np.ndarray,
@@ -78,7 +64,7 @@ def inverse_hvp_pcg(H: model.Curvature, v: np.ndarray,
 
     ``v`` is one right-hand side of shape (d,) or a block of them, shape
     (d, k), solved column by column. Each solve terminates when
-    ||H t - v|| <= tol ||v||; one that hits max_iter returns its best
+    ||H t - v|| <= tol ||v||; one that hits max_iter returns its last
     iterate with converged False (see ``model.pcg``). H must carry a positive
     C wbar term: a zero C or all-zero weights leave it singular.
     """
@@ -110,7 +96,7 @@ def compute_phi(params: ModelParams, tr: SparseDataset, va: SparseDataset,
     resid = model._sigma(params, tr) - tr.y
     reg_term = params.reg_c * float(params.theta @ s)
     phi = -(resid * (tr.X @ s) + reg_term)
-    return InfluenceReport(phi=phi, psi_norms=None, cg_iters=info.iters, residual=info.residual)
+    return InfluenceReport(phi=phi, cg_iters=info.iters, residual=info.residual)
 
 
 def compute_psi_norms(params: ModelParams, tr: SparseDataset,
@@ -141,18 +127,23 @@ def compute_psi_norms(params: ModelParams, tr: SparseDataset,
     return norms
 
 
-def write_influence_csv(report: InfluenceReport, path: str) -> None:
-    """Emit ``index,phi`` rows, with a ``psi_norm`` column when present."""
-    psi = [] if report.psi_norms is None else [report.psi_norms]
-    write_table(path, ["index", "phi", "psi_norm"][:2 + len(psi)],
-                [range(report.phi.size), report.phi, *psi])
+def write_influence_csv(path: str, phi: np.ndarray, psi: np.ndarray | None = None) -> None:
+    """Emit ``index,phi`` rows, with a ``psi_norm`` column when ``psi`` is given."""
+    extra = [] if psi is None else [psi]
+    write_table(path, ["index", "phi", "psi_norm"][:2 + len(extra)],
+                [range(len(phi)), phi, *extra])
 
 
-def read_influence_csv(path: str) -> InfluenceReport:
-    """Read scores written by ``write_influence_csv``; diagnostics are not stored."""
+def read_influence_csv(path: str) -> tuple[np.ndarray, np.ndarray | None]:
+    """Read ``(phi, psi)`` written by ``write_influence_csv``; psi is None without
+    its column. phi must be finite, psi finite and nonnegative."""
     _, header, columns = read_table(path)
     if header not in (["index", "phi"], ["index", "phi", "psi_norm"]):
         raise ValueError(f"{path}: unexpected header {','.join(header)!r}")
-    phi, *psi = (np.array(col, dtype=np.float64) for col in columns[1:])
-    return InfluenceReport(phi=phi, psi_norms=psi[0] if psi else None,
-                           cg_iters=0, residual=float("nan"))
+    phi = np.array(columns[1], dtype=np.float64)
+    psi = np.array(columns[2], dtype=np.float64) if len(columns) == 3 else None
+    if not np.all(np.isfinite(phi)):
+        raise ValueError(f"{path}: phi must be finite")
+    if psi is not None and not np.all(np.isfinite(psi) & (psi >= 0)):
+        raise ValueError(f"{path}: psi_norm must be finite and nonnegative")
+    return phi, psi

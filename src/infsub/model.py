@@ -198,7 +198,7 @@ def hessian_diag(H: Curvature) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PcgInfo:
-    """Outcome of a solve: iterations, final residual norm, whether it converged.
+    """How a solve ended: iterations, the returned iterate's residual norm, converged.
 
     For a block of right-hand sides ``residual`` and ``converged`` hold one
     entry per column, and ``iters`` counts the iterations of the block's
@@ -233,9 +233,10 @@ def pcg(H: Curvature, b: np.ndarray, tol: float, max_iter: int,
     ||H x - b|| <= tol ||b|| and then leaves the block, so later products
     cover only the columns still running. On hitting max_iter, or on a
     direction with p.Hp <= 0 (H not positive definite), a column stops with
-    the best iterate seen, flagged not converged, after the iterations it
-    actually did; callers decide whether that is fatal. Every product goes
-    through ``hvp``.
+    its last iterate and that iterate's residual, flagged not converged,
+    after the iterations it actually did; callers decide whether that is
+    fatal. CG's last iterate already has the least H-norm error over the
+    Krylov space it searched. Every product goes through ``hvp``.
     """
     block = b.ndim == 2
     bnorm = _norm(b)
@@ -259,38 +260,29 @@ def pcg(H: Curvature, b: np.ndarray, tol: float, max_iter: int,
     z = r / mdiag if mdiag is not None else r.copy()
     p = z.copy()
     rz = _dot(r, z)
-    best_res = bnorm
-    x_best = x
+    res = bnorm
 
     for k in range(1, max_iter + 1):
         q = hvp(H, p)
         pq = _dot(p, q)
         if not block and pq <= 0.0:
-            return x_best, PcgInfo(k - 1, best_res, False)
+            return x, PcgInfo(k - 1, res, False)
         # A block column whose direction breaks down takes no step and stops below.
         broke = pq <= 0.0
         a = np.divide(rz, pq, out=np.zeros_like(pq), where=~broke) if block else rz / pq
         x = x + a * p
         r = r - a * q
         res = _norm(r)
-        if block:
-            better = res < best_res
-            best_res = np.where(better, res, best_res)
-            x_best = np.where(better, x, x_best)
-        elif res < best_res:
-            best_res, x_best = res, x
         done = res <= tol * bnorm
         if not block and done:
             return x, PcgInfo(k, res, True)
         if block and np.any(stop := done | broke):
             j = cols[stop]
-            sol[:, j] = np.where(done, x, x_best)[:, stop]
-            residual[j] = np.where(done, res, best_res)[stop]
-            converged[j] = done[stop]
+            sol[:, j], residual[j], converged[j] = x[:, stop], res[stop], done[stop]
             n_iter = max(n_iter, k if np.any(done) else k - 1)
             keep = ~stop
-            x, r, p, x_best = (v[:, keep] for v in (x, r, p, x_best))
-            rz, bnorm, best_res, cols = (v[keep] for v in (rz, bnorm, best_res, cols))
+            x, r, p = (v[:, keep] for v in (x, r, p))
+            rz, bnorm, res, cols = (v[keep] for v in (rz, bnorm, res, cols))
             if cols.size == 0:
                 break
 
@@ -300,9 +292,9 @@ def pcg(H: Curvature, b: np.ndarray, tol: float, max_iter: int,
         rz = rz_new
 
     if not block:
-        return x_best, PcgInfo(max_iter, best_res, False)
+        return x, PcgInfo(max_iter, res, False)
     if cols.size:
-        sol[:, cols], residual[cols], n_iter = x_best, best_res, max_iter
+        sol[:, cols], residual[cols], n_iter = x, res, max_iter
     return sol, PcgInfo(n_iter, residual, converged)
 
 

@@ -80,22 +80,22 @@ def sigmoid_probs(phi: np.ndarray, alpha: float) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(alpha * phi / spread))
 
 
-def optlr_probs(psi_norms: np.ndarray, floor: float = OPTLR_FLOOR) -> np.ndarray:
-    """pi = max(floor, min(1, ||psi|| / max||psi||)).
+def optlr_probs(psi: np.ndarray, floor: float = OPTLR_FLOOR) -> np.ndarray:
+    """pi = max(floor, min(1, ||psi|| / max||psi||)), from the norms ``psi``.
 
     The largest norm lands at pi = 1. The floor keeps every acceptance
     probability positive so the inverse weights 1/pi stay bounded. All-zero
     norms carry no scale and are rejected.
     """
-    psi_norms = _finite_vector(psi_norms, "psi_norms")
-    if np.any(psi_norms < 0):
-        raise SamplingError("psi_norms must be nonnegative")
+    psi = _finite_vector(psi, "psi")
+    if np.any(psi < 0):
+        raise SamplingError("psi must be nonnegative")
     if not 0.0 < floor <= 1.0:
         raise SamplingError(f"floor must be in (0, 1], got {floor}")
-    top = float(np.max(psi_norms))
+    top = float(np.max(psi))
     if top == 0.0:
         raise SamplingError("all-zero psi norms; optlr has no scale")
-    return np.clip((1.0 / top) * psi_norms, floor, 1.0)
+    return np.clip((1.0 / top) * psi, floor, 1.0)
 
 
 def random_probs(n: int, target_ratio: float) -> np.ndarray:

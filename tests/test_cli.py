@@ -56,7 +56,9 @@ def test_train_flags_nonconvergence(files, tmp_path, capsys):
     (["--pcg-tol", "0"], "tol must be positive"),
     (["--pcg-max-iter", "0"], "max_iter must be at least 1"),
     (["--pcg-tol", "inf", "--psi"], "pcg_tol must be positive and finite, got inf"),
-], ids=["pcg-tol", "pcg-max-iter", "infinite-pcg-tol"])
+    (["--pcg-tol", "1", "--psi"], "pcg_tol must be below 1, got 1.0"),
+    (["--pcg-tol", "5"], "pcg_tol must be below 1, got 5.0"),
+], ids=["pcg-tol", "pcg-max-iter", "infinite-pcg-tol", "unit-pcg-tol", "large-pcg-tol"])
 def test_influence_rejects_bad_pcg_setting_before_loading(tmp_path, capsys, flags, match):
     # No input file exists: the solver settings must be refused before any read.
     missing = str(tmp_path / "missing")
@@ -67,12 +69,12 @@ def test_influence_rejects_bad_pcg_setting_before_loading(tmp_path, capsys, flag
 
 
 def test_influence_csv_contents(files):
-    rep = influence.read_influence_csv(files["inf"])
-    assert rep.phi.size == 80
-    assert rep.psi_norms is None
-    rep_psi = influence.read_influence_csv(files["inf_psi"])
-    assert rep_psi.psi_norms is not None
-    assert np.array_equal(rep_psi.phi, rep.phi)
+    phi, psi = influence.read_influence_csv(files["inf"])
+    assert phi.size == 80
+    assert psi is None
+    phi_again, psi = influence.read_influence_csv(files["inf_psi"])
+    assert psi is not None and psi.shape == phi.shape
+    assert np.array_equal(phi_again, phi)
 
 
 @pytest.mark.parametrize("method", ["dropout", "linear", "sigmoid", "optlr", "random"])
@@ -343,6 +345,18 @@ def test_pipeline_rejects_bad_pcg_setting_before_fitting(files, tmp_path, capsys
                      "--method", "random", "--repeats", "1", "--out", str(out)])
     assert code == 2
     assert "tol must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_pipeline_config_refuses_pcg_tol_of_one_before_reading(tmp_path, capsys):
+    # The dataset does not exist: the tolerance must be refused first.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"dataset_path = {tmp_path / 'missing.svm'}\n"
+                   "pcg_tol = 1\n")
+    out = tmp_path / "report.csv"
+    code = cli.main(["pipeline", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    assert "pcg_tol must be below 1, got 1.0" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -84,10 +84,12 @@ def test_config_validates_grid():
     (dict(train_max_iter=0), "train_max_iter must be at least 1"),
     (dict(train_tol=float("inf")), "train_tol must be positive and finite, got inf"),
     (dict(pcg_tol=float("inf")), "pcg_tol must be positive and finite, got inf"),
+    (dict(pcg_tol=1.0), "pcg_tol must be below 1, got 1.0"),
 ], ids=["no-ratios", "dup-methods", "dup-ratios", "dup-alphas", "no-alphas", "negative-alpha", "zero-linear-alpha",
         "zero-floor", "floor-above-one", "pcg-tol", "pcg-max-iter",
         "va-fraction", "no-training-rows", "zero-reg-c", "infinite-reg-c", "nan-reg-c",
-        "zero-train-tol", "zero-train-max-iter", "infinite-train-tol", "infinite-pcg-tol"])
+        "zero-train-tol", "zero-train-max-iter", "infinite-train-tol", "infinite-pcg-tol",
+        "unit-pcg-tol"])
 def test_config_rejects_bad_grid_before_reading_data(bad, match):
     # "a" does not exist: the error must come from the config itself.
     with pytest.raises(ValueError, match=match):
@@ -348,7 +350,7 @@ def hand_built_report(with_accuracy, with_gamma=False):
               CellResult("sigmoid@1", 0.9, 1, seed=4, error="SamplingError: boom")]
     return ExperimentReport(cells=cells, full_va_logloss=0.5, full_te_logloss=0.75,
                             full_te_accuracy=0.625, methods=["dropout", "sigmoid@1"],
-                            ratios=[0.95, 0.9], repeats=3, with_accuracy=with_accuracy,
+                            ratios=[0.95, 0.9], with_accuracy=with_accuracy,
                             with_gamma=with_gamma)
 
 
@@ -411,8 +413,7 @@ def test_best_sigmoid_tie_prefers_first_row():
                CellResult(method="sigmoid@5", ratio=0.9, repeat=0, seed=0,
                           va_logloss=0.5, te_logloss=0.6)],
         full_va_logloss=0.0, full_te_logloss=0.0, full_te_accuracy=0.0,
-        methods=["sigmoid@1", "sigmoid@5"], ratios=[0.9], repeats=1,
-        with_accuracy=False)
+        methods=["sigmoid@1", "sigmoid@5"], ratios=[0.9], with_accuracy=False)
     best = best_sigmoid(report, 0.9)
     assert best.method == "sigmoid@1"
     assert isinstance(best, AggregateRow)

@@ -12,9 +12,8 @@ import infsub.influence as influence_mod
 from conftest import dense_grad_rows, dense_hessian, make_ds, random_ds
 from infsub import model
 from infsub.data import SparseDataset
-from infsub.influence import (ConvergenceError, InfluenceReport, PcgConfig,
-                              compute_phi, compute_psi_norms, inverse_hvp_pcg,
-                              read_influence_csv, write_influence_csv)
+from infsub.influence import (ConvergenceError, PcgConfig, compute_phi, compute_psi_norms,
+                              inverse_hvp_pcg, read_influence_csv, write_influence_csv)
 from infsub.model import ModelParams, train
 from infsub.synthdata import ill_conditioned
 
@@ -37,16 +36,6 @@ def test_pcg_config_validation():
         PcgConfig(tol=np.nan)
     with pytest.raises(ValueError, match="max_iter"):
         PcgConfig(max_iter=0)
-
-
-def test_influence_report_validation():
-    with pytest.raises(ValueError, match="finite"):
-        InfluenceReport(phi=np.array([np.inf]), psi_norms=None, cg_iters=0, residual=0.0)
-    with pytest.raises(ValueError, match="length"):
-        InfluenceReport(phi=np.zeros(2), psi_norms=np.zeros(3), cg_iters=0, residual=0.0)
-    with pytest.raises(ValueError, match="nonnegative"):
-        InfluenceReport(phi=np.zeros(2), psi_norms=np.array([1.0, -1.0]),
-                        cg_iters=0, residual=0.0)
 
 
 # ------------------------------------------------------------------- solver
@@ -116,7 +105,7 @@ def test_preconditioner_cuts_iterations_when_scales_vary():
     assert with_pre.iters < plain.iters
 
 
-def test_max_iter_returns_best_iterate_flagged(fitted):
+def test_max_iter_returns_last_iterate_flagged(fitted):
     ds, params = fitted
     v = np.random.default_rng(5).normal(size=params.dim)
     cfg = PcgConfig(tol=1e-14, max_iter=2)
@@ -124,7 +113,7 @@ def test_max_iter_returns_best_iterate_flagged(fitted):
     assert not info.converged
     assert info.iters == 2
     assert np.all(np.isfinite(t))
-    # The reported residual belongs to the returned (best) iterate.
+    # The reported residual belongs to the returned (last) iterate.
     assert np.linalg.norm(model.hvp(model.curvature(params, ds), t) - v) == pytest.approx(
         info.residual, rel=1e-12)
 
@@ -194,7 +183,7 @@ def test_block_solve_matches_separate_solves():
     assert not info.restarted
 
 
-def test_block_max_iter_returns_best_iterates_flagged(fitted):
+def test_block_max_iter_returns_last_iterates_flagged(fitted):
     ds, params = fitted
     H = model.curvature(params, ds)
     B = np.random.default_rng(9).normal(size=(params.dim, 3))
@@ -205,6 +194,24 @@ def test_block_max_iter_returns_best_iterates_flagged(fitted):
     for j in (0, 2):
         assert np.linalg.norm(model.hvp(H, T[:, j]) - B[:, j]) == pytest.approx(
             info.residual[j], rel=1e-12)
+
+
+@pytest.mark.parametrize("cap", [3, 5, 8, 13, 21])
+def test_capped_block_column_matches_capped_vector_solve(cap):
+    # Every column stops at the cap, short of its tolerance, and returns the
+    # iterate its own 1-D solve reaches after the same iterations.
+    ds = ill_conditioned(n=200, d=40, seed=5)
+    H = model.curvature(ModelParams(np.zeros(ds.n_features), 1e-4), ds)
+    B = np.random.default_rng(10).normal(size=(ds.n_features, 3)) * np.array([1.0, 1e-3, 1e3])
+    cfg = PcgConfig(tol=1e-14, max_iter=cap)
+    T, info = inverse_hvp_pcg(H, B, cfg)
+    assert info.iters == cap
+    assert not np.any(info.converged)
+    for j in range(B.shape[1]):
+        t, one = inverse_hvp_pcg(H, B[:, j], cfg)
+        assert not one.converged and one.iters == cap
+        assert np.linalg.norm(T[:, j] - t) <= 1e-12 * np.linalg.norm(t)
+        assert info.residual[j] == pytest.approx(one.residual, rel=1e-12)
 
 
 def test_block_breakdown_reports_iterations_done():
@@ -386,34 +393,30 @@ def test_psi_names_first_row_that_missed(monkeypatch, k, first_miss):
 
 def test_influence_csv_round_trip(tmp_path):
     phi = np.array([0.125, -3.0, 1.0 / 3.0])
-    rep = InfluenceReport(phi=phi, psi_norms=None, cg_iters=7, residual=1e-9)
     path = tmp_path / "phi.csv"
-    write_influence_csv(rep, str(path))
-    back = read_influence_csv(str(path))
-    assert np.array_equal(back.phi, phi)
-    assert back.psi_norms is None
+    write_influence_csv(str(path), phi)
+    back_phi, back_psi = read_influence_csv(str(path))
+    assert np.array_equal(back_phi, phi)
+    assert back_psi is None
     assert path.read_text().splitlines()[0] == "index,phi"
 
 
 def test_influence_csv_round_trip_with_psi(tmp_path):
     phi = np.array([-0.5, 0.75])
     psi = np.array([0.1, 2.0 / 7.0])
-    rep = InfluenceReport(phi=phi, psi_norms=psi, cg_iters=3, residual=1e-10)
     path = tmp_path / "phi_psi.csv"
-    write_influence_csv(rep, str(path))
-    back = read_influence_csv(str(path))
-    assert np.array_equal(back.phi, phi)
-    assert np.array_equal(back.psi_norms, psi)
+    write_influence_csv(str(path), phi, psi)
+    back_phi, back_psi = read_influence_csv(str(path))
+    assert np.array_equal(back_phi, phi)
+    assert np.array_equal(back_psi, psi)
     assert path.read_text().splitlines()[0] == "index,phi,psi_norm"
 
 
 @pytest.mark.parametrize("with_psi", [False, True], ids=["phi", "phi-psi"])
 def test_influence_csv_contents(tmp_path, with_psi):
     psi = np.array([2.0, 0.1, 1e-300]) if with_psi else None
-    rep = InfluenceReport(phi=np.array([0.125, -3.0, 1.0 / 3.0]), psi_norms=psi,
-                          cg_iters=4, residual=1e-9)
     path = tmp_path / "phi.csv"
-    write_influence_csv(rep, str(path))
+    write_influence_csv(str(path), np.array([0.125, -3.0, 1.0 / 3.0]), psi)
     if with_psi:
         assert path.read_text() == ("index,phi,psi_norm\n"
                                     "0,0.125,2.0\n"
@@ -440,5 +443,13 @@ def test_influence_csv_read_errors(tmp_path):
     path.write_text("")
     with pytest.raises(ValueError, match="empty"):
         read_influence_csv(str(path))
+    for text in ("index,phi\n0,0.5\n1,inf\n", "index,phi,psi_norm\n0,nan,1.0\n"):
+        path.write_text(text)
+        with pytest.raises(ValueError, match="phi must be finite"):
+            read_influence_csv(str(path))
+    for bad in ("-1e-300", "inf", "nan"):
+        path.write_text(f"index,phi,psi_norm\n0,0.5,1.0\n1,0.25,{bad}\n")
+        with pytest.raises(ValueError, match="psi_norm must be finite and nonnegative"):
+            read_influence_csv(str(path))
     with pytest.raises(RuntimeError, match="cannot read"):
         read_influence_csv(str(tmp_path / "missing.csv"))

@@ -344,6 +344,42 @@ def test_unpreconditioned_pcg_is_bit_identical_to_reference_cg():
             assert np.array_equal(step, reference_cg(lambda u: hvp(H, u), -g, rel_tol, 1000))
 
 
+def _ill_conditioned_system(seed):
+    """H at theta = 0 and C = 1e-4 on ``ill_conditioned``, where plain CG needs
+    far more than 34 iterations, and a seeded right-hand side."""
+    ds = ill_conditioned(n=200, d=40, seed=seed)
+    params = ModelParams(np.zeros(ds.n_features), 1e-4)
+    return params, ds, np.random.default_rng(seed).normal(size=ds.n_features)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_capped_pcg_returns_reference_cg_iterate(seed):
+    # A solve cut off by its cap returns CG's last iterate, bit for bit.
+    params, ds, b = _ill_conditioned_system(seed)
+    H = curvature(params, ds)
+    for cap in (3, 5, 8, 13, 21, 34):
+        x, info = pcg(H, b, 1e-14, cap)
+        assert not info.converged and info.iters == cap
+        assert np.array_equal(x, reference_cg(lambda u: hvp(H, u), b, 1e-14, cap))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_capped_pcg_h_norm_error_never_grows(seed):
+    # CG minimizes ||x - x*||_H over a growing Krylov space, so the iterate at
+    # the cap is at least as close to the solution as every earlier one.
+    params, ds, b = _ill_conditioned_system(seed)
+    H, Hd = curvature(params, ds), dense_hessian(params, ds)
+    x_star = np.linalg.solve(Hd, b)
+
+    def h_err(x):
+        e = x - x_star
+        return float(e @ Hd @ e)
+
+    errs = [h_err(pcg(H, b, 1e-14, m)[0]) for m in range(35)]
+    for cap in (3, 5, 8, 13, 21, 34):
+        assert errs[cap] <= min(errs[:cap])
+
+
 def test_risk_is_convex_along_segments(small_fit):
     ds, params = small_fit
     rng = np.random.default_rng(9)
