@@ -23,6 +23,12 @@ from .data import (SparseDataset, SplitSpec, flip_labels, load_libsvm, split,
 from .influence import ConvergenceError, PcgConfig
 from .model import ModelParams
 
+# Work-array budget of one block of cell fits: k = FIT_BLOCK_BYTES // (8 (n + d))
+# cells are fitted together (40 at n + d = 1842, 4 at 17002), so an (n, k)
+# and a (d, k) array of the fit together stay near this size. The fit holds
+# about seven such pairs at its peak.
+FIT_BLOCK_BYTES = 576 * 1024
+
 # Grid keys read only by one method, and that method.
 _METHOD_KEYS = {"sigmoid_alphas": "sigmoid", "linear_alpha": "linear", "optlr_floor": "optlr"}
 
@@ -299,9 +305,12 @@ def run_pipeline(cfg: ExperimentConfig) -> ExperimentReport:
 
     Influence scores are computed once against the validation split and
     shared by every cell. A full-set fit that misses its tolerance raises
-    ConvergenceError, since influence is only meaningful at an optimum. A
-    failure inside one cell, a non-converged cell fit included, is recorded
-    on that cell's result and does not abort the grid. With flip_fraction set,
+    ConvergenceError, since influence is only meaningful at an optimum.
+    Every cell is drawn first; the drawn cells are then refitted in blocks of
+    ``FIT_BLOCK_BYTES // (8 (n + d))`` lockstep columns of
+    ``model.fit_columns``, each warm from the full-set theta. A failure
+    inside one cell, a non-converged cell fit included, is recorded on that
+    cell's result and does not abort the grid. With flip_fraction set,
     training labels are corrupted (seeded) before the full fit, while
     validation and test stay clean; test accuracy is then also reported.
     """
@@ -325,17 +334,42 @@ def run_pipeline(cfg: ExperimentConfig) -> ExperimentReport:
     psi = influence.compute_psi_norms(full, tr, cfg.pcg) if need_psi else None
     influence_seconds = time.perf_counter() - t_inf
 
+    # Draw every plan first; draws are seeded per cell, so their order
+    # changes nothing. A cell that fails here records its error and fits
+    # nothing. One (method, ratio) shares its probabilities across repeats.
     cells: list[CellResult] = []
+    drawn: list[tuple[int, np.ndarray, np.ndarray | None]] = []
     for ratio in cfg.ratios:
         for label, base, alpha in labels:
+            probs = None
             for repeat in range(cfg.repeats):
-                seed = derive_seed(cfg.seed, label, ratio, repeat)
+                cell = CellResult(method=label, ratio=ratio, repeat=repeat,
+                                  seed=derive_seed(cfg.seed, label, ratio, repeat))
                 try:
-                    cells.append(_run_cell(cfg, tr, va, te, full, phi, psi,
-                                           label, base, alpha, ratio, repeat, seed))
+                    if probs is None:
+                        probs = sampling.probs_for(base, ratio, phi, psi, alpha,
+                                                   floor=cfg.optlr_floor, n=tr.n_rows)
+                    selected = _draw_cell(tr, probs, base, ratio, cell.seed, phi)
+                    drawn.append((len(cells), selected, probs if base == "optlr" else None))
                 except Exception as exc:
-                    cells.append(CellResult(method=label, ratio=ratio, repeat=repeat,
-                                            seed=seed, error=f"{type(exc).__name__}: {exc}"))
+                    cell = _failed(cell, exc)
+                cells.append(cell)
+
+    width = max(1, FIT_BLOCK_BYTES // (8 * (tr.n_rows + tr.n_features)))
+    for lo in range(0, len(drawn), width):
+        block = drawn[lo:lo + width]
+        try:
+            fits = _fit_cells(cfg, tr, full, block)
+        except Exception as exc:
+            for i, _, _ in block:
+                cells[i] = _failed(cells[i], exc)
+            continue
+        for (i, selected, _), fitted in zip(block, fits):
+            try:
+                cells[i] = _evaluate_cell(cfg, cells[i], full, fitted, va, te,
+                                          int(np.count_nonzero(selected)))
+            except Exception as exc:
+                cells[i] = _failed(cells[i], exc)
 
     return ExperimentReport(
         cells=cells,
@@ -357,29 +391,57 @@ def _require_converged(fit: ModelParams, what: str) -> None:
                                f"after {fit.n_iter} Newton steps")
 
 
-def _run_cell(cfg: ExperimentConfig, tr: SparseDataset, va: SparseDataset,
-              te: SparseDataset, full: ModelParams, phi: np.ndarray | None,
-              psi: np.ndarray | None, label: str, base: str, alpha: float | None,
-              ratio: float, repeat: int, seed: int) -> CellResult:
-    probs = sampling.probs_for(base, ratio, phi, psi, alpha, floor=cfg.optlr_floor,
-                               n=tr.n_rows)
-    plan = sampling.draw_subset(probs, ratio, tr.y, base, seed, phi=phi)
-    subset = tr.subset(plan.selected)
-    weights = None
-    if base == "optlr":
-        # Inverse-probability weights, normalized to mean about 1 on the subset.
-        weights = plan.selected.size / (tr.n_rows * probs[plan.selected])
-    fitted = model.train(subset, cfg.reg_c, tol=cfg.train_tol,
-                         max_iter=cfg.train_max_iter, sample_weight=weights)
+def _failed(cell: CellResult, exc: Exception) -> CellResult:
+    return dataclasses.replace(cell, error=f"{type(exc).__name__}: {exc}")
+
+
+def _draw_cell(tr: SparseDataset, probs: np.ndarray, base: str, ratio: float, seed: int,
+               phi: np.ndarray | None) -> np.ndarray:
+    """A cell's draw, as a mask over the training rows; a single-class draw raises."""
+    rows = sampling.draw_subset(probs, ratio, tr.y, base, seed, phi=phi).selected
+    model.check_two_classes(tr.y[rows])
+    selected = np.zeros(tr.n_rows, dtype=bool)
+    selected[rows] = True
+    return selected
+
+
+def _cell_weights(n: int, rows: np.ndarray, probs: np.ndarray | None) -> float | np.ndarray:
+    """The weights of a cell's selected rows in its column of the fit block.
+
+    Each is n / n_sub, times optlr's inverse-probability weight
+    n_sub / (n pi_i) when ``probs`` is given, normalized to mean about 1 on
+    the subset. The column's weighted mean loss over all n rows is then the
+    subset's, and the column mean is the subset's mean weight.
+    """
+    scale = n / rows.size
+    if probs is None:
+        return scale
+    return scale * (rows.size / (n * probs[rows]))
+
+
+def _fit_cells(cfg: ExperimentConfig, tr: SparseDataset, full: ModelParams,
+               block: list[tuple[int, np.ndarray, np.ndarray | None]]) -> list[ModelParams]:
+    """Fit a block of drawn cells in lockstep, each warm from the full-set fit."""
+    W = np.zeros((tr.n_rows, len(block)), order="F")
+    for j, (_, selected, probs) in enumerate(block):
+        rows = np.flatnonzero(selected)
+        W[rows, j] = _cell_weights(tr.n_rows, rows, probs)
+    return model.fit_columns(tr, cfg.reg_c, W, full.theta, cfg.train_tol, cfg.train_max_iter)
+
+
+def _evaluate_cell(cfg: ExperimentConfig, cell: CellResult, full: ModelParams,
+                   fitted: ModelParams, va: SparseDataset, te: SparseDataset,
+                   n_selected: int) -> CellResult:
+    """A fitted cell's held-out metrics; a non-converged fit raises."""
     _require_converged(fitted, "cell fit")
     has_te = te.n_rows > 0
-    return CellResult(
-        method=label, ratio=ratio, repeat=repeat, seed=seed,
+    return dataclasses.replace(
+        cell,
         va_logloss=model.mean_logloss(fitted, va),
         te_logloss=model.mean_logloss(fitted, te) if has_te else float("nan"),
         te_accuracy=model.accuracy(fitted, te) if has_te else float("nan"),
         gamma=risk.gamma_shift(full, fitted) if cfg.compute_gamma else float("nan"),
-        n_selected=int(plan.selected.size),
+        n_selected=n_selected,
     )
 
 

@@ -63,9 +63,10 @@ def inverse_hvp_pcg(H: model.Curvature, v: np.ndarray,
     """Solve H t = v by ``model.pcg``, preconditioned by the diagonal ``H.diag``.
 
     ``v`` is one right-hand side of shape (d,) or a block of them, shape
-    (d, k), solved column by column. Each solve terminates when
-    ||H t - v|| <= tol ||v||; one that hits max_iter returns its last
-    iterate with converged False (see ``model.pcg``). H must carry a positive
+    (d, k), solved column by column. Each solve terminates when CG's
+    recursively updated residual r has ||r|| <= tol ||v||; r tracks
+    v - H t but is not recomputed from it. One that hits max_iter returns its
+    last iterate with converged False (see ``model.pcg``). H must carry a positive
     C wbar term: a zero C or all-zero weights leave it singular.
     """
     if not H.c_wbar > 0.0:

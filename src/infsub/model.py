@@ -11,7 +11,7 @@ Hessian is never materialized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -65,14 +65,23 @@ class Curvature:
     """The regularized Hessian at fixed (params, dataset, weights), as an operator.
 
     H = (1/n) X^T diag(s) X + c_wbar I, with s = w p(1-p) and c_wbar = C wbar
-    fixed when the operator is built from the margins X theta. ``diag``, the
-    exact diagonal, is computed on first use and kept. Negative entries of
-    ``s`` make H indefinite, which only hand-built instances do.
+    fixed when the operator is built from the margins X theta. A block of k
+    fits carries one operator per column: ``s`` of shape (n, k) and
+    ``c_wbar`` of shape (k,), applied column by column to (d, k) blocks.
+    ``XT``, the transposed view of X, is built once and handed on to every
+    operator of a fit. ``diag``, the exact diagonal ((d, k) for a block of
+    operators), is computed on first use and kept. Negative entries of ``s``
+    make H indefinite, which only hand-built instances do.
     """
 
     X: sp.csr_array
     s: np.ndarray
-    c_wbar: float
+    c_wbar: float | np.ndarray
+    XT: sp.csc_array | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.XT is None:
+            object.__setattr__(self, "XT", self.X.T)
 
     @property
     def dim(self) -> int:
@@ -81,6 +90,12 @@ class Curvature:
     @cached_property
     def diag(self) -> np.ndarray:
         return hessian_diag(self)
+
+    def columns(self, keep: np.ndarray) -> Curvature:
+        """The operators of the columns selected by ``keep``; a single operator is shared."""
+        if self.s.ndim == 1:
+            return self
+        return Curvature(self.X, self.s[:, keep], self.c_wbar[keep], self.XT)
 
 
 def _margins(params: ModelParams, ds: SparseDataset) -> np.ndarray:
@@ -105,25 +120,52 @@ def _weights(ds: SparseDataset, sample_weight: np.ndarray | None) -> np.ndarray:
     return w
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a . b for vectors, column-wise a_j . b_j for (d, k) blocks. Each column
+    goes through BLAS ddot and rounds as ``a @ b`` does, so a vector solved as
+    a block of one is bit for bit the vector solve."""
+    return np.vecdot(a, b, axis=0)
+
+
 def _log_loss(z: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-row log loss at margins z, with probabilities clipped to [1e-12, 1 - 1e-12]."""
     p = np.clip(expit(z), PROB_CLIP, 1.0 - PROB_CLIP)
     return -(y * np.log(p) + (1 - y) * np.log1p(-p))
 
 
-def _risk(params: ModelParams, ds: SparseDataset, z: np.ndarray, w: np.ndarray) -> float:
-    """Weighted mean log loss at margins z = X theta, plus (C/2) wbar ||theta||^2."""
-    return (float(np.mean(w * _log_loss(z, ds.y)))
-            + 0.5 * params.reg_c * float(np.mean(w)) * float(params.theta @ params.theta))
+# The loss and derivative kernels below take one fit (theta (d,), margins and
+# weights (n,), labels (n,), wbar a float) or a block of k fits (theta (d, k),
+# margins and weights (n, k), labels (n, 1), wbar (k,)). A block column sums
+# in the order its one-fit call does; only BLAS dot products over a block's
+# strided columns round differently, by an ulp or so.
+
+def _objective(theta: np.ndarray, z: np.ndarray, w: np.ndarray, wbar: float | np.ndarray,
+               y: np.ndarray, reg_c: float) -> float | np.ndarray:
+    """Weighted mean log loss at margins z = X theta, plus (C/2) wbar ||theta||^2.
+
+    The weighted losses are laid out column by column (order F), so numpy
+    sums each column pairwise, as it sums a vector. Summed row by row, a
+    block's risks carried tens of ulp of error, and near the optimum, where
+    the Armijo test compares risks a few ulp apart, a column could then
+    reject every halving and stall short of its tolerance.
+    """
+    return (np.mean(np.multiply(w, _log_loss(z, y), order="F"), axis=0)
+            + 0.5 * reg_c * wbar * _dot(theta, theta))
 
 
-def _derivatives(params: ModelParams, ds: SparseDataset, z: np.ndarray,
-                 w: np.ndarray) -> tuple[np.ndarray, Curvature]:
-    """Gradient and Hessian operator of ``_risk`` at margins z = X theta; one sigmoid."""
+def _derivatives(theta: np.ndarray, z: np.ndarray, w: np.ndarray, wbar: float | np.ndarray,
+                 y: np.ndarray, reg_c: float, X: sp.csr_array,
+                 XT: sp.csc_array) -> tuple[np.ndarray, Curvature]:
+    """Gradient and Hessian operator of ``_objective`` at margins z; one sigmoid."""
     p = expit(z)
-    wbar = float(np.mean(w))
-    g = (ds.X.T @ (w * (p - ds.y))) / ds.n_rows + params.reg_c * wbar * params.theta
-    return g, Curvature(ds.X, w * (p * (1.0 - p)), params.reg_c * wbar)
+    g = (XT @ (w * (p - y))) / X.shape[0] + reg_c * wbar * theta
+    return g, Curvature(X, w * (p * (1.0 - p)), reg_c * wbar, XT)
+
+
+def _at(params: ModelParams, ds: SparseDataset, sample_weight: np.ndarray | None):
+    """The kernel arguments of one fit at ``params``: theta, z, w, wbar, y, C."""
+    w = _weights(ds, sample_weight)
+    return params.theta, _margins(params, ds), w, float(np.mean(w)), ds.y, params.reg_c
 
 
 def _sigma(params: ModelParams, ds: SparseDataset) -> np.ndarray:
@@ -146,7 +188,7 @@ def per_sample_loss(params: ModelParams, ds: SparseDataset, regularized: bool = 
 
 def risk(params: ModelParams, ds: SparseDataset, sample_weight: np.ndarray | None = None) -> float:
     """Weighted mean of the regularized per-sample losses (weights default to 1)."""
-    return _risk(params, ds, _margins(params, ds), _weights(ds, sample_weight))
+    return float(_objective(*_at(params, ds, sample_weight)))
 
 
 def mean_logloss(params: ModelParams, ds: SparseDataset) -> float:
@@ -162,28 +204,34 @@ def accuracy(params: ModelParams, ds: SparseDataset) -> float:
 
 def gradient(params: ModelParams, ds: SparseDataset, sample_weight: np.ndarray | None = None) -> np.ndarray:
     """Gradient of ``risk`` at ``params``: (1/n) X^T (w (p - y)) + C wbar theta."""
-    return _derivatives(params, ds, _margins(params, ds), _weights(ds, sample_weight))[0]
+    return _derivatives(*_at(params, ds, sample_weight), ds.X, ds.X.T)[0]
 
 
 def curvature(params: ModelParams, ds: SparseDataset,
               sample_weight: np.ndarray | None = None) -> Curvature:
     """Build the Hessian operator of ``risk`` at ``params``; the sigmoid runs once here."""
-    return _derivatives(params, ds, _margins(params, ds), _weights(ds, sample_weight))[1]
+    return _derivatives(*_at(params, ds, sample_weight), ds.X, ds.X.T)[1]
 
 
 def hvp(H: Curvature, v: np.ndarray) -> np.ndarray:
     """Hessian-vector product (1/n) X^T (s (X v)) + C wbar v.
 
     ``v`` is a vector of shape (d,) or a block of column vectors, shape
-    (d, k). One forward and one transposed sparse product; the Hessian
-    itself is never formed. With C > 0 and nonnegative weights, not all
-    zero, the operator is positive definite.
+    (d, k); a block of operators (``s`` of shape (n, k)) takes a (d, k)
+    block only, column j through operator j. One forward and one transposed
+    sparse product; the Hessian itself is never formed. With C > 0 and
+    nonnegative weights, not all zero, the operator is positive definite.
     """
     v = np.asarray(v, dtype=np.float64)
-    if v.ndim not in (1, 2) or v.shape[0] != H.dim:
+    if (v.ndim not in (1, 2) or v.shape[0] != H.dim
+            or (H.s.ndim == 2 and v.shape[1:] != H.s.shape[1:])):
         raise ModelError(f"vector shape {v.shape} does not match model dimension {H.dim}")
-    s = H.s if v.ndim == 1 else H.s[:, None]
-    return (H.X.T @ (s * (H.X @ v))) / H.X.shape[0] + H.c_wbar * v
+    u = H.X @ v
+    u *= H.s[:, None] if v.ndim > H.s.ndim else H.s
+    out = H.XT @ u
+    out /= H.X.shape[0]
+    out += H.c_wbar * v
+    return out
 
 
 def hessian_diag(H: Curvature) -> np.ndarray:
@@ -200,11 +248,14 @@ def hessian_diag(H: Curvature) -> np.ndarray:
 class PcgInfo:
     """How a solve ended: iterations, the returned iterate's residual norm, converged.
 
-    For a block of right-hand sides ``residual`` and ``converged`` hold one
-    entry per column, and ``iters`` counts the iterations of the block's
-    longest-running column. ``restarted`` is always False: the solver never
-    drops its preconditioner, and the field stays only because the
-    benchmark's tracer still reads it.
+    ``residual`` is the norm of CG's recursively updated residual r, the
+    quantity the stopping rule reads; it tracks ||b - H x|| but is not
+    recomputed from it, and the two part in the last digits near a tight
+    tolerance. For a block of right-hand sides ``residual`` and
+    ``converged`` hold one entry per column, and ``iters`` counts the
+    iterations of the block's longest-running column. ``restarted`` is always
+    False: the solver never drops its preconditioner, and the field stays
+    only because the benchmark's tracer still reads it.
     """
 
     iters: int
@@ -213,88 +264,91 @@ class PcgInfo:
     restarted: bool = False
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
-    """a . b for vectors; the column-wise products a_j . b_j for (d, k) blocks."""
-    return float(a @ b) if a.ndim == 1 else np.einsum("ij,ij->j", a, b)
-
-
-def _norm(a: np.ndarray) -> float | np.ndarray:
-    """||a|| for a vector; the norm of each column for a (d, k) block."""
-    return float(np.linalg.norm(a)) if a.ndim == 1 else np.linalg.norm(a, axis=0)
-
-
-def pcg(H: Curvature, b: np.ndarray, tol: float, max_iter: int,
+def pcg(H: Curvature, b: np.ndarray, tol: float | np.ndarray, max_iter: int,
         mdiag: np.ndarray | None = None) -> tuple[np.ndarray, PcgInfo]:
     """Solve H x = b by conjugate gradient, preconditioned by 1/mdiag if given.
 
     ``b`` is one right-hand side of shape (d,) or a block of k of them, shape
     (d, k): a block runs k independent solves in lockstep, each column with
-    its own step sizes and stopping rule. A column stops once
-    ||H x - b|| <= tol ||b|| and then leaves the block, so later products
-    cover only the columns still running. On hitting max_iter, or on a
+    its own step sizes and stopping rule, and a vector runs as a block of
+    one. ``tol`` is one relative tolerance or one per column. A column stops
+    once its recursively updated residual r (the residual CG carries along,
+    not a fresh b - H x) has ||r|| <= tol ||b||, and then leaves the block,
+    so later products cover only the columns still running, through their
+    own operators where H is a block of them. On hitting max_iter, or on a
     direction with p.Hp <= 0 (H not positive definite), a column stops with
     its last iterate and that iterate's residual, flagged not converged,
     after the iterations it actually did; callers decide whether that is
     fatal. CG's last iterate already has the least H-norm error over the
     Krylov space it searched. Every product goes through ``hvp``.
     """
-    block = b.ndim == 2
-    bnorm = _norm(b)
-    if block:
-        if mdiag is not None:
-            mdiag = mdiag[:, None]
-        # Each column's outcome, filled in as it stops; zero columns stop at once.
-        sol = np.zeros_like(b)
-        residual = np.zeros_like(bnorm)
-        converged = bnorm == 0.0
-        cols = np.flatnonzero(~converged)
-        if cols.size == 0:
-            return sol, PcgInfo(0, residual, converged)
-        b, bnorm = b[:, cols], bnorm[cols]
-        n_iter = 0
-    elif bnorm == 0.0:
-        return np.zeros_like(b), PcgInfo(0, 0.0, True)
+    vector = b.ndim == 1
+    if vector:
+        b = b[:, None]
+    if mdiag is not None and mdiag.ndim == 1:
+        mdiag = mdiag[:, None]
+    tol = np.broadcast_to(np.asarray(tol, dtype=np.float64), b.shape[1:])
+    bnorm = np.sqrt(_dot(b, b))
+    # Each column's outcome, filled in as it stops; zero columns stop at once.
+    sol = np.zeros_like(b)
+    residual = np.zeros_like(bnorm)
+    converged = bnorm == 0.0
+    cols = np.arange(b.shape[1])
+    n_iter = 0
 
+    def narrow(keep):
+        nonlocal H, mdiag
+        H = H.columns(keep)
+        if mdiag is not None and mdiag.shape[1] > 1:
+            mdiag = mdiag[:, keep]
+        return bnorm[keep], tol[keep], cols[keep]
+
+    if np.any(converged):
+        b = b[:, ~converged]
+        bnorm, tol, cols = narrow(~converged)
     x = np.zeros_like(b)
     r = b.copy()
-    z = r / mdiag if mdiag is not None else r.copy()
+    z = r / mdiag if mdiag is not None else r
     p = z.copy()
     rz = _dot(r, z)
     res = bnorm
 
-    for k in range(1, max_iter + 1):
+    k = 0
+    while cols.size and k < max_iter:
+        k += 1
         q = hvp(H, p)
         pq = _dot(p, q)
-        if not block and pq <= 0.0:
-            return x, PcgInfo(k - 1, res, False)
-        # A block column whose direction breaks down takes no step and stops below.
+        # A column whose direction breaks down takes no step and stops below.
         broke = pq <= 0.0
-        a = np.divide(rz, pq, out=np.zeros_like(pq), where=~broke) if block else rz / pq
-        x = x + a * p
-        r = r - a * q
-        res = _norm(r)
+        a = np.divide(rz, pq, out=np.zeros_like(pq), where=~broke)
+        x += a * p
+        r -= a * q
+        res = np.sqrt(_dot(r, r))
         done = res <= tol * bnorm
-        if not block and done:
-            return x, PcgInfo(k, res, True)
-        if block and np.any(stop := done | broke):
+        if np.any(stop := done | broke):
             j = cols[stop]
             sol[:, j], residual[j], converged[j] = x[:, stop], res[stop], done[stop]
             n_iter = max(n_iter, k if np.any(done) else k - 1)
             keep = ~stop
-            x, r, p = (v[:, keep] for v in (x, r, p))
-            rz, bnorm, res, cols = (v[keep] for v in (rz, bnorm, res, cols))
+            # One array at a time, so each old copy is freed before the next is made.
+            x = x[:, keep]
+            r = r[:, keep]
+            p = p[:, keep]
+            rz, res = rz[keep], res[keep]
+            bnorm, tol, cols = narrow(keep)
             if cols.size == 0:
                 break
 
         z = r / mdiag if mdiag is not None else r
         rz_new = _dot(r, z)
-        p = z + (rz_new / rz) * p
+        p *= rz_new / rz
+        p += z
         rz = rz_new
 
-    if not block:
-        return x, PcgInfo(max_iter, res, False)
     if cols.size:
         sol[:, cols], residual[cols], n_iter = x, res, max_iter
+    if vector:
+        return sol[:, 0], PcgInfo(n_iter, float(residual[0]), bool(converged[0]))
     return sol, PcgInfo(n_iter, residual, converged)
 
 
@@ -308,46 +362,118 @@ def check_train_settings(reg_c: float, tol: float, max_iter: int) -> None:
         raise ModelError(f"max_iter must be at least 1, got {max_iter}")
 
 
+def check_two_classes(y: np.ndarray) -> None:
+    """Refuse training labels (those of the rows with positive weight) of one class or none."""
+    if y.size == 0 or np.all(y == y[0]):
+        raise ModelError("training data carries a single class")
+
+
 def train(ds: SparseDataset, reg_c: float, tol: float = TRAIN_TOL, max_iter: int = TRAIN_MAX_ITER,
           sample_weight: np.ndarray | None = None) -> ModelParams:
-    """Fit by damped Newton from a zero start.
+    """Fit one model by damped Newton from theta = 0: ``fit_columns`` with one column.
 
-    Newton steps come from unpreconditioned ``pcg`` solves with forcing
-    tolerance min(0.5, sqrt(||g||)); step sizes are backtracked under the
-    Armijo condition (c1 = 1e-4, halving). Runs to gradient norm <= tol or
-    max_iter steps; a non-converged fit is returned flagged, not raised.
-    Deterministic for fixed inputs.
+    Runs to gradient norm <= tol or max_iter steps; a non-converged fit is
+    returned flagged, not raised. Deterministic for fixed inputs. A
+    pipeline's full-set fit is this call; its cells are not, since they run
+    as columns of ``fit_columns`` blocks, warm from the full-set theta.
+    """
+    w = _weights(ds, sample_weight)
+    return fit_columns(ds, reg_c, w[:, None], np.zeros(ds.n_features), tol, max_iter)[0]
+
+
+def fit_columns(ds: SparseDataset, reg_c: float, W: np.ndarray, theta0: np.ndarray,
+                tol: float = TRAIN_TOL, max_iter: int = TRAIN_MAX_ITER) -> list[ModelParams]:
+    """Fit the k weighted objectives set by the columns of W, all from theta0.
+
+    Objective j is ``risk`` under the weights W[:, j] (shape (n, k)). Each
+    column runs its own damped Newton iteration: a step from an
+    unpreconditioned ``pcg`` solve with forcing tolerance
+    min(0.5, sqrt(||g_j||)), then its own ``_backtrack``. The columns step
+    in lockstep: one block ``pcg`` solve per iterate, and one X @ Theta per
+    line-search trial for the columns still searching. A column leaves the
+    block once its gradient norm is <= tol or after max_iter steps; a
+    non-converged column is returned flagged, not raised. Returns one ``ModelParams`` per column, in
+    order; each equals that column's own k = 1 fit up to rounding, and k = 1
+    from theta0 = 0 is bit for bit ``train``. Deterministic for fixed inputs.
     """
     check_train_settings(reg_c, tol, max_iter)
     if ds.n_rows == 0:
         raise ModelError("empty dataset")
-    w = _weights(ds, sample_weight)
-    active = ds.y[w > 0]
-    if active.size == 0 or np.all(active == active[0]):
-        raise ModelError("training data carries a single class")
+    # Column by column, so the column means round as vector means do.
+    W = np.asfortranarray(W, dtype=np.float64)
+    if W.ndim != 2 or W.shape[0] != ds.n_rows:
+        raise ModelError(f"weight block shape {W.shape} does not match {ds.n_rows} rows")
+    if not np.all(np.isfinite(W)) or np.any(W < 0):
+        raise ModelError("weights must be finite and nonnegative")
+    theta0 = ModelParams(theta0, reg_c).theta
+    if theta0.shape != (ds.n_features,):
+        raise ModelError(f"start dimension {theta0.size} does not match {ds.n_features} features")
+    for w in W.T:
+        check_two_classes(ds.y[w > 0])
 
-    params = ModelParams(np.zeros(ds.n_features), reg_c)
-    z = ds.X @ params.theta
-    f = _risk(params, ds, z, w)
-    inner_cap = min(max(2 * params.dim, 20), 1000)
+    X, XT, y = ds.X, ds.X.T, ds.y[:, None]
+    inner_cap = min(max(2 * ds.n_features, 20), 1000)
+    fits: list[ModelParams | None] = [None] * W.shape[1]
+    # The state of the columns still fitting, which ``cols`` names.
+    cols = np.arange(W.shape[1])
+    wbar = np.mean(W, axis=0)
+    theta = np.repeat(theta0[:, None], cols.size, axis=1)
+    z = X @ theta
+    f = _objective(theta, z, W, wbar, y, reg_c)
     for n_iter in range(max_iter + 1):
-        g, H = _derivatives(params, ds, z, w)
-        gnorm = float(np.linalg.norm(g))
-        if gnorm <= tol or n_iter == max_iter:
-            return ModelParams(params.theta, reg_c, gnorm, n_iter, gnorm <= tol)
-        step, _ = pcg(H, -g, min(0.5, np.sqrt(gnorm)), inner_cap)
-        slope = float(g @ step)
-        # The accepted trial's margins and risk carry over to the next step;
-        # if all 60 halvings fail, the 2^-60 step is taken untested.
-        t = 1.0
-        for halvings in range(61):
-            trial = ModelParams(params.theta + t * step, reg_c)
-            z = ds.X @ trial.theta
-            f_trial = _risk(trial, ds, z, w)
-            if halvings == 60 or f_trial <= f + 1e-4 * t * slope:
-                break
-            t *= 0.5
-        params, f = trial, f_trial
+        g, H = _derivatives(theta, z, W, wbar, y, reg_c, X, XT)
+        gnorm = np.sqrt(_dot(g, g))
+        if np.any(stop := (gnorm <= tol) | (n_iter == max_iter)):
+            for j in np.flatnonzero(stop):
+                fits[cols[j]] = ModelParams(theta[:, j].copy(), reg_c, float(gnorm[j]),
+                                            n_iter, bool(gnorm[j] <= tol))
+            if np.all(stop):
+                return fits
+            keep = ~stop
+            cols, wbar, f, gnorm = cols[keep], wbar[keep], f[keep], gnorm[keep]
+            # One block at a time, so each old copy is freed before the next is made.
+            theta = theta[:, keep]
+            z = z[:, keep]
+            W = W[:, keep]
+            g = g[:, keep]
+            H = H.columns(keep)
+        # Solving H x = g and negating gives the iterates of H x = -g bit for bit.
+        step = -pcg(H, g, np.minimum(0.5, np.sqrt(gnorm)), inner_cap)[0]
+        slope = _dot(g, step)
+        # Only theta, z and f carry over to the next iterate; freeing the
+        # rest before the line search and the next solve lowers the peak.
+        del g, H
+        _backtrack(X, y, W, wbar, reg_c, theta, z, f, step, slope)
+        del step
+    raise AssertionError("unreachable: the last Newton iterate stops every column")
+
+
+def _backtrack(X: sp.csr_array, y: np.ndarray, W: np.ndarray, wbar: np.ndarray, reg_c: float,
+               theta: np.ndarray, z: np.ndarray, f: np.ndarray, step: np.ndarray,
+               slope: np.ndarray) -> None:
+    """Armijo backtracking (c1 = 1e-4, halving) of every column along its step.
+
+    Each column halves on its own: a trial covers the columns still
+    searching, and an accepted trial's theta, margins and risk are written
+    into ``theta``, ``z`` and ``f``. A column whose 60 halvings all fail
+    takes the 2^-60 step untested.
+    """
+    t = np.ones(f.size)
+    search = np.arange(f.size)
+    for halvings in range(61):
+        at = search if search.size < f.size else slice(None)
+        trial = theta[:, at] + t[at] * step[:, at]
+        z_trial = X @ trial
+        f_trial = _objective(trial, z_trial, W[:, at], wbar[at], y, reg_c)
+        ok = f_trial <= f[at] + 1e-4 * t[at] * slope[at]
+        if halvings == 60:
+            ok[:] = True
+        done = search[ok]
+        theta[:, done], z[:, done], f[done] = trial[:, ok], z_trial[:, ok], f_trial[ok]
+        search = search[~ok]
+        if search.size == 0:
+            return
+        t[search] *= 0.5
 
 
 def save_params(params: ModelParams, path: str) -> None:

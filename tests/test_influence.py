@@ -182,6 +182,19 @@ def test_block_solve_matches_separate_solves():
     assert info.iters == max(iters)
     assert not info.restarted
 
+    # One tolerance per column: each column stops where its own scalar solve does.
+    tols = np.array([1e-3, 1e-10, 0.5, 1e-6, 1e-12, 0.1])
+    T, info = model.pcg(H, B, tols, cfg.max_iter, H.diag)
+    iters = []
+    for j in range(B.shape[1]):
+        t, one = model.pcg(H, B[:, j], tols[j], cfg.max_iter, H.diag)
+        iters.append(one.iters)
+        assert one.converged and info.converged[j]
+        assert np.linalg.norm(T[:, j] - t) <= 1e-12 * max(np.linalg.norm(t), 1e-300)
+        assert info.residual[j] == pytest.approx(one.residual, rel=1e-3, abs=1e-300)
+    assert len(set(iters)) > 3
+    assert info.iters == max(iters)
+
 
 def test_block_max_iter_returns_last_iterates_flagged(fitted):
     ds, params = fitted

@@ -266,6 +266,28 @@ def test_block_hvp_is_column_hvps(small_fit):
         assert np.allclose(out[:, j], hvp(H, V[:, j]), rtol=1e-14, atol=1e-15)
 
 
+def test_block_of_operators_applies_each_to_its_column(small_fit):
+    # A block of fits carries one operator per column: s (n, k), c_wbar (k,).
+    ds, params = small_fit
+    rng = np.random.default_rng(17)
+    ops = [curvature(params, ds, rng.uniform(0.0, 2.0, ds.n_rows)) for _ in range(3)]
+    H = Curvature(ds.X, np.column_stack([op.s for op in ops]),
+                  np.array([op.c_wbar for op in ops]))
+    V = rng.normal(size=(params.dim, 3))
+    out = hvp(H, V)
+    for j, op in enumerate(ops):
+        assert np.array_equal(out[:, j], hvp(op, V[:, j]))
+        assert np.array_equal(H.diag[:, j], op.diag)
+    keep = np.array([True, False, True])
+    narrow = H.columns(keep)
+    assert narrow.XT is H.XT
+    assert np.array_equal(hvp(narrow, V[:, keep]), out[:, keep])
+    with pytest.raises(ModelError, match="shape"):
+        hvp(H, V[:, 0])
+    with pytest.raises(ModelError, match="shape"):
+        hvp(H, V[:, :2])
+
+
 def test_hvp_dimension_error(small_fit):
     ds, params = small_fit
     with pytest.raises(ModelError, match="shape"):
