@@ -158,6 +158,8 @@ def _cmd_influence(args: argparse.Namespace) -> int:
 def _cmd_sample(args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
+    if args.alpha is not None:
+        sampling.check_alpha(args.alpha)
     tr = load_libsvm(args.tr, args.n_features)
     phi, psi = influence.read_influence_csv(args.influence)
     if phi.size != tr.n_rows:

@@ -22,11 +22,14 @@ from .data import (SparseDataset, SplitSpec, flip_labels, load_libsvm, split,
                    with_feature_dim, write_table)
 from .influence import ConvergenceError, PcgConfig
 from .model import ModelParams
+from .parallel import map_blocks
 
 # Work-array budget of one block of cell fits: k = FIT_BLOCK_BYTES // (8 (n + d))
 # cells are fitted together (40 at n + d = 1842, 4 at 17002), so an (n, k)
 # and a (d, k) array of the fit together stay near this size. The fit holds
-# about seven such pairs at its peak.
+# about six such pairs at its peak. Blocks run on up to one thread per CPU
+# (``map_blocks``), so that many blocks are in memory at once; the width
+# does not depend on the CPU count, and neither does any reported digit.
 FIT_BLOCK_BYTES = 576 * 1024
 
 # Grid keys read only by one method, and that method.
@@ -105,10 +108,11 @@ class ExperimentConfig:
             if not 0.0 < r <= 1.0:
                 raise ConfigError(f"ratio must be in (0, 1], got {r}")
         for a in self.sigmoid_alphas:
-            if not a > 0.0:
-                raise ConfigError(f"sigmoid alpha must be positive, got {a}")
-        if self.linear_alpha is not None and not self.linear_alpha > 0.0:
-            raise ConfigError(f"linear_alpha must be positive, got {self.linear_alpha}")
+            if not 0.0 < a < float("inf"):
+                raise ConfigError(f"sigmoid alpha must be positive and finite, got {a}")
+        if self.linear_alpha is not None and not 0.0 < self.linear_alpha < float("inf"):
+            raise ConfigError(
+                f"linear_alpha must be positive and finite, got {self.linear_alpha}")
         if not 0.0 < self.optlr_floor <= 1.0:
             raise ConfigError(f"optlr_floor must be in (0, 1], got {self.optlr_floor}")
         if self.flip_fraction is not None and not 0.0 <= self.flip_fraction <= 1.0:
@@ -308,7 +312,8 @@ def run_pipeline(cfg: ExperimentConfig) -> ExperimentReport:
     ConvergenceError, since influence is only meaningful at an optimum.
     Every cell is drawn first; the drawn cells are then refitted in blocks of
     ``FIT_BLOCK_BYTES // (8 (n + d))`` lockstep columns of
-    ``model.fit_columns``, each warm from the full-set theta. A failure
+    ``model.fit_columns``, each warm from the full-set theta, the blocks
+    side by side on up to one thread per CPU (``map_blocks``). A failure
     inside one cell, a non-converged cell fit included, is recorded on that
     cell's result and does not abort the grid. With flip_fraction set,
     training labels are corrupted (seeded) before the full fit, while
@@ -355,21 +360,25 @@ def run_pipeline(cfg: ExperimentConfig) -> ExperimentReport:
                     cell = _failed(cell, exc)
                 cells.append(cell)
 
-    width = max(1, FIT_BLOCK_BYTES // (8 * (tr.n_rows + tr.n_features)))
-    for lo in range(0, len(drawn), width):
-        block = drawn[lo:lo + width]
+    def fit_block(block: list[tuple[int, np.ndarray, np.ndarray | None]]) -> list[CellResult]:
         try:
             fits = _fit_cells(cfg, tr, full, block)
         except Exception as exc:
-            for i, _, _ in block:
-                cells[i] = _failed(cells[i], exc)
-            continue
+            return [_failed(cells[i], exc) for i, _, _ in block]
+        results = []
         for (i, selected, _), fitted in zip(block, fits):
             try:
-                cells[i] = _evaluate_cell(cfg, cells[i], full, fitted, va, te,
-                                          int(np.count_nonzero(selected)))
+                results.append(_evaluate_cell(cfg, cells[i], full, fitted, va, te,
+                                              int(np.count_nonzero(selected))))
             except Exception as exc:
-                cells[i] = _failed(cells[i], exc)
+                results.append(_failed(cells[i], exc))
+        return results
+
+    width = max(1, FIT_BLOCK_BYTES // (8 * (tr.n_rows + tr.n_features)))
+    blocks = [drawn[lo:lo + width] for lo in range(0, len(drawn), width)]
+    for block, fitted_cells in zip(blocks, map_blocks(fit_block, blocks)):
+        for (i, _, _), cell in zip(block, fitted_cells):
+            cells[i] = cell
 
     return ExperimentReport(
         cells=cells,

@@ -20,10 +20,14 @@ import numpy as np
 from . import model
 from .data import SparseDataset, read_table, write_table
 from .model import ModelParams, PcgInfo
+from .parallel import map_blocks
 
 # Work-array budget of one psi block: k = PSI_BLOCK_BYTES // (8 d) rows are
 # solved together (32 at d = 1002), so each dense (d, k) array of the solve
-# stays near 256 KiB.
+# stays near 256 KiB. A block peaks at about nine such arrays (at n = 840,
+# d = 1002, with the (n, k) product of each HVP). Blocks run on up to one
+# thread per CPU (``map_blocks``), so that many blocks are in memory at once;
+# the width does not depend on the CPU count, and neither does any psi digit.
 PSI_BLOCK_BYTES = 256 * 1024
 
 
@@ -105,17 +109,19 @@ def compute_psi_norms(params: ModelParams, tr: SparseDataset,
     """Norm of the parameter influence H^{-1} grad_i for every training row.
 
     Runs one conjugate-gradient solve per row, k rows at a time as the
-    columns of one block solve (k from ``PSI_BLOCK_BYTES``), so cost scales
-    linearly with the training set; a row with a zero gradient solves to
-    exactly zero. A solve that misses its tolerance raises ConvergenceError
-    naming the first such row.
+    columns of one block solve (k from ``PSI_BLOCK_BYTES``), the blocks side
+    by side on up to one thread per CPU, so cost scales linearly with the
+    training set; a row with a zero gradient solves to exactly zero. A solve
+    that misses its tolerance raises ConvergenceError naming the first such
+    row.
     """
     H = model.curvature(params, tr)
+    H.diag  # built once here, not by each block
     resid = model._sigma(params, tr) - tr.y
     base = params.reg_c * params.theta
     k = max(1, PSI_BLOCK_BYTES // (8 * max(params.dim, 1)))
-    norms = np.empty(tr.n_rows)
-    for lo in range(0, tr.n_rows, k):
+
+    def solve(lo: int) -> np.ndarray:
         rows = slice(lo, min(lo + k, tr.n_rows))
         # Column j is grad_{lo+j} = (p - y) x + C theta, formed densely.
         grads = tr.X[rows].multiply(resid[rows, None]).T.toarray() + base[:, None]
@@ -124,8 +130,9 @@ def compute_psi_norms(params: ModelParams, tr: SparseDataset,
             j = int(np.argmin(info.converged))
             raise ConvergenceError(
                 f"sample {lo + j}: inverse HVP stopped at residual {info.residual[j]:.3e}")
-        norms[rows] = np.linalg.norm(sol, axis=0)
-    return norms
+        return np.linalg.norm(sol, axis=0)
+
+    return np.concatenate(map_blocks(solve, range(0, tr.n_rows, k)))
 
 
 def write_influence_csv(path: str, phi: np.ndarray, psi: np.ndarray | None = None) -> None:

@@ -37,7 +37,10 @@ def _dual_minimum(top: np.ndarray, mean_loss: float, delta: float) -> tuple[floa
     m, v the mean and population variance of the top k losses. Where
     a = c^2 q - 1 > 0 it is stationary at m - sqrt(v / a), with value
     m + sqrt(a v); otherwise it is nondecreasing, and the segment's left end
-    is its minimum. The answer is the least segment minimum.
+    is its minimum. The answer is the least segment minimum. From
+    delta = (n - 1) / 2 on, the ball holds the point mass on the largest
+    loss, so the answer is that loss, attained at eta = max(l); it is
+    returned as such, since c^2 overflows to inf near the largest floats.
     """
     if not 0.0 <= delta < np.inf:
         raise ValueError(f"delta must be finite and nonnegative, got {delta}")
@@ -47,6 +50,8 @@ def _dual_minimum(top: np.ndarray, mean_loss: float, delta: float) -> tuple[floa
         # the empirical distribution, and the dual approaches the mean as
         # eta -> -inf without attaining it.
         return mean_loss, -np.inf
+    if delta >= (top.size - 1) / 2:
+        return float(top[0]), float(top[0])
     k = np.arange(1, top.size + 1)
     q = k / top.size
     # Sums of the losses minus the largest keep constant losses at a

@@ -35,6 +35,15 @@ def _finite_vector(x: np.ndarray, name: str) -> np.ndarray:
     return x
 
 
+def check_alpha(alpha: float) -> None:
+    """Refuse a linear or sigmoid scale that is not positive and finite.
+
+    An infinite alpha times a zero phi would make that row's probability NaN.
+    """
+    if not 0.0 < alpha < np.inf:
+        raise SamplingError(f"alpha must be positive and finite, got {alpha}")
+
+
 def dropout_probs(phi: np.ndarray) -> np.ndarray:
     """Keep-with-certainty for helpful or neutral samples: pi = 1 iff phi <= 0."""
     phi = _finite_vector(phi, "phi")
@@ -57,8 +66,7 @@ def linear_probs(phi: np.ndarray, alpha: float | None = None) -> np.ndarray:
             # 1/scale overflows for the smallest subnormal scales, and inf * 0
             # would be NaN; dividing gives the same clamp without it.
             return np.clip(-phi / scale, 0.0, 1.0)
-    if not alpha > 0.0:
-        raise SamplingError(f"alpha must be positive, got {alpha}")
+    check_alpha(alpha)
     return np.clip(-alpha * phi, 0.0, 1.0)
 
 
@@ -69,8 +77,7 @@ def sigmoid_probs(phi: np.ndarray, alpha: float) -> np.ndarray:
     influence vector is rejected since it carries no ranking signal.
     """
     phi = _finite_vector(phi, "phi")
-    if not alpha > 0.0:
-        raise SamplingError(f"alpha must be positive, got {alpha}")
+    check_alpha(alpha)
     spread = float(np.max(phi) - np.min(phi))
     if spread == 0.0:
         raise SamplingError("constant influence vector; sigmoid weights are undefined")

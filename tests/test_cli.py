@@ -139,6 +139,28 @@ def test_evaluate_prints_all_diagnostics(files, tmp_path, capsys):
     assert len(lines) == 4
 
 
+def test_evaluate_huge_radius_gives_the_largest_loss(files, tmp_path):
+    # 2 delta + 1 overflows to inf at delta = 1e308; the curve must still
+    # end at the largest loss, not NaN.
+    curve_path = tmp_path / "curve.csv"
+    code = cli.main(["evaluate", "--model", files["model"], "--data", files["va"],
+                     "--deltas", "0,1,1e308", "--out", str(curve_path)])
+    assert code == 0
+    params, va = model.load_params(files["model"]), load_libsvm(files["va"])
+    top = repr(float(model.per_sample_loss(params, va, regularized=False).max()))
+    assert curve_path.read_text().splitlines()[-1] == f"1e+308,{top},{top}"
+
+
+@pytest.mark.parametrize("method", ["sigmoid", "linear"])
+def test_sample_rejects_infinite_alpha_before_loading(tmp_path, capsys, method):
+    missing, plan_path = str(tmp_path / "missing"), tmp_path / "p.csv"
+    code = cli.main(["sample", "--influence", missing, "--tr", missing, "--method", method,
+                     "--alpha", "inf", "--ratio", "0.8", "--out", str(plan_path)])
+    assert code == 2
+    assert "alpha must be positive and finite, got inf" in capsys.readouterr().err
+    assert not plan_path.exists()
+
+
 def test_evaluate_out_needs_deltas(files, tmp_path, capsys):
     curve = tmp_path / "curve.csv"
     code = cli.main(["evaluate", "--model", files["model"], "--data", files["va"],
@@ -283,7 +305,8 @@ def test_pipeline_config_rejects_duplicate_key(files, tmp_path, capsys):
     (["--method", "random,random", "--ratio", "0.9,0.9", "--repeats", "2"],
      "methods has duplicate"),
     (["--method", "sigmoid", "--alpha=-1"], "sigmoid alpha must be positive"),
-], ids=["duplicate-grid", "negative-alpha"])
+    (["--method", "sigmoid", "--alpha", "1,inf"], "sigmoid alpha must be positive and finite"),
+], ids=["duplicate-grid", "negative-alpha", "infinite-alpha"])
 def test_pipeline_rejects_bad_grid_before_loading(tmp_path, capsys, flags, match):
     # The dataset does not exist: the grid must be refused before it is read.
     out = tmp_path / "report.csv"

@@ -92,6 +92,21 @@ def test_curve_nondecreasing_and_limits():
     assert curve == [(d, *worst_case_risk(losses, d)) for d in deltas]
 
 
+def test_radius_that_holds_the_point_mass_gives_the_largest_loss():
+    # From delta = (n - 1) / 2 = 14.5 on, the ball holds the point mass on the
+    # largest loss. At delta = 1e308, 2 delta + 1 overflows to inf, which once
+    # made the value NaN.
+    losses = np.random.default_rng(54).uniform(0.1, 2.0, size=30)
+    top = float(losses.max())
+    for delta in (14.5, 15.0, 1e6, 1e308, float(np.finfo(np.float64).max)):
+        assert worst_case_risk(losses, delta) == (top, top)
+    curve = worst_case_curve(losses, [0.0, 0.5, 2.0, 14.0, 14.5, 1e6, 1e308])
+    values = [value for _, value, _ in curve]
+    assert all(np.isfinite(values))
+    assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
+    assert values[-1] == top
+
+
 def test_worst_case_input_validation():
     with pytest.raises(ValueError, match="nonempty"):
         worst_case_risk(np.array([]), 1.0)

@@ -47,6 +47,9 @@ def test_linear_rejects_degenerate_inputs():
         linear_probs(np.zeros(3))
     with pytest.raises(SamplingError, match="alpha"):
         linear_probs(np.array([1.0]), alpha=0.0)
+    # At phi = 0 an infinite alpha would give a NaN probability.
+    with pytest.raises(SamplingError, match="alpha must be positive and finite, got inf"):
+        linear_probs(np.array([-1.0, 0.0]), alpha=np.inf)
     with pytest.raises(SamplingError, match="finite"):
         linear_probs(np.array([np.nan]))
 
@@ -115,6 +118,8 @@ def test_sigmoid_rejects_constant_vector():
         sigmoid_probs(np.full(4, 2.5), alpha=1.0)
     with pytest.raises(SamplingError, match="alpha"):
         sigmoid_probs(np.array([0.0, 1.0]), alpha=-1.0)
+    with pytest.raises(SamplingError, match="alpha must be positive and finite, got inf"):
+        sigmoid_probs(np.array([0.0, 1.0]), alpha=np.inf)
 
 
 def test_optlr_scaling_and_floor():
