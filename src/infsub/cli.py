@@ -179,6 +179,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     deltas = [float(tok) for tok in (args.deltas or "").split(",") if tok.strip()]
     if args.deltas is not None and not deltas:
         raise ConfigError(f"--deltas {args.deltas!r} names no radius")
+    risk.check_deltas(deltas)
     if args.out and not deltas:
         raise ConfigError("--out writes the worst-case curve; it needs --deltas")
     if bool(args.influence) != bool(args.plan):

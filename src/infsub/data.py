@@ -357,7 +357,11 @@ def _read_libsvm(fh: IO[bytes], n_features: int | None) -> SparseDataset:
             raise DataError(f"feature index {max_index} overflows dimension {n_features}")
         d = n_features
 
-    indptr = np.concatenate(([0], np.cumsum(counts)))
+    # int32 row pointers, while the entries fit, keep scipy from widening
+    # the int32 indices to int64 alongside them.
+    ptr_type = np.int32 if indices.size <= _INDEX_MAX else np.int64
+    indptr = np.zeros(labels.size + 1, dtype=ptr_type)
+    np.cumsum(counts, out=indptr[1:])
     X = sp.csr_array((values, indices, indptr), shape=(labels.size, d))
     return SparseDataset(X, y.astype(np.int8))
 

@@ -11,6 +11,7 @@ Hessian is never materialized.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -478,14 +479,19 @@ def _backtrack(X: sp.csr_array, y: np.ndarray, W: np.ndarray, wbar: np.ndarray, 
 
 
 def save_params(params: ModelParams, path: str) -> None:
-    """Write ``d C`` then one ``index value`` line per nonzero weight."""
+    """Write ``d C`` then one ``index value`` line per nonzero weight, in one write."""
+    nonzero = np.flatnonzero(params.theta != 0.0)
+    text = f"{params.dim} {params.reg_c!r}\n" + "".join(
+        [f"{k} {v!r}\n" for k, v in zip(nonzero.tolist(), params.theta[nonzero].tolist())])
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"{params.dim} {params.reg_c!r}\n")
-            for k in np.flatnonzero(params.theta != 0.0):
-                fh.write(f"{k} {float(params.theta[k])!r}\n")
+            fh.write(text)
     except OSError as exc:
         raise ModelError(f"cannot write {path}: {exc}") from exc
+
+
+# A model file's lines, the header ``d C`` included, are each ``int float``.
+_LINE = np.dtype([("int", np.int64), ("float", np.float64)])
 
 
 def _int_float(path: str, no: int, line: str, what: str) -> tuple[int, float]:
@@ -500,15 +506,9 @@ def _int_float(path: str, no: int, line: str, what: str) -> tuple[int, float]:
     return k, v
 
 
-def load_params(path: str) -> ModelParams:
-    """Inverse of ``save_params``; weights round-trip exactly. Errors name the 1-based line."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [(no, ln.strip()) for no, ln in enumerate(fh, start=1) if ln.strip()]
-    except OSError as exc:
-        raise ModelError(f"cannot read {path}: {exc}") from exc
-    if not lines:
-        raise ModelError(f"{path}: empty model file")
+def _read_lines(path: str, text: str) -> ModelParams:
+    """Parse a model file line by line, naming the first faulty line."""
+    lines = [(no, ln.strip()) for no, ln in enumerate(text.split("\n"), start=1) if ln.strip()]
     (no, head), *body = lines
     d, reg_c = _int_float(path, no, head, "header")
     if d < 0:
@@ -524,3 +524,30 @@ def load_params(path: str) -> ModelParams:
         seen.add(k)
         theta[k] = theta_k
     return ModelParams(theta, reg_c)
+
+
+def load_params(path: str) -> ModelParams:
+    """Inverse of ``save_params``; weights round-trip exactly. Errors name the 1-based line.
+
+    The lines are converted in one np.loadtxt pass and checked as arrays.
+    A file that fails there is read again line by line, by int() and
+    float(), which load what they accept and name the first faulty line.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ModelError(f"cannot read {path}: {exc}") from exc
+    if not text.strip():
+        raise ModelError(f"{path}: empty model file")
+    try:
+        rows = np.loadtxt(io.StringIO(text), dtype=_LINE, comments=None, ndmin=1)
+    except ValueError:
+        return _read_lines(path, text)
+    d, index, value = int(rows["int"][0]), rows["int"][1:], rows["float"][1:]
+    if (d < 0 or not np.all(np.isfinite(rows["float"])) or np.any(index < 0)
+            or np.any(index >= d) or np.unique(index).size != index.size):
+        return _read_lines(path, text)
+    theta = np.zeros(d)
+    theta[index] = value
+    return ModelParams(theta, float(rows["float"][0]))

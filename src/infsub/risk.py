@@ -4,7 +4,8 @@ The headline quantity is the worst-case empirical risk over reweightings of
 the loss vector inside a chi-square ball of radius delta, computed through
 its one-dimensional dual: minimize over eta of
 sqrt(2 delta + 1) * sqrt(mean(relu(l - eta)^2)) + eta (Namkoong & Duchi
-2016), which a sweep over the sorted losses solves exactly.
+2016), which one sort of the losses, prefix sums over them and one binary
+search per radius solve exactly.
 """
 
 from __future__ import annotations
@@ -28,68 +29,112 @@ def _check_losses(losses: np.ndarray) -> np.ndarray:
     return losses
 
 
-def _dual_minimum(top: np.ndarray, mean_loss: float, delta: float) -> tuple[float, float]:
-    """Exact minimum of the dual over eta, and the minimizer.
+def check_deltas(deltas: Iterable[float]) -> np.ndarray:
+    """The radii as a float array; ValueError names the first one that is
+    negative or not finite."""
+    deltas = np.array(list(deltas), dtype=np.float64)
+    bad = np.flatnonzero(~((deltas >= 0.0) & (deltas < np.inf)))
+    if bad.size:
+        raise ValueError(f"delta must be finite and nonnegative, got {deltas[bad[0]]}")
+    return deltas
 
-    ``top`` holds the losses sorted in descending order. For eta between the
-    k-th and (k+1)-th largest loss the objective is
+
+def _dual_minima(losses: np.ndarray, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact minimum of the dual over eta, and the minimizer, for each radius.
+
+    With the losses sorted in descending order, segment k holds the etas
+    between the k-th and (k+1)-th largest loss, where the objective is
     c sqrt(q ((m - eta)^2 + v)) + eta, with c^2 = 2 delta + 1, q = k/n and
-    m, v the mean and population variance of the top k losses. Where
+    m, v the mean and population variance of the top k. Where
     a = c^2 q - 1 > 0 it is stationary at m - sqrt(v / a), with value
     m + sqrt(a v); otherwise it is nondecreasing, and the segment's left end
-    is its minimum. The answer is the least segment minimum. From
-    delta = (n - 1) / 2 on, the ball holds the point mass on the largest
-    loss, so the answer is that loss, attained at eta = max(l); it is
-    returned as such, since c^2 overflows to inf near the largest floats.
+    is its minimum.
+
+    The dual is convex, so its slope at the left end of segment k,
+    1 - c r_k with r_k = sqrt(q) (m - t) / sqrt((m - t)^2 + v) and t that
+    end, is nonincreasing in k: r is nondecreasing and does not depend on
+    delta. The minimizer lies on the first segment whose r reaches 1 / c,
+    which one binary search finds per radius. That segment and its two
+    neighbours, which absorb rounding in r, are solved in closed form and
+    the least of their minima is the answer.
+
+    At delta = 0 (or below the float resolution of 1) the ball holds only
+    the empirical distribution, and the dual approaches the mean as
+    eta -> -inf without attaining it. From delta = (n - 1) / 2 on, the ball
+    holds the point mass on the largest loss, so the answer is that loss,
+    attained at eta = max(l); it is returned as such, since c^2 overflows
+    to inf near the largest floats.
     """
-    if not 0.0 <= delta < np.inf:
-        raise ValueError(f"delta must be finite and nonnegative, got {delta}")
-    c2 = 2.0 * delta + 1.0
-    if c2 == 1.0:
-        # delta = 0 (or below the float resolution of 1): the ball holds only
-        # the empirical distribution, and the dual approaches the mean as
-        # eta -> -inf without attaining it.
-        return mean_loss, -np.inf
-    if delta >= (top.size - 1) / 2:
-        return float(top[0]), float(top[0])
-    k = np.arange(1, top.size + 1)
-    q = k / top.size
+    top = np.sort(losses)[::-1]
+    n = top.size
+    value = np.full(deltas.size, np.mean(losses))
+    eta = np.full(deltas.size, -np.inf)
+    with np.errstate(over="ignore"):
+        c2 = 2.0 * deltas + 1.0
+    wide = c2 != 1.0
+    mass = wide & (deltas >= (n - 1) / 2)
+    value[mass] = eta[mass] = top[0]
+    live = np.flatnonzero(wide & ~mass)
+    if not live.size:
+        return value, eta
+
+    k = np.arange(1, n + 1)
+    q = k / n
     # Sums of the losses minus the largest keep constant losses at a
     # variance of exactly 0.
     dev = top - top[0]
     dev_mean = np.cumsum(dev) / k
     m = top[0] + dev_mean
     v = np.maximum(np.cumsum(dev * dev) / k - dev_mean * dev_mean, 0.0)
+    left = np.append(top[1:], -np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gap = m - left
+        r = np.sqrt(q) * gap / np.sqrt(gap * gap + v)
+    # A gap of 0 means the top k + 1 losses are equal, where the dual has
+    # slope 1 from the right; the last segment reaches eta = -inf.
+    r[np.isnan(r)] = 0.0
+    r[-1] = np.inf
+
+    c2 = c2[live]
+    first = np.searchsorted(r, 1.0 / np.sqrt(c2))
+    # One row of candidate segments per radius: no array is D x n.
+    seg = np.clip(first[:, None] + np.arange(-1, 2), 0, n - 1)
+    c2 = c2[:, None]
+    m, v, q = m[seg], v[seg], q[seg]
     a = c2 * q - 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
         free = np.where(a > 0.0, m - np.sqrt(v / a), -np.inf)
-        eta = np.clip(free, np.append(top[1:], -np.inf), top)
-        value = np.where(eta == free, m + np.sqrt(a * v),
-                         np.sqrt(c2 * q * ((m - eta) ** 2 + v)) + eta)
-    best = int(np.argmin(value))
-    return float(value[best]), float(eta[best])
+        at = np.clip(free, left[seg], top[seg])
+        val = np.where(at == free, m + np.sqrt(a * v),
+                       np.sqrt(c2 * q * ((m - at) ** 2 + v)) + at)
+    best = np.argmin(val, axis=1)[:, None]
+    value[live] = np.take_along_axis(val, best, axis=1)[:, 0]
+    eta[live] = np.take_along_axis(at, best, axis=1)[:, 0]
+    return value, eta
 
 
 def worst_case_risk(losses: np.ndarray, delta: float) -> tuple[float, float]:
     """Worst-case mean loss over a chi-square ball of radius delta.
 
-    Returns (value, eta_star), solving the convex dual exactly by a sweep
-    over the sorted losses. At delta = 0 the value is mean(l) and eta_star
-    is -inf, where the dual's infimum is approached. The value lies in
-    [mean(l), max(l)].
+    Returns (value, eta_star), solving the convex dual exactly. At
+    delta = 0 the value is mean(l) and eta_star is -inf, where the dual's
+    infimum is approached. The value lies in [mean(l), max(l)].
     """
-    losses = _check_losses(losses)
-    return _dual_minimum(np.sort(losses)[::-1], float(np.mean(losses)), delta)
+    value, eta = _dual_minima(_check_losses(losses), check_deltas([delta]))
+    return float(value[0]), float(eta[0])
 
 
 def worst_case_curve(losses: np.ndarray, deltas: Iterable[float]) -> list[tuple[float, float, float]]:
-    """(delta, worst_case, eta_star) for each radius; nondecreasing in delta.
+    """(delta, worst_case, eta_star) for each radius, in the order of ``deltas``.
 
-    All radii share one sort, and each row equals ``worst_case_risk``.
+    The rows are nondecreasing in worst_case when the radii are sorted. All
+    radii share one sort of the losses and one set of prefix sums, and each
+    row equals ``worst_case_risk``.
     """
     losses = _check_losses(losses)
-    top, mean_loss = np.sort(losses)[::-1], float(np.mean(losses))
-    return [(float(d), *_dual_minimum(top, mean_loss, float(d))) for d in deltas]
+    deltas = check_deltas(deltas)
+    value, eta = _dual_minima(losses, deltas)
+    return list(zip(deltas.tolist(), value.tolist(), eta.tolist()))
 
 
 def gamma_shift(full: ModelParams, subset: ModelParams) -> float:

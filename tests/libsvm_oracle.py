@@ -88,10 +88,11 @@ def parse_libsvm(source: Iterable[str] | IO[str], n_features: int | None = None)
             raise DataError(f"feature index {max_index} overflows dimension {n_features}")
         d = n_features
 
+    # Both index arrays are int32 while the entries fit in it.
     X = sp.csr_array(
         (np.asarray(values, dtype=np.float64),
          np.asarray(indices, dtype=np.int32),
-         np.asarray(indptr, dtype=np.int64)),
+         np.asarray(indptr, dtype=np.int32 if len(indices) < 2**31 else np.int64)),
         shape=(len(labels), d),
     )
     return SparseDataset(X, y)

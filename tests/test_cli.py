@@ -161,6 +161,20 @@ def test_sample_rejects_infinite_alpha_before_loading(tmp_path, capsys, method):
     assert not plan_path.exists()
 
 
+@pytest.mark.parametrize("radius", ["-2", "nan", "inf"])
+def test_evaluate_rejects_bad_radius_before_loading(tmp_path, capsys, radius):
+    # Checked before any file is read: neither path exists, and no logloss
+    # line is printed.
+    missing, curve = str(tmp_path / "missing"), tmp_path / "curve.csv"
+    code = cli.main(["evaluate", "--model", missing, "--data", missing,
+                     "--deltas", f"0.1,{radius}", "--out", str(curve)])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"delta must be finite and nonnegative, got {float(radius)}" in err
+    assert not curve.exists()
+
+
 def test_evaluate_out_needs_deltas(files, tmp_path, capsys):
     curve = tmp_path / "curve.csv"
     code = cli.main(["evaluate", "--model", files["model"], "--data", files["va"],

@@ -258,6 +258,20 @@ def test_with_feature_dim():
 
 # ---------------------------------------------------------------- splitting
 
+def test_index_arrays_stay_int32(tmp_path):
+    # The parser's indices are int32; int64 row pointers would make scipy
+    # widen them, doubling the bytes of every dataset, split and subset.
+    path = tmp_path / "d.svm"
+    path.write_text("".join(f"{i % 2} {i % 7}:1.0 {7 + i % 5}:0.5\n" for i in range(40)))
+    ds = load_libsvm(str(path))
+    tr, va, te = split(ds, SplitSpec(0.25, 0.25, seed=3))
+    empty_te = split(ds, SplitSpec(0.25))[2]
+    for part in (ds, tr, va, te, empty_te, ds.subset(np.array([5, 1, 5])),
+                 with_feature_dim(ds, 50), parse_libsvm([])):
+        assert part.X.indices.dtype == np.int32
+        assert part.X.indptr.dtype == np.int32
+
+
 def test_split_spec_validation():
     with pytest.raises(DataError):
         SplitSpec(va_fraction=0.0)

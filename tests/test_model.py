@@ -7,6 +7,8 @@ its own optimality contract and by an exact reweighting equivalence.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 from conftest import dataset_path, dense_hessian, make_ds, random_ds
@@ -627,6 +629,44 @@ def test_save_load_keeps_zeros_implicit(tmp_path):
     assert np.array_equal(back.theta, params.theta)
 
 
+@settings(max_examples=150, deadline=None)
+@given(theta=st.integers(0, 300).flatmap(lambda d: st.lists(
+           st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308])
+           | st.floats(allow_nan=False, allow_infinity=False), min_size=d, max_size=d)),
+       reg_c=st.sampled_from([0.0, 5e-324, 1e-3, 0.1, 1e308]))
+def test_save_load_round_trip_any_weights(tmp_path_factory, theta, reg_c):
+    theta = np.array(theta, dtype=np.float64)
+    path = str(tmp_path_factory.mktemp("model") / "model.txt")
+    save_params(ModelParams(theta, reg_c), path)
+    back = load_params(path)
+    assert back.reg_c == reg_c and back.dim == theta.size
+    # Every weight comes back bit for bit, except that -0.0, like 0.0, is not
+    # written and reads back as 0.0.
+    assert np.array_equal(back.theta.view(np.int64), np.where(theta == 0.0, 0.0, theta).view(np.int64))
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    assert len(lines) == 1 + np.count_nonzero(theta)
+
+
+@pytest.mark.parametrize("text, theta", [
+    (b"3 0.1\n+1 2.0\n", [0.0, 2.0, 0.0]),
+    (b"11 0.1\n1_0 2.0\n", [0.0] * 10 + [2.0]),
+    (b"3 0.1\n1 +2_5.0\n", [0.0, 25.0, 0.0]),
+    (b"3 0.1\r\n1 2.0\r\n2 -1.5\r\n", [0.0, 2.0, -1.5]),
+    (b"3 0.1\n\n1 2.0\n  \n2 -1.5\n\n", [0.0, 2.0, -1.5]),
+    (b" 3\t0.1 \n\x0b1\xc2\xa02.0\n", [0.0, 2.0, 0.0]),
+], ids=["plus-sign", "underscore-index", "underscore-value", "crlf", "blank-lines",
+        "other-blanks"])
+def test_load_params_accepts_what_int_and_float_accept(tmp_path, text, theta):
+    # One np.loadtxt pass reads most files; the rest are read by int() and
+    # float(), so a file loads exactly when it did line by line.
+    path = tmp_path / "model.txt"
+    path.write_bytes(text)
+    back = load_params(str(path))
+    assert back.reg_c == 0.1
+    assert np.array_equal(back.theta, theta)
+
+
 def test_load_params_errors(tmp_path):
     with pytest.raises(ModelError, match="cannot read"):
         load_params(str(tmp_path / "missing.txt"))
@@ -654,8 +694,17 @@ def test_load_params_errors(tmp_path):
     ("3 0.1\n1 nan\n", r":2: bad weight line"),
     ("3 0.1\n0 1.0 2.0\n", r":2: bad weight line"),
     ("3 0.1\n0 1.0\n0 2.0\n", r":3: duplicate index 0"),
+    ("3 0.1\n0x1 2.0\n", r":2: bad weight line '0x1 2.0'"),
+    ("3 0.1\n1e0 2.0\n", r":2: bad weight line '1e0 2.0'"),
+    ("3 0.1\n1 2.0 #c\n", r":2: bad weight line '1 2.0 #c'"),
+    ("3 0.1\n1 1e400\n", r":2: bad weight line '1 1e400'"),
+    ("3 0.1\n\n1 2.0\n3 1.0\n", r":4: index 3 out of range for dimension 3"),
+    ("3 0.1\n-1 2.0\n", r":2: index -1 out of range for dimension 3"),
+    ("3 0.1\n99999999999999999999 2.0\n", r":2: index 99999999999999999999 out of range"),
 ], ids=["header-dim", "header-short", "header-reg-c", "negative-dim", "no-value",
-        "bad-value", "nan-value", "extra-field", "repeated-index"])
+        "bad-value", "nan-value", "extra-field", "repeated-index", "hex-index",
+        "exponent-index", "comment", "overflowing-value", "index-past-dim", "negative-index",
+        "index-past-int64"])
 def test_load_params_names_malformed_line(tmp_path, text, match):
     path = tmp_path / "model.txt"
     path.write_text(text)

@@ -1,13 +1,16 @@
 """Worst-case risk dual, parameter-shift metric, and the covariance diagnostic.
 
-The dual minimization is checked against a dense grid search over eta. For a
-radius of zero the ball collapses to the empirical distribution, where the
-worst case equals the plain mean; for positive radii the interior minimizer
-is bracketed by a closed-form left edge, so the grid can enclose it.
+The dual minimization is checked against a dense grid search over eta, and
+the curve against an O(n) sweep of every segment per radius. For a radius
+of zero the ball collapses to the empirical distribution, where the worst
+case equals the plain mean; for positive radii the interior minimizer is
+bracketed by a closed-form left edge, so the grid can enclose it.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infsub.model import ModelParams
 from infsub.risk import (cov_phi_eps, gamma_shift, worst_case_curve,
@@ -38,6 +41,53 @@ def grid_worst_case(losses, delta, step=1e-5):
         vals = coeff * np.sqrt(np.mean(tails * tails, axis=1)) + etas
         best = min(best, float(vals.min()))
     return best
+
+
+def sweep_segments(losses, delta):
+    """Oracle: the dual's minimum on every segment between sorted losses, O(n).
+
+    With the losses sorted in descending order, for eta between the k-th and
+    (k+1)-th largest loss the dual is c sqrt(q ((m - eta)^2 + v)) + eta,
+    with c^2 = 2 delta + 1, q = k/n and m, v the mean and population
+    variance of the top k. Where a = c^2 q - 1 > 0 it is stationary at
+    m - sqrt(v / a), with value m + sqrt(a v); otherwise the segment's left
+    end is its minimum. Returns each segment's (value, eta), k = 1..n.
+    """
+    top = np.sort(np.asarray(losses, dtype=np.float64))[::-1]
+    c2 = 2.0 * delta + 1.0
+    k = np.arange(1, top.size + 1)
+    q = k / top.size
+    dev = top - top[0]
+    dev_mean = np.cumsum(dev) / k
+    m = top[0] + dev_mean
+    v = np.maximum(np.cumsum(dev * dev) / k - dev_mean * dev_mean, 0.0)
+    a = c2 * q - 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        free = np.where(a > 0.0, m - np.sqrt(v / a), -np.inf)
+        eta = np.clip(free, np.append(top[1:], -np.inf), top)
+        value = np.where(eta == free, m + np.sqrt(a * v),
+                         np.sqrt(c2 * q * ((m - eta) ** 2 + v)) + eta)
+    return value, eta
+
+
+def sweep_worst_case(losses, delta):
+    """Oracle for ``worst_case_risk``: the least segment minimum, with the
+    same two exact limits (the mean at 2 delta + 1 == 1, the largest loss
+    from delta = (n - 1) / 2 on)."""
+    losses = np.asarray(losses, dtype=np.float64)
+    if 2.0 * delta + 1.0 == 1.0:
+        return float(np.mean(losses)), -np.inf
+    if delta >= (losses.size - 1) / 2:
+        return float(losses.max()), float(losses.max())
+    value, eta = sweep_segments(losses, delta)
+    best = int(np.argmin(value))
+    return float(value[best]), float(eta[best])
+
+
+def dual(losses, delta, eta):
+    """The dual objective itself, evaluated at one eta."""
+    tail = np.maximum(np.asarray(losses) - eta, 0.0)
+    return float(np.sqrt(2.0 * delta + 1.0) * np.sqrt(np.mean(tail * tail)) + eta)
 
 
 # -------------------------------------------------------------- worst case
@@ -107,6 +157,67 @@ def test_radius_that_holds_the_point_mass_gives_the_largest_loss():
     assert values[-1] == top
 
 
+def test_curve_matches_the_sweep_bit_for_bit():
+    # The benchmark's 201 radii over 2400 losses, radii up to the float below
+    # (n - 1) / 2, and losses tied, heavy-tailed or within 1e-3 of each
+    # other. Rounding can put the binary search one segment off; solving
+    # its neighbours too keeps every row bit-identical to the sweep.
+    rng = np.random.default_rng(58)
+    n = 2400
+    deltas = ([i / 100 for i in range(201)] + rng.uniform(0.0, (n - 1) / 2, 50).tolist()
+              + [float(np.nextafter((n - 1) / 2, 0.0))])
+    for losses in (rng.exponential(size=n), np.round(rng.exponential(size=n), 2),
+                   rng.lognormal(0.0, 3.0, size=n), 5.0 + rng.uniform(0.0, 1e-3, size=n)):
+        assert worst_case_curve(losses, deltas) == [(d, *sweep_worst_case(losses, d))
+                                                     for d in deltas]
+
+
+def test_curve_rows_follow_the_order_of_the_radii():
+    losses = np.random.default_rng(59).exponential(size=50)
+    deltas = [3.0, 0.0, 1e308, 0.25, 3.0]
+    assert worst_case_curve(losses, deltas) == [(d, *sweep_worst_case(losses, d))
+                                                 for d in deltas]
+    assert worst_case_curve(losses, []) == []
+
+
+@st.composite
+def losses_and_radii(draw):
+    """Losses with ties, constant runs and n down to 1, and the radii where the
+    dual is degenerate: 0, below the resolution of 1, the point-mass radius
+    (n - 1) / 2 and the float below it, 1e308, and (n / k - 1) / 2, where a
+    tied top k makes the dual flat."""
+    pool = draw(st.lists(st.floats(0.0, 1e3), min_size=1, max_size=4))
+    n = draw(st.integers(1, 40))
+    losses = np.array(draw(st.lists(st.sampled_from(pool) | st.floats(0.0, 1e3),
+                                    min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        losses[:] = losses[0]
+    top = np.sort(losses)[::-1]
+    tied = int(np.sum(top == top[0]))
+    radii = [0.0, 1e-17, (n - 1) / 2, float(np.nextafter((n - 1) / 2, 0.0)), 1e308,
+             (n / tied - 1) / 2]
+    radii += draw(st.lists(st.floats(0.0, 2.0 * n), max_size=6))
+    return losses, radii
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=losses_and_radii())
+def test_curve_matches_the_sweep(case):
+    losses, radii = case
+    curve = worst_case_curve(losses, radii)
+    assert [row[0] for row in curve] == radii
+    for delta, value, eta in curve:
+        want, want_eta = sweep_worst_case(losses, delta)
+        assert abs(value - want) <= 1e-12 * want
+        if eta != want_eta:
+            # eta may differ only where no float can tell the minimizer: some
+            # segment minimum at another eta is within rounding of the least
+            # (on a flat dual, exactly equal to it). Any such eta minimizes.
+            values, etas = sweep_segments(losses, delta)
+            assert np.any((etas != want_eta) & (values <= want * (1.0 + 1e-12)))
+            assert abs(dual(losses, delta, eta) - want) <= 1e-12 * (want + abs(eta))
+
+
 def test_worst_case_input_validation():
     with pytest.raises(ValueError, match="nonempty"):
         worst_case_risk(np.array([]), 1.0)
@@ -118,6 +229,8 @@ def test_worst_case_input_validation():
         worst_case_risk(np.array([1.0]), -1.0)
     with pytest.raises(ValueError, match="delta"):
         worst_case_risk(np.array([1.0]), np.inf)
+    with pytest.raises(ValueError, match="got nan"):
+        worst_case_curve(np.array([1.0]), [0.5, np.nan, -1.0])
 
 
 # ------------------------------------------------------------ parameter shift
