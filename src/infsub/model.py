@@ -530,6 +530,9 @@ def load_params(path: str) -> ModelParams:
     """Inverse of ``save_params``; weights round-trip exactly. Errors name the 1-based line.
 
     The lines are converted in one np.loadtxt pass and checked as arrays.
+    The integer field goes through int() there too: a numpy that still has
+    the deprecated float parse reads ``1.0`` or ``1e0`` into int64 and only
+    warns.
     A file that fails there is read again line by line, by int() and
     float(), which load what they accept and name the first faulty line.
     """
@@ -541,7 +544,8 @@ def load_params(path: str) -> ModelParams:
     if not text.strip():
         raise ModelError(f"{path}: empty model file")
     try:
-        rows = np.loadtxt(io.StringIO(text), dtype=_LINE, comments=None, ndmin=1)
+        rows = np.loadtxt(io.StringIO(text), dtype=_LINE, comments=None, ndmin=1,
+                          converters={0: int})
     except ValueError:
         return _read_lines(path, text)
     d, index, value = int(rows["int"][0]), rows["int"][1:], rows["float"][1:]

@@ -5,6 +5,8 @@ Hessians assembled densely from the definition; the trainer is checked by
 its own optimality contract and by an exact reweighting equivalence.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -665,6 +667,24 @@ def test_load_params_accepts_what_int_and_float_accept(tmp_path, text, theta):
     back = load_params(str(path))
     assert back.reg_c == 0.1
     assert np.array_equal(back.theta, theta)
+
+
+@pytest.mark.parametrize("text, match", [
+    ("3 0.1\n1e0 2.0\n", r":2: bad weight line '1e0 2.0'"),
+    ("3 0.1\n1.0 2.0\n", r":2: bad weight line '1.0 2.0'"),
+    ("3 0.1\n1.5 2.0\n", r":2: bad weight line '1.5 2.0'"),
+    ("3.0 0.1\n1 2.0\n", r":1: bad header '3.0 0.1'"),
+], ids=["exponent-index", "float-index", "fractional-index", "float-dim"])
+def test_load_params_rejects_float_integers_with_warnings_ignored(tmp_path, text, match):
+    # The test suite turns warnings into errors, but a program runs with the
+    # default filters, under which a numpy that reads '1.0' into an int64
+    # field only warns. The integer fields must still follow int().
+    path = tmp_path / "model.txt"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(ModelError, match=match):
+            load_params(str(path))
 
 
 def test_load_params_errors(tmp_path):
