@@ -457,18 +457,25 @@ def _backtrack(X: sp.csr_array, y: np.ndarray, W: np.ndarray, wbar: np.ndarray, 
 
     Each column halves on its own: a trial covers the columns still
     searching, and an accepted trial's theta, margins and risk are written
-    into ``theta``, ``z`` and ``f``. A column whose 60 halvings all fail
-    takes the 2^-60 step untested.
+    into ``theta``, ``z`` and ``f``. A column whose full step predicts a
+    decrease, -slope, within 64 ulp of f takes that step untested: there the
+    test compares rounding noise in f, and a Newton step it rejects near the
+    optimum is halved again at every iterate, so the column stalls short of
+    its tolerance. A column whose 60 halvings all fail takes the 2^-60 step
+    untested.
     """
     t = np.ones(f.size)
     search = np.arange(f.size)
+    blind = -slope <= 64 * np.spacing(np.abs(f))
     for halvings in range(61):
         at = search if search.size < f.size else slice(None)
         trial = theta[:, at] + t[at] * step[:, at]
         z_trial = X @ trial
         f_trial = _objective(trial, z_trial, W[:, at], wbar[at], y, reg_c)
         ok = f_trial <= f[at] + 1e-4 * t[at] * slope[at]
-        if halvings == 60:
+        if halvings == 0:
+            ok |= blind
+        elif halvings == 60:
             ok[:] = True
         done = search[ok]
         theta[:, done], z[:, done], f[done] = trial[:, ok], z_trial[:, ok], f_trial[ok]
