@@ -55,6 +55,8 @@ class ModelParams:
         if not 0.0 <= self.reg_c < np.inf:
             raise ModelError(f"reg_c must be finite and nonnegative, got {self.reg_c}")
         object.__setattr__(self, "theta", theta)
+        # A Python float, so that save_params writes it as a plain number.
+        object.__setattr__(self, "reg_c", float(self.reg_c))
 
     @property
     def dim(self) -> int:

@@ -1,16 +1,20 @@
 """Independent blocks of work run on every CPU this process may use.
 
-The pipeline's blocks of cell fits and the psi blocks of row solves share
-nothing, and their sparse products and BLAS calls release the GIL, so
-threads run them side by side. Each block's arithmetic stays its own, so
-results do not depend on how many threads ran them.
+Three loops run their blocks here: the pipeline's blocks of cell fits
+(``experiment.run_pipeline``), the psi blocks of row solves
+(``influence.compute_psi_norms``) and the blocks of lines of a libsvm file
+(``data.load_libsvm`` and ``data.parse_libsvm``). Their blocks share
+nothing, and their sparse products, BLAS calls and numpy array operations
+release the GIL, so threads run them side by side. Each block's arithmetic
+stays its own, so results do not depend on how many threads ran them.
 """
 
 from __future__ import annotations
 
+import operator
 import os
 import threading
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 B = TypeVar("B")
 R = TypeVar("R")
@@ -24,38 +28,55 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def map_blocks(fn: Callable[[B], R], blocks: Sequence[B]) -> list[R]:
-    """``[fn(b) for b in blocks]``, run on min(CPU count, len(blocks)) workers.
+def map_blocks(fn: Callable[[B], R], blocks: Iterable[B]) -> list[R]:
+    """``[fn(b) for b in blocks]``, run on up to one worker per CPU.
 
-    The calling thread is one of the workers, so on one CPU no thread is
-    started. Workers take blocks in input order. Results come back in input
-    order. If any call raises, no block after the first failing one is
-    started, and the failure of the lowest-indexed block is re-raised once
-    every started block has finished.
+    There are min(CPU count, ``len(blocks)``) workers, or one per CPU if
+    ``blocks`` has no length, and the calling thread is one of them, so on
+    one CPU no thread is started. Workers draw blocks from the iterable in
+    order, one at a time under a lock, so an iterator is never read ahead of
+    the workers. Results come back in input order. If any call raises, or
+    the iterator raises while drawing a block, no later block is started,
+    and the failure of the lowest-indexed block is re-raised once every
+    started block has finished.
     """
-    results: list = [None] * len(blocks)
+    it = iter(blocks)
+    results: list = []
     lock = threading.Lock()
-    next_block = 0
-    stop = len(blocks)  # the lowest failed index, or len(blocks)
-    failure: BaseException | None = None
+    drawing = True      # until the iterator ends or anything fails
+    failed: tuple[int, BaseException] | None = None
+
+    def fail(i: int, exc: BaseException) -> None:   # the lock is held
+        nonlocal drawing, failed
+        drawing = False
+        if failed is None or i < failed[0]:
+            failed = (i, exc)
 
     def work() -> None:
-        nonlocal next_block, stop, failure
+        nonlocal drawing
         while True:
             with lock:
-                i = next_block
-                next_block += 1
-                if i >= stop:
+                if not drawing:
                     return
+                i = len(results)
+                try:
+                    block = next(it)
+                except StopIteration:
+                    drawing = False
+                    return
+                except BaseException as exc:
+                    fail(i, exc)
+                    return
+                results.append(None)
             try:
-                results[i] = fn(blocks[i])
+                results[i] = fn(block)
             except BaseException as exc:
                 with lock:
-                    if i < stop:
-                        stop, failure = i, exc
+                    fail(i, exc)
 
+    cpus = _cpu_count()
     threads = [threading.Thread(target=work)
-               for _ in range(min(_cpu_count(), len(blocks)) - 1)]
+               for _ in range(min(cpus, operator.length_hint(blocks, cpus)) - 1)]
     for t in threads:
         t.start()
     try:
@@ -63,6 +84,6 @@ def map_blocks(fn: Callable[[B], R], blocks: Sequence[B]) -> list[R]:
     finally:
         for t in threads:
             t.join()
-    if failure is not None:
-        raise failure
+    if failed is not None:
+        raise failed[1]
     return results

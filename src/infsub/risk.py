@@ -64,7 +64,14 @@ def _dual_minima(losses: np.ndarray, deltas: np.ndarray) -> tuple[np.ndarray, np
     holds the point mass on the largest loss, so the answer is that loss,
     attained at eta = max(l); it is returned as such, since c^2 overflows
     to inf near the largest floats.
+
+    The losses are first scaled by the power of two that puts the largest
+    in [0.5, 1), and the results scaled back, so that no square overflows
+    however large the losses; the scaling is exact unless a loss falls
+    below 2**-1022 times the largest.
     """
+    _, e = np.frexp(np.max(losses))
+    losses = np.ldexp(losses, -e)
     top = np.sort(losses)[::-1]
     n = top.size
     value = np.full(deltas.size, np.mean(losses))
@@ -76,7 +83,7 @@ def _dual_minima(losses: np.ndarray, deltas: np.ndarray) -> tuple[np.ndarray, np
     value[mass] = eta[mass] = top[0]
     live = np.flatnonzero(wide & ~mass)
     if not live.size:
-        return value, eta
+        return np.ldexp(value, e), np.ldexp(eta, e)
 
     k = np.arange(1, n + 1)
     q = k / n
@@ -110,7 +117,7 @@ def _dual_minima(losses: np.ndarray, deltas: np.ndarray) -> tuple[np.ndarray, np
     best = np.argmin(val, axis=1)[:, None]
     value[live] = np.take_along_axis(val, best, axis=1)[:, 0]
     eta[live] = np.take_along_axis(at, best, axis=1)[:, 0]
-    return value, eta
+    return np.ldexp(value, e), np.ldexp(eta, e)
 
 
 def worst_case_risk(losses: np.ndarray, delta: float) -> tuple[float, float]:

@@ -81,6 +81,8 @@ def test_parse_bad_feature_tokens():
         parse_libsvm(["1 novalue"])
     with pytest.raises(DataError, match="line 1"):
         parse_libsvm(["1 0:abc"])
+    with pytest.raises(DataError, match="bad feature '1.0:1'"):
+        parse_libsvm(["1 1.0:1"])     # an index is digits alone, unlike a value
     with pytest.raises(DataError, match="negative"):
         parse_libsvm(["1 -2:1.0"])
     with pytest.raises(DataError, match="non-finite"):

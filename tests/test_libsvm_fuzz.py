@@ -3,8 +3,8 @@ token-by-token oracle in ``libsvm_oracle``.
 
 Random files, valid and malformed, go through both readers: plain files,
 gzipped files and lists of lines, with blocks shrunk to a few bytes so that
-lines straddle block ends. Both must give the same CSR and labels, or the
-same DataError message, line number included.
+lines straddle block ends, parsed by one worker or two. Both must give the
+same CSR and labels, or the same DataError message, line number included.
 
 Deliberate differences are kept out of the alphabet below, by name:
 underscores in numbers (``1_0``), non-ASCII whitespace and digits, bytes
@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 import libsvm_oracle as oracle
 from conftest import dataset_path
-from infsub import data
+from infsub import data, parallel
 from infsub.data import DataError, SparseDataset, load_libsvm, parse_libsvm, write_libsvm
 
 LABELS = ["0", "1", "-1", "+1", "2", "1.0", "1e0", "-0", "0.0", "10e-1", "-1.00",
@@ -45,10 +45,20 @@ indices = st.one_of(
     st.just(str(2**31 - 1)),
     st.sampled_from(BAD_INDICES),
 )
+# Plain decimals at the edges of the reader's exact kernel: 1 to 16 digits
+# (m = 10**16 - 1 is past 2**53), the point first, last or inside, signs
+# and leading zeros.
+short_decimals = st.tuples(
+    st.sampled_from(["", "+", "-"]),
+    st.text(alphabet="0123456789", min_size=1, max_size=16),
+    st.integers(0, 16),
+).map(lambda d: d[0] + d[1][:d[2]] + "." + d[1][d[2]:] if d[2] <= len(d[1])
+      else d[0] + d[1])
 values = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.integers(-5, 5).map(str),
-    st.sampled_from(WORDS),
+    short_decimals,
+    st.sampled_from(WORDS + ["-0", "0009007199254740993", "9007199254740993.5"]),
 )
 # Tokens that fail more than one check at once, to pin the order of the checks.
 edge_features = st.tuples(st.sampled_from(["-1", "-0", "+2", "7", "1.0", ""]),
@@ -88,8 +98,8 @@ def outcome(parse):
 
 @settings(max_examples=300, deadline=None)
 @given(text=files, block=st.sampled_from([1, 2, 7, 64, 1 << 17]),
-       n_features=st.sampled_from([None, None, 31, 41]))
-def test_reader_agrees_with_oracle(tmp_path_factory, text, block, n_features):
+       n_features=st.sampled_from([None, None, 31, 41]), workers=st.sampled_from([1, 2]))
+def test_reader_agrees_with_oracle(tmp_path_factory, text, block, n_features, workers):
     root = tmp_path_factory.getbasetemp()
     plain, packed = root / "fuzz.svm", root / "fuzz.svm.gz"
     plain.write_bytes(text.encode("utf-8"))
@@ -97,7 +107,8 @@ def test_reader_agrees_with_oracle(tmp_path_factory, text, block, n_features):
     with open(plain, encoding="utf-8") as fh:
         lines = list(fh)
     want = outcome(lambda: oracle.parse_libsvm(lines, n_features))
-    with mock.patch.object(data, "BLOCK_BYTES", block):
+    with mock.patch.object(data, "BLOCK_BYTES", block), \
+            mock.patch.object(parallel, "_cpu_count", lambda: workers):
         assert outcome(lambda: load_libsvm(str(plain), n_features)) == want
         assert outcome(lambda: load_libsvm(str(packed), n_features)) == want
         assert outcome(lambda: parse_libsvm(lines, n_features)) == want

@@ -620,6 +620,18 @@ def test_save_load_round_trip_exact(tmp_path, small_fit):
     assert back.dim == params.dim
 
 
+@pytest.mark.parametrize("reg_c", [np.float64(0.1), np.float32(0.1)], ids=["float64", "float32"])
+def test_save_load_round_trip_with_numpy_scalar_c(tmp_path, reg_c):
+    params = ModelParams(np.array([0.0, 1.5]), reg_c)
+    assert type(params.reg_c) is float and params.reg_c == float(reg_c)
+    path = tmp_path / "model.txt"
+    save_params(params, str(path))
+    assert path.read_text().splitlines()[0] == f"2 {float(reg_c)!r}"
+    back = load_params(str(path))
+    assert back.reg_c == float(reg_c)
+    assert np.array_equal(back.theta, params.theta)
+
+
 def test_save_load_keeps_zeros_implicit(tmp_path):
     params = ModelParams(np.array([0.0, -2.5, 0.0, 1e-300]), 0.05)
     path = tmp_path / "model.txt"

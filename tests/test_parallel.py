@@ -1,18 +1,20 @@
-"""The block pool, and the pipeline and psi outputs it must not change.
+"""The block pool, and the pipeline, psi and libsvm outputs it must not change.
 
 ``parallel._cpu_count`` is the one worker-count seam; patching it to 1 or 2
 forces the pool's width on any machine.
 """
 
+import gzip
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from conftest import make_ds, random_ds
-from infsub import cli, experiment, influence, model, parallel
-from infsub.data import write_libsvm
+from infsub import cli, data, experiment, influence, model, parallel
+from infsub.data import DataError, load_libsvm, write_libsvm
 from infsub.experiment import ExperimentConfig, emit_report, load_splits, run_pipeline
 from infsub.influence import ConvergenceError, PcgConfig, compute_psi_norms
 from infsub.model import ModelError, ModelParams
@@ -88,6 +90,48 @@ def test_the_lowest_failing_block_is_raised_though_a_later_one_fails_first(monke
     assert sorted(ran) == [0, 1, 2]
 
 
+class RaisingBlocks:
+    """Blocks 0, 1, ... up to ``n``, except that drawing block ``bad`` raises."""
+
+    def __init__(self, n, bad):
+        self.drawn, self.n, self.bad = 0, n, bad
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        i = self.drawn
+        self.drawn += 1
+        if i == self.bad:
+            raise EOFError(f"drawing block {i}")
+        if i >= self.n:
+            raise StopIteration
+        return i
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_an_iterator_that_raises_is_not_drawn_again_and_its_error_is_raised(monkeypatch, n):
+    use_workers(monkeypatch, n)
+    ran = []
+    blocks = RaisingBlocks(8, bad=3)
+    with pytest.raises(EOFError, match="^drawing block 3$"):
+        parallel.map_blocks(ran.append, blocks)
+    assert sorted(ran) == [0, 1, 2]
+    assert blocks.drawn == 4
+
+
+def test_truncated_gzip_raises_data_error_on_two_workers(tmp_path, monkeypatch):
+    # The gzip stream ends early while earlier blocks are being parsed: its
+    # EOFError, raised by the block iterator, still becomes a DataError.
+    use_workers(monkeypatch, 2)
+    monkeypatch.setattr(data, "BLOCK_BYTES", 64)
+    packed = gzip.compress(b"1 0:1\n0 1:2\n" * 400)
+    path = tmp_path / "cut.svm.gz"
+    path.write_bytes(packed[:len(packed) // 2])
+    with pytest.raises(DataError, match="cannot read .*end-of-stream"):
+        load_libsvm(str(path))
+
+
 def test_every_block_runs_once_under_rapid_thread_switching(monkeypatch):
     # More workers than cores, switching every microsecond: a lost update of
     # the shared block counter would run a block twice or skip one.
@@ -101,6 +145,28 @@ def test_every_block_runs_once_under_rapid_thread_switching(monkeypatch):
         sys.setswitchinterval(interval)
     assert sorted(runs) == list(range(3000))
     assert out == [-b for b in range(3000)]
+
+
+def test_a_generator_is_drawn_by_one_worker_at_a_time(monkeypatch):
+    # The generator lets go of the GIL while it makes each block, as reading
+    # a file does. Entered by a second thread meanwhile it would raise
+    # ValueError, and a block drawn apart from its index would come back
+    # out of order.
+    def blocks():
+        for b in range(1000):
+            time.sleep(0)
+            yield b
+
+    use_workers(monkeypatch, 8)
+    runs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        out = parallel.map_blocks(lambda b: runs.append(b) or -b, blocks())
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(runs) == list(range(1000))
+    assert out == [-b for b in range(1000)]
 
 
 # ------------------------------------------------------------ pipeline blocks

@@ -172,6 +172,18 @@ def test_curve_matches_the_sweep_bit_for_bit():
                                                      for d in deltas]
 
 
+def test_huge_losses_give_a_finite_worst_case():
+    # Squares of losses past about 1e154 overflow unless the losses are scaled
+    # first; the scaling is by a power of two, so it is exact.
+    losses = np.array([1e200, 5e199, 0.0])
+    _, e = np.frexp(losses.max())
+    scaled = worst_case_curve(np.ldexp(losses, -e), [0.5])[0]
+    with np.errstate(all="raise"):
+        (delta, value, eta), = worst_case_curve(losses, [0.5])
+    assert np.isfinite(value) and losses.mean() <= value <= losses.max()
+    assert (value, eta) == (np.ldexp(scaled[1], e), np.ldexp(scaled[2], e))
+
+
 def test_curve_rows_follow_the_order_of_the_radii():
     losses = np.random.default_rng(59).exponential(size=50)
     deltas = [3.0, 0.0, 1e308, 0.25, 3.0]
