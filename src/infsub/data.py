@@ -204,7 +204,11 @@ _MESSAGES = {
 
 def _token_error(fault: int, token: bytes, line_no: int) -> DataError:
     tok = token.decode("utf-8", "replace")
-    index = int(tok.partition(":")[0]) if fault in (_NEGATIVE, _HUGE) else None
+    # An out-of-range index is a sign and digits; written as int() would, but
+    # from the text, since int() refuses more than 4300 digits.
+    text = tok.partition(":")[0]
+    sign = "-" if text.startswith("-") else ""
+    index = sign + (text.lstrip("+-").lstrip("0") or "0")
     return DataError(f"line {line_no}: " + _MESSAGES[fault].format(tok=tok, index=index))
 
 

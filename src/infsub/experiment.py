@@ -17,19 +17,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import influence, model, risk, sampling
+from . import influence, model, parallel, risk, sampling
 from .data import (SparseDataset, SplitSpec, flip_labels, load_libsvm, split,
                    with_feature_dim, write_table)
 from .influence import ConvergenceError, PcgConfig
 from .model import ModelParams
-from .parallel import map_blocks
 
-# Work-array budget of one block of cell fits: k = FIT_BLOCK_BYTES // (8 (n + d))
-# cells are fitted together (40 at n + d = 1842, 4 at 17002), so an (n, k)
-# and a (d, k) array of the fit together stay near this size. The fit holds
-# about six such pairs at its peak. Blocks run on up to one thread per CPU
-# (``map_blocks``), so that many blocks are in memory at once; the width
-# does not depend on the CPU count, and neither does any reported digit.
+# Work-array floor of one block of cell fits. A block holds up to
+# k_max = max(FIT_BLOCK_BYTES, bytes of X) // (8 (n + d)) cells (40 at
+# n + d = 1842; 42 on a 12000 x 5002 one-hot X of 40 fields, whose bytes
+# pass the floor), so an (n, k) and a (d, k) array of the fit stay near the
+# larger of this size and X's. Each Newton product reads X once plus k dense
+# columns, so widening pays while X dominates that read. The fit holds about
+# six such pairs at its peak, and up to one block per CPU runs at once
+# (``map_blocks``). Each column's fit is bit for bit its own whatever its
+# block, so the widths, which follow the CPU count, change no digit.
 FIT_BLOCK_BYTES = 576 * 1024
 
 # Grid keys read only by one method, and that method.
@@ -310,14 +312,18 @@ def run_pipeline(cfg: ExperimentConfig) -> ExperimentReport:
     Influence scores are computed once against the validation split and
     shared by every cell. A full-set fit that misses its tolerance raises
     ConvergenceError, since influence is only meaningful at an optimum.
-    Every cell is drawn first; the drawn cells are then refitted in blocks of
-    ``FIT_BLOCK_BYTES // (8 (n + d))`` lockstep columns of
-    ``model.fit_columns``, each warm from the full-set theta, the blocks
-    side by side on up to one thread per CPU (``map_blocks``). A failure
-    inside one cell, a non-converged cell fit included, is recorded on that
-    cell's result and does not abort the grid. With flip_fraction set,
-    training labels are corrupted (seeded) before the full fit, while
-    validation and test stay clean; test accuracy is then also reported.
+    Every cell is drawn first. Cells whose weight columns are equal (the
+    same rows, and for optlr the same probabilities) are fitted once, and
+    the result is copied to each. The distinct columns are refitted warm
+    from the full-set theta as lockstep columns of ``model.fit_columns``, in
+    blocks of near-equal width, the same number per CPU
+    (``fit_block_widths``), run side by side (``parallel.map_blocks``).
+    Since each column's fit is bit for bit its own fit, neither the plan nor
+    the twins change any digit of the report. A failure inside one cell, a
+    non-converged cell fit included, is recorded on that cell's result and
+    does not abort the grid. With flip_fraction set, training labels are
+    corrupted (seeded) before the full fit, while validation and test stay
+    clean; test accuracy is then also reported.
     """
     t_start = time.perf_counter()
     tr, va, te = load_splits(cfg)
@@ -342,8 +348,13 @@ def run_pipeline(cfg: ExperimentConfig) -> ExperimentReport:
     # Draw every plan first; draws are seeded per cell, so their order
     # changes nothing. A cell that fails here records its error and fits
     # nothing. One (method, ratio) shares its probabilities across repeats.
+    # A cell whose column equals an earlier one's is that cell's twin and is
+    # not fitted itself: dropout's repeats draw the same rows. A column is
+    # set by the rows and, for optlr, by the probabilities of its ratio.
     cells: list[CellResult] = []
     drawn: list[tuple[int, np.ndarray, np.ndarray | None]] = []
+    first: dict[tuple, int] = {}        # each distinct column's first cell
+    twins: list[tuple[int, int]] = []   # (cell, first cell of its column)
     for ratio in cfg.ratios:
         for label, base, alpha in labels:
             probs = None
@@ -355,7 +366,13 @@ def run_pipeline(cfg: ExperimentConfig) -> ExperimentReport:
                         probs = sampling.probs_for(base, ratio, phi, psi, alpha,
                                                    floor=cfg.optlr_floor, n=tr.n_rows)
                     selected = _draw_cell(tr, probs, base, ratio, cell.seed, phi)
-                    drawn.append((len(cells), selected, probs if base == "optlr" else None))
+                    optlr = base == "optlr"
+                    key = (selected.tobytes(), ratio if optlr else None)
+                    if key in first:
+                        twins.append((len(cells), first[key]))
+                    else:
+                        first[key] = len(cells)
+                        drawn.append((len(cells), selected, probs if optlr else None))
                 except Exception as exc:
                     cell = _failed(cell, exc)
                 cells.append(cell)
@@ -374,11 +391,17 @@ def run_pipeline(cfg: ExperimentConfig) -> ExperimentReport:
                 results.append(_failed(cells[i], exc))
         return results
 
-    width = max(1, FIT_BLOCK_BYTES // (8 * (tr.n_rows + tr.n_features)))
-    blocks = [drawn[lo:lo + width] for lo in range(0, len(drawn), width)]
-    for block, fitted_cells in zip(blocks, map_blocks(fit_block, blocks)):
+    blocks, lo = [], 0
+    for width in fit_block_widths(len(drawn), tr):
+        blocks.append(drawn[lo:lo + width])
+        lo += width
+    for block, fitted_cells in zip(blocks, parallel.map_blocks(fit_block, blocks)):
         for (i, _, _), cell in zip(block, fitted_cells):
             cells[i] = cell
+    for i, j in twins:
+        twin = cells[i]
+        cells[i] = dataclasses.replace(cells[j], method=twin.method, ratio=twin.ratio,
+                                       repeat=twin.repeat, seed=twin.seed)
 
     return ExperimentReport(
         cells=cells,
@@ -392,6 +415,26 @@ def run_pipeline(cfg: ExperimentConfig) -> ExperimentReport:
         influence_seconds=influence_seconds,
         total_seconds=time.perf_counter() - t_start,
     )
+
+
+def fit_block_widths(n_cells: int, tr: SparseDataset) -> list[int]:
+    """The widths of the blocks that fit ``n_cells`` cell columns on ``tr``.
+
+    Blocks hold at most k_max = max(FIT_BLOCK_BYTES, bytes of X) // (8 (n + d))
+    columns. Their count is the least multiple of ``parallel.cpu_count()``
+    that keeps them within k_max, capped at ``n_cells``, so each CPU gets an
+    equal share. The cells run in order, widths differing by at most one,
+    the wider first.
+    """
+    if n_cells == 0:
+        return []
+    X = tr.X
+    x_bytes = X.data.nbytes + X.indices.nbytes + X.indptr.nbytes
+    k_max = max(1, max(FIT_BLOCK_BYTES, x_bytes) // (8 * (tr.n_rows + tr.n_features)))
+    cpus = parallel.cpu_count()
+    n_blocks = min(n_cells, cpus * -(-n_cells // (cpus * k_max)))
+    width, wider = divmod(n_cells, n_blocks)
+    return [width + 1] * wider + [width] * (n_blocks - wider)
 
 
 def _require_converged(fit: ModelParams, what: str) -> None:

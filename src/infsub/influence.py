@@ -26,8 +26,9 @@ from .parallel import map_blocks
 # solved together (32 at d = 1002), so each dense (d, k) array of the solve
 # stays near 256 KiB. A block peaks at about nine such arrays (at n = 840,
 # d = 1002, with the (n, k) product of each HVP). Blocks run on up to one
-# thread per CPU (``map_blocks``), so that many blocks are in memory at once;
-# the width does not depend on the CPU count, and neither does any psi digit.
+# thread per CPU (``map_blocks``), so that many blocks are in memory at once.
+# Each row's solve is bit for bit the same at any k (``model.pcg``), so the
+# width changes no psi digit; it stays fixed only to bound that memory.
 PSI_BLOCK_BYTES = 256 * 1024
 
 
@@ -124,7 +125,7 @@ def compute_psi_norms(params: ModelParams, tr: SparseDataset,
     def solve(lo: int) -> np.ndarray:
         rows = slice(lo, min(lo + k, tr.n_rows))
         # Column j is grad_{lo+j} = (p - y) x + C theta, formed densely.
-        grads = tr.X[rows].multiply(resid[rows, None]).T.toarray() + base[:, None]
+        grads = tr.X[rows].multiply(resid[rows, None]).T.toarray(order="F") + base[:, None]
         sol, info = inverse_hvp_pcg(H, grads, cfg)
         if not np.all(info.converged):
             j = int(np.argmin(info.converged))

@@ -124,10 +124,21 @@ def _weights(ds: SparseDataset, sample_weight: np.ndarray | None) -> np.ndarray:
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a . b for vectors, column-wise a_j . b_j for (d, k) blocks. Each column
-    goes through BLAS ddot and rounds as ``a @ b`` does, so a vector solved as
-    a block of one is bit for bit the vector solve."""
+    """a . b for vectors, column-wise a_j . b_j for (d, k) blocks.
+
+    A block must be column-contiguous (order F), as every block of the fit
+    and solve loops is kept: each column then goes to BLAS ddot with unit
+    stride and rounds as ``a_j @ b_j`` does on its own, whatever the block's
+    width and the column's place in it. A row-major block would hand ddot
+    stride k, which rounds differently.
+    """
     return np.vecdot(a, b, axis=0)
+
+
+def _over_n(prod: np.ndarray, n: int) -> np.ndarray:
+    """prod / n, written column by column (order F) for ``_dot``: a sparse
+    product of a block comes back row by row."""
+    return np.divide(prod, n, out=np.empty(prod.shape, order="F"))
 
 
 def _log_loss(z: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -139,8 +150,8 @@ def _log_loss(z: np.ndarray, y: np.ndarray) -> np.ndarray:
 # The loss and derivative kernels below take one fit (theta (d,), margins and
 # weights (n,), labels (n,), wbar a float) or a block of k fits (theta (d, k),
 # margins and weights (n, k), labels (n, 1), wbar (k,)). A block column sums
-# in the order its one-fit call does; only BLAS dot products over a block's
-# strided columns round differently, by an ulp or so.
+# in the order its one-fit call does, and the (d, k) arrays are column-
+# contiguous (``_dot``), so each column rounds bit for bit as its own fit.
 
 def _objective(theta: np.ndarray, z: np.ndarray, w: np.ndarray, wbar: float | np.ndarray,
                y: np.ndarray, reg_c: float) -> float | np.ndarray:
@@ -161,7 +172,8 @@ def _derivatives(theta: np.ndarray, z: np.ndarray, w: np.ndarray, wbar: float | 
                  XT: sp.csc_array) -> tuple[np.ndarray, Curvature]:
     """Gradient and Hessian operator of ``_objective`` at margins z; one sigmoid."""
     p = expit(z)
-    g = (XT @ (w * (p - y))) / X.shape[0] + reg_c * wbar * theta
+    g = _over_n(XT @ (w * (p - y)), X.shape[0])
+    g += reg_c * wbar * theta
     return g, Curvature(X, w * (p * (1.0 - p)), reg_c * wbar, XT)
 
 
@@ -222,8 +234,10 @@ def hvp(H: Curvature, v: np.ndarray) -> np.ndarray:
     ``v`` is a vector of shape (d,) or a block of column vectors, shape
     (d, k); a block of operators (``s`` of shape (n, k)) takes a (d, k)
     block only, column j through operator j. One forward and one transposed
-    sparse product; the Hessian itself is never formed. With C > 0 and
-    nonnegative weights, not all zero, the operator is positive definite.
+    sparse product; the Hessian itself is never formed. A block comes back
+    column-contiguous (``_dot``), and each column is bit for bit the product
+    of that column alone. With C > 0 and nonnegative weights, not all zero,
+    the operator is positive definite.
     """
     v = np.asarray(v, dtype=np.float64)
     if (v.ndim not in (1, 2) or v.shape[0] != H.dim
@@ -232,8 +246,8 @@ def hvp(H: Curvature, v: np.ndarray) -> np.ndarray:
     u = H.X @ v
     u *= H.s[:, None] if v.ndim > H.s.ndim else H.s
     out = H.XT @ u
-    del u  # freed before C wbar v is formed, which lowers a block's peak
-    out /= H.X.shape[0]
+    del u  # freed before the quotient and C wbar v are formed, which lowers a block's peak
+    out = _over_n(out, H.X.shape[0])
     out += H.c_wbar * v
     return out
 
@@ -275,7 +289,10 @@ def pcg(H: Curvature, b: np.ndarray, tol: float | np.ndarray, max_iter: int,
     ``b`` is one right-hand side of shape (d,) or a block of k of them, shape
     (d, k): a block runs k independent solves in lockstep, each column with
     its own step sizes and stopping rule, and a vector runs as a block of
-    one. ``tol`` is one relative tolerance or one per column. A column stops
+    one. The block is kept column-contiguous (``_dot``), so each column's
+    iterates, iteration count and result are bit for bit those of its solve
+    on its own, whatever the other columns are and whenever they stop.
+    ``tol`` is one relative tolerance or one per column. A column stops
     once its recursively updated residual r (the residual CG carries along,
     not a fresh b - H x) has ||r|| <= tol ||b||, and then leaves the block,
     so later products cover only the columns still running, through their
@@ -287,10 +304,10 @@ def pcg(H: Curvature, b: np.ndarray, tol: float | np.ndarray, max_iter: int,
     Krylov space it searched. Every product goes through ``hvp``.
     """
     vector = b.ndim == 1
-    if vector:
-        b = b[:, None]
-    if mdiag is not None and mdiag.ndim == 1:
-        mdiag = mdiag[:, None]
+    # Column-contiguous blocks (``_dot``); a vector becomes a block of one.
+    b = np.asfortranarray(b[:, None] if vector else b)
+    if mdiag is not None:
+        mdiag = np.asfortranarray(mdiag[:, None] if mdiag.ndim == 1 else mdiag)
     tol = np.broadcast_to(np.asarray(tol, dtype=np.float64), b.shape[1:])
     bnorm = np.sqrt(_dot(b, b))
     # Each column's outcome, filled in as it stops; zero columns stop at once.
@@ -311,9 +328,9 @@ def pcg(H: Curvature, b: np.ndarray, tol: float | np.ndarray, max_iter: int,
         b = b[:, ~converged]
         bnorm, tol, cols = narrow(~converged)
     x = np.zeros_like(b)
-    r = b.copy()
+    r = np.copy(b)
     z = r / mdiag if mdiag is not None else r
-    p = z.copy()
+    p = np.copy(z)
     rz = _dot(r, z)
     res = bnorm
 
@@ -396,9 +413,12 @@ def fit_columns(ds: SparseDataset, reg_c: float, W: np.ndarray, theta0: np.ndarr
     in lockstep: one block ``pcg`` solve per iterate, and one X @ Theta per
     line-search trial for the columns still searching. A column leaves the
     block once its gradient norm is <= tol or after max_iter steps; a
-    non-converged column is returned flagged, not raised. Returns one ``ModelParams`` per column, in
-    order; each equals that column's own k = 1 fit up to rounding, and k = 1
-    from theta0 = 0 is bit for bit ``train``. Deterministic for fixed inputs.
+    non-converged column is returned flagged, not raised. Returns one
+    ``ModelParams`` per column, in order. The (d, k) state is kept
+    column-contiguous (``_dot``), so each column's steps, line search and
+    result are bit for bit those of its own k = 1 fit, whatever its
+    block-mates are and whenever they leave; k = 1 from theta0 = 0 is
+    ``train``. Deterministic for fixed inputs.
     """
     check_train_settings(reg_c, tol, max_iter)
     if ds.n_rows == 0:
@@ -421,7 +441,7 @@ def fit_columns(ds: SparseDataset, reg_c: float, W: np.ndarray, theta0: np.ndarr
     # The state of the columns still fitting, which ``cols`` names.
     cols = np.arange(W.shape[1])
     wbar = np.mean(W, axis=0)
-    theta = np.repeat(theta0[:, None], cols.size, axis=1)
+    theta = np.array(np.broadcast_to(theta0[:, None], (theta0.size, cols.size)), order="F")
     z = X @ theta
     f = _objective(theta, z, W, wbar, y, reg_c)
     for n_iter in range(max_iter + 1):

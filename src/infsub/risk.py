@@ -68,11 +68,13 @@ def _dual_minima(losses: np.ndarray, deltas: np.ndarray) -> tuple[np.ndarray, np
     The losses are first scaled by the power of two that puts the largest
     in [0.5, 1), and the results scaled back, so that no square overflows
     however large the losses; the scaling is exact unless a loss falls
-    below 2**-1022 times the largest.
+    below 2**-1022 times the largest. An eta at a segment's end is that
+    loss itself, unscaled, so it stays exact even then.
     """
     _, e = np.frexp(np.max(losses))
+    unscaled = np.sort(losses)[::-1]
     losses = np.ldexp(losses, -e)
-    top = np.sort(losses)[::-1]
+    top = np.ldexp(unscaled, -e)
     n = top.size
     value = np.full(deltas.size, np.mean(losses))
     eta = np.full(deltas.size, -np.inf)
@@ -114,10 +116,14 @@ def _dual_minima(losses: np.ndarray, deltas: np.ndarray) -> tuple[np.ndarray, np
         at = np.clip(free, left[seg], top[seg])
         val = np.where(at == free, m + np.sqrt(a * v),
                        np.sqrt(c2 * q * ((m - at) ** 2 + v)) + at)
+    at = np.where(at == top[seg], unscaled[seg],
+                  np.where(at == left[seg], np.append(unscaled[1:], -np.inf)[seg],
+                           np.ldexp(at, e)))
     best = np.argmin(val, axis=1)[:, None]
     value[live] = np.take_along_axis(val, best, axis=1)[:, 0]
+    eta = np.ldexp(eta, e)
     eta[live] = np.take_along_axis(at, best, axis=1)[:, 0]
-    return np.ldexp(value, e), np.ldexp(eta, e)
+    return np.ldexp(value, e), eta
 
 
 def worst_case_risk(losses: np.ndarray, delta: float) -> tuple[float, float]:

@@ -63,3 +63,25 @@ def dataset_path(name):
     from importlib import resources
 
     return str(resources.files("infsub") / "datasets" / name)
+
+
+def record_plans(monkeypatch):
+    """Record each plan of ``run_pipeline`` (``experiment.fit_block_widths``)
+    and the width of every ``model.fit_columns`` call, the full fit's 1
+    included; the widths of blocks run side by side come in any order."""
+    from infsub import experiment, model
+
+    plans, widths = [], []
+    real_plan, real_fit = experiment.fit_block_widths, model.fit_columns
+
+    def plan(n_cells, tr):
+        plans.append(real_plan(n_cells, tr))
+        return plans[-1]
+
+    def fit(ds, reg_c, W, theta0, tol, max_iter):
+        widths.append(W.shape[1])
+        return real_fit(ds, reg_c, W, theta0, tol, max_iter)
+
+    monkeypatch.setattr(experiment, "fit_block_widths", plan)
+    monkeypatch.setattr(model, "fit_columns", fit)
+    return plans, widths

@@ -9,6 +9,9 @@ scores, probabilities and the drawn rows), so a near-tie upstream cannot
 make it flaky.
 """
 
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
@@ -16,10 +19,10 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 from scipy.special import expit
 
-from conftest import dataset_path, make_ds, random_ds
-from infsub import experiment, model, sampling
+from conftest import dataset_path, make_ds, random_ds, record_plans
+from infsub import experiment, model, parallel, sampling
 from infsub.data import write_libsvm
-from infsub.experiment import ExperimentConfig, run_pipeline
+from infsub.experiment import ExperimentConfig, emit_report, run_pipeline
 from infsub.influence import compute_phi, compute_psi_norms
 from infsub.model import ModelError, ModelParams
 
@@ -142,28 +145,64 @@ def test_block_fit_matches_dense_subset_optimum(n, d, seed, reg_c, picks):
         bound = (g_fit + g_ref + 2 * GRAD_FLOOR) / (reg_c * wbar)
         assert np.linalg.norm(fit.theta - ref) <= bound
 
-        # Alone (k = 1) the cell reaches the same optimum, within the same bounds.
+        # Alone (k = 1) the cell's fit is bit for bit its fit in the block.
         alone = experiment._fit_cells(cfg, tr, full, [(0, selected, probs)])[0]
-        g_alone = float(np.linalg.norm(jac(alone.theta)))
-        assert np.linalg.norm(alone.theta - fit.theta) <= (
-            (g_fit + g_alone + 2 * GRAD_FLOOR) / (reg_c * wbar))
+        assert np.array_equal(alone.theta, fit.theta)
+        assert (alone.n_iter, alone.grad_norm) == (fit.n_iter, fit.grad_norm)
 
     warm = fits[0]
     assert warm.n_iter == 0 and np.array_equal(warm.theta, full.theta)
 
     # Lockstep changes no column's path: one Newton step from the full-set
-    # theta lands on the same point in the block as alone. Far from the
-    # optimum neither the inner solve's stopping rule nor the Armijo test
-    # sits near a tie, so only the rounding of the column sums (about 1e-16
-    # relative) separates the two, and 1e-9 of the step leaves ample room.
-    # Near the optimum the Armijo test compares risks that agree to rounding,
-    # so later steps may part; the converged fits above agree within bounds.
+    # theta lands on the same point in the block as alone, bit for bit.
     one_step = config(reg_c, train_max_iter=1)
     for cell, fit in zip(block, experiment._fit_cells(one_step, tr, full, block)):
         alone = experiment._fit_cells(one_step, tr, full, [cell])[0]
-        assert alone.n_iter == fit.n_iter
-        moved = float(np.linalg.norm(alone.theta - full.theta))
-        assert np.linalg.norm(alone.theta - fit.theta) <= 1e-9 * moved
+        assert np.array_equal(alone.theta, fit.theta) and alone.n_iter == fit.n_iter
+
+
+def subset_column(rng, n, ratio, spread=1.0):
+    """A cell's weight column: n / n_sub on a random subset of the rows, times
+    optlr-like weights drawn from [1 / spread, spread]."""
+    rows = rng.choice(n, int(ratio * n), replace=False)
+    column = np.zeros(n)
+    column[rows] = n / rows.size * rng.uniform(1.0 / spread, spread, rows.size)
+    return column
+
+
+# Where the target column sits among its block-mates. "stop-first" mates
+# leave before it: the full weights start at their optimum and stop at step
+# 0, a 0.99 subset stops a step or two later. "stop-last" mates, with
+# weights 100 times apart, are harder fits that outlive it.
+LAYOUTS = ["alone", "pair", "five", "stop-first", "stop-last"]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_block_column_is_bit_for_bit_its_own_fit(seed, layout):
+    rng = np.random.default_rng(seed)
+    ds = random_ds(rng, 200, 30)
+    full = model.train(ds, 0.05)
+    target = subset_column(rng, ds.n_rows, 0.6, spread=3.0)
+    mates = {"alone": [], "pair": [subset_column(rng, ds.n_rows, 0.8)],
+             "five": [subset_column(rng, ds.n_rows, r, spread=3.0) for r in (0.5, 0.7, 0.9, 0.4)],
+             "stop-first": [np.ones(ds.n_rows), subset_column(rng, ds.n_rows, 0.99)],
+             "stop-last": [subset_column(rng, ds.n_rows, 0.5, spread=100.0)
+                           for _ in range(2)]}[layout]
+    at = len(mates) // 2
+    W = np.column_stack(mates[:at] + [target] + mates[at:])
+    fits = model.fit_columns(ds, 0.05, W, full.theta)
+    own, = model.fit_columns(ds, 0.05, target[:, None], full.theta)
+    got = fits[at]
+    assert own.converged and own.n_iter > 0
+    assert np.array_equal(got.theta, own.theta)
+    assert (got.n_iter, got.grad_norm, got.converged) == (own.n_iter, own.grad_norm,
+                                                          own.converged)
+    others = [f.n_iter for f in fits[:at] + fits[at + 1:]]
+    if layout == "stop-first":
+        assert others[0] == 0 and max(others) < own.n_iter
+    if layout == "stop-last":
+        assert min(others) > own.n_iter
 
 
 # ------------------------------------------------------- failures and composition
@@ -189,42 +228,97 @@ def grid_order(cfg):
             for label, _, _ in experiment.expand_methods(cfg) for repeat in range(cfg.repeats)]
 
 
-def test_pipeline_fits_its_cells_in_one_block(data_file, monkeypatch):
-    blocks = []
-    real = model.fit_columns
-
-    def spy(ds, reg_c, W, theta0, tol, max_iter):
-        blocks.append(W.shape[1])
-        return real(ds, reg_c, W, theta0, tol, max_iter)
-
-    monkeypatch.setattr(model, "fit_columns", spy)
+def test_pipeline_fits_its_cells_in_one_block(data_file, tmp_path, monkeypatch):
+    # Far below k_max, the 18 cells fit in one block on one CPU, and in one
+    # block per CPU on more; the report files are the same bytes at each count.
+    plans, widths = record_plans(monkeypatch)
     cfg = grid_config(data_file)
-    report = run_pipeline(cfg)
-    # The full fit is ``train``, a block of one; then all 18 cells in one block.
-    assert blocks == [1, len(report.cells)] == [1, 18]
-    assert not report.failures()
-
-
-# A cell fitted alone and inside a block: both fits stop at ||g|| <= 1e-8, so
-# each lies within 1e-8 / (C wbar) of the cell's optimum, at most 2e-7 apart
-# here (C = 0.1, wbar above 1/2). A mean log loss moves by at most max ||x_i||
-# (below 4 on these rows) per unit of theta, so held-out losses, all above
-# 0.3, agree to 1e-5 relative. In practice only the rounding of the column
-# sums differs, and they agree to about 1e-15.
-CELL_LOSS_REL = 1e-5
+    written = {}
+    for cpus, plan in ((1, [18]), (2, [9, 9]), (3, [6, 6, 6])):
+        monkeypatch.setattr(parallel, "cpu_count", lambda: cpus)
+        plans.clear()
+        widths.clear()
+        report = run_pipeline(cfg)
+        assert not report.failures() and len(report.cells) == 18
+        assert plans == [plan] and widths == [1] + plan
+        out = tmp_path / f"cpus{cpus}"
+        out.mkdir()
+        written[cpus] = [Path(p).read_bytes() for p in emit_report(report, str(out / "r.csv"))]
+    assert written[1] == written[2] == written[3]
 
 
 def test_cell_alone_matches_cell_in_block(data_file, monkeypatch):
     cfg = grid_config(data_file)
     wide = run_pipeline(cfg)
-    monkeypatch.setattr(experiment, "FIT_BLOCK_BYTES", 1)
+    monkeypatch.setattr(experiment, "fit_block_widths", lambda n_cells, tr: [1] * n_cells)
     alone = run_pipeline(cfg)
-    for a, b in zip(wide.cells, alone.cells):
-        assert (a.method, a.ratio, a.repeat, a.n_selected) == (b.method, b.ratio, b.repeat,
-                                                               b.n_selected)
-        assert a.va_logloss == pytest.approx(b.va_logloss, rel=CELL_LOSS_REL)
-        assert a.te_logloss == pytest.approx(b.te_logloss, rel=CELL_LOSS_REL)
-        assert a.te_accuracy == b.te_accuracy
+    # Every column's fit is bit for bit its own, so whole rows are equal.
+    assert repr(alone.cells) == repr(wide.cells)
+
+
+def test_equal_columns_are_fitted_once_and_copied_to_each_twin(data_file, monkeypatch):
+    # dropout draws deterministically, so its three repeats share one column.
+    cfg = grid_config(data_file, methods=["dropout", "random"], repeats=3)
+    masks, columns = {}, []
+    real_draw, real_fit = experiment._draw_cell, model.fit_columns
+
+    def draw(tr, probs, base, ratio, seed, phi):
+        masks[seed] = real_draw(tr, probs, base, ratio, seed, phi)
+        return masks[seed]
+
+    def fit(ds, reg_c, W, theta0, tol, max_iter):
+        columns.extend(W.T.copy())
+        return real_fit(ds, reg_c, W, theta0, tol, max_iter)
+
+    monkeypatch.setattr(experiment, "_draw_cell", draw)
+    monkeypatch.setattr(model, "fit_columns", fit)
+    report = run_pipeline(cfg)
+    assert len(report.cells) == 12 and not report.failures()
+    # The full fit, then per ratio one dropout column and three random ones.
+    cell_columns = columns[1:]
+    assert len(cell_columns) == 8 == len({c.tobytes() for c in cell_columns})
+    dropout = [c for c in report.cells if c.method == "dropout"]
+    assert len({c.seed for c in dropout}) == 6
+    assert len({masks[c.seed].tobytes() for c in dropout}) == 2
+
+    # Each row, twins included, is the cell's own fit made alone.
+    monkeypatch.setattr(model, "fit_columns", real_fit)
+    tr, va, te = experiment.load_splits(cfg)
+    full = model.train(tr, cfg.reg_c)
+    for cell in report.cells:
+        rows = np.flatnonzero(masks[cell.seed])
+        column = np.zeros(tr.n_rows)
+        column[rows] = experiment._cell_weights(tr.n_rows, rows, None)
+        fit, = model.fit_columns(tr, cfg.reg_c, column[:, None], full.theta)
+        want = experiment._evaluate_cell(cfg, cell, full, fit, va, te, rows.size)
+        assert repr(cell) == repr(want)
+
+
+def plan_input(n_rows, n_features, nnz):
+    """A stand-in training set with the shape and byte size that
+    ``fit_block_widths`` reads: float64 values, int32 indices and offsets."""
+    X = SimpleNamespace(data=np.empty(nnz), indices=np.empty(nnz, dtype=np.int32),
+                        indptr=np.empty(n_rows + 1, dtype=np.int32))
+    return SimpleNamespace(X=X, n_rows=n_rows, n_features=n_features)
+
+
+@pytest.mark.parametrize("shape, cpus, n_cells, plan", [
+    # 12000 one-hot rows of 40 fields, d = 5002: X's 5.8 MB give k_max 42.
+    ((12000, 5002, 480000), 2, 20, [10, 10]),
+    ((12000, 5002, 480000), 2, 18, [9, 9]),
+    ((12000, 5002, 480000), 1, 20, [20]),
+    ((12000, 5002, 480000), 2, 100, [25] * 4),
+    ((12000, 5002, 480000), 3, 100, [34, 33, 33]),
+    # 840 rows, d = 1002: the FIT_BLOCK_BYTES floor gives k_max 40.
+    ((840, 1002, 33600), 2, 384, [39] * 4 + [38] * 6),
+    ((840, 1002, 33600), 3, 384, [32] * 12),
+    ((840, 1002, 33600), 4, 3, [1, 1, 1]),
+    ((840, 1002, 33600), 2, 0, []),
+])
+def test_fit_block_widths_follow_x_bytes_and_the_cpu_count(monkeypatch, shape, cpus, n_cells,
+                                                           plan):
+    monkeypatch.setattr(parallel, "cpu_count", lambda: cpus)
+    assert experiment.fit_block_widths(n_cells, plan_input(*shape)) == plan
 
 
 def test_single_class_draw_fails_only_its_cell(tmp_path):
@@ -279,14 +373,8 @@ def test_draw_error_fails_only_its_cell_and_rows_keep_grid_order(data_file, monk
     assert [(c.ratio, c.method, c.repeat) for c in report.cells] == grid_order(cfg)
     assert [i for i, c in enumerate(report.cells) if c.error] == [7]
     assert report.cells[7].error == "SamplingError: refused draw"
-    # The other cells fit in a block one column narrower: the same results
-    # within CELL_LOSS_REL.
-    for i, (a, b) in enumerate(zip(report.cells, clean.cells)):
-        if i != 7:
-            assert a.va_logloss == pytest.approx(b.va_logloss, rel=CELL_LOSS_REL)
-            assert a.te_logloss == pytest.approx(b.te_logloss, rel=CELL_LOSS_REL)
-            assert (a.seed, a.n_selected, a.te_accuracy, a.error) == (
-                b.seed, b.n_selected, b.te_accuracy, b.error)
+    # The other cells fit in blocks laid out anew, bit for bit as before.
+    assert repr(report.cells[:7] + report.cells[8:]) == repr(clean.cells[:7] + clean.cells[8:])
 
 
 def test_block_that_fails_as_a_whole_fails_each_of_its_cells(data_file, monkeypatch):

@@ -337,6 +337,19 @@ def test_psi_norms_match_per_row_solves(monkeypatch, k):
         assert abs(norms[i] - want) <= 1e-8 * want
 
 
+def test_psi_is_bit_identical_at_every_block_width(monkeypatch):
+    # A row's solve is one column of its block, kept column-contiguous, so
+    # its psi does not depend on the block's width or the row's place in it.
+    rng = np.random.default_rng(47)
+    tr = random_ds(rng, n=40, d=12, zero_frac=0.3)
+    params = train(tr, reg_c=0.05)
+    assert influence_mod.PSI_BLOCK_BYTES // (8 * params.dim) >= tr.n_rows
+    default = compute_psi_norms(params, tr)
+    for k in (1, 3):
+        _block_width(monkeypatch, k, params.dim)
+        assert np.array_equal(compute_psi_norms(params, tr), default)
+
+
 def test_psi_zero_gradient_row_is_zero():
     # With theta = 0 an all-zero feature row has a zero per-sample gradient.
     tr = make_ds([[1.0, 2.0], [0.0, 0.0], [-1.0, 0.5]], [0, 1, 1])

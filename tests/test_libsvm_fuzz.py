@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 import libsvm_oracle as oracle
 from conftest import dataset_path
-from infsub import data, parallel
+from infsub import cli, data, parallel
 from infsub.data import DataError, SparseDataset, load_libsvm, parse_libsvm, write_libsvm
 
 LABELS = ["0", "1", "-1", "+1", "2", "1.0", "1e0", "-0", "0.0", "10e-1", "-1.00",
@@ -108,7 +108,7 @@ def test_reader_agrees_with_oracle(tmp_path_factory, text, block, n_features, wo
         lines = list(fh)
     want = outcome(lambda: oracle.parse_libsvm(lines, n_features))
     with mock.patch.object(data, "BLOCK_BYTES", block), \
-            mock.patch.object(parallel, "_cpu_count", lambda: workers):
+            mock.patch.object(parallel, "cpu_count", lambda: workers):
         assert outcome(lambda: load_libsvm(str(plain), n_features)) == want
         assert outcome(lambda: load_libsvm(str(packed), n_features)) == want
         assert outcome(lambda: parse_libsvm(lines, n_features)) == want
@@ -153,6 +153,32 @@ def test_blank_blocks_raise_no_warning(tmp_path):
 def test_deliberate_differences_from_the_oracle(line, match):
     with pytest.raises(DataError, match=re.escape(f"line 1: {match}")):
         parse_libsvm([line])
+
+
+HUGE = "9" * 5000   # more digits than int() reads
+
+
+@pytest.mark.parametrize("token, message", [
+    (HUGE, f"feature index {HUGE} exceeds 2147483647"),
+    (f"-{HUGE}", f"negative feature index -{HUGE}"),
+], ids=["huge", "negative-huge"])
+def test_an_index_too_long_for_int_is_named_with_its_line(tmp_path, capsys, token, message):
+    with pytest.raises(DataError) as err:
+        parse_libsvm(["1 0:1", f"1 {token}:1"])
+    assert str(err.value) == f"line 2: {message}"
+    path = tmp_path / "huge.svm"
+    path.write_text(f"1 {token}:1\n")
+    assert cli.main(["train", "--tr", str(path), "--out", str(tmp_path / "m.txt")]) == 2
+    assert f"line 1: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("token, message", [
+    ("-007", "negative feature index -7"),
+    ("+002147483648", "feature index 2147483648 exceeds 2147483647"),
+])
+def test_an_out_of_range_index_is_written_as_int_writes_it(token, message):
+    with pytest.raises(DataError, match=f"^line 1: {re.escape(message)}$"):
+        parse_libsvm([f"1 {token}:1"])
 
 
 def test_bytes_that_are_not_utf8_are_a_bad_token(tmp_path):

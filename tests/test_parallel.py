@@ -1,6 +1,6 @@
 """The block pool, and the pipeline, psi and libsvm outputs it must not change.
 
-``parallel._cpu_count`` is the one worker-count seam; patching it to 1 or 2
+``parallel.cpu_count`` is the one worker-count seam; patching it to 1 or 2
 forces the pool's width on any machine.
 """
 
@@ -12,8 +12,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_ds, random_ds
-from infsub import cli, data, experiment, influence, model, parallel
+from conftest import make_ds, random_ds, record_plans
+from infsub import cli, data, experiment, influence, parallel
 from infsub.data import DataError, load_libsvm, write_libsvm
 from infsub.experiment import ExperimentConfig, emit_report, load_splits, run_pipeline
 from infsub.influence import ConvergenceError, PcgConfig, compute_psi_norms
@@ -21,7 +21,7 @@ from infsub.model import ModelError, ModelParams
 
 
 def use_workers(monkeypatch, n):
-    monkeypatch.setattr(parallel, "_cpu_count", lambda: n)
+    monkeypatch.setattr(parallel, "cpu_count", lambda: n)
 
 
 # ----------------------------------------------------------------- map_blocks
@@ -187,24 +187,24 @@ def grid_config(data_file):
                             compute_gamma=True)
 
 
-def five_wide(monkeypatch, cfg):
-    """Make ``run_pipeline`` fit 5 cells per block; returns the block widths seen."""
-    tr = load_splits(cfg)[0]
-    monkeypatch.setattr(experiment, "FIT_BLOCK_BYTES", 5 * 8 * (tr.n_rows + tr.n_features))
-    widths = []
-    real = model.fit_columns
+def blocks_from_x_bytes(monkeypatch, cfg):
+    """Make ``run_pipeline``'s k_max come from X's bytes alone: 3592 bytes of
+    the 69 x 4 training split, over 8 (n + d) = 584, give 6. Returns the
+    plans (``fit_block_widths``) and the ``fit_columns`` widths it runs."""
+    X = load_splits(cfg)[0].X
+    assert X.data.nbytes + X.indices.nbytes + X.indptr.nbytes == 3592
+    monkeypatch.setattr(experiment, "FIT_BLOCK_BYTES", 1)
+    return record_plans(monkeypatch)
 
-    def spy(ds, reg_c, W, theta0, tol, max_iter):
-        widths.append(W.shape[1])
-        return real(ds, reg_c, W, theta0, tol, max_iter)
 
-    monkeypatch.setattr(model, "fit_columns", spy)
-    return widths
+# 30 cells; dropout's 3 repeats per ratio share one column, so 26 are fitted.
+# k_max 6 makes 5 blocks on one CPU, and 6 on 2 or 3 CPUs (3 or 2 per CPU).
+PLANS = {1: [6, 5, 5, 5, 5], 2: [5, 5, 4, 4, 4, 4], 3: [5, 5, 4, 4, 4, 4]}
 
 
 def test_pipeline_files_do_not_depend_on_the_worker_count(data_file, tmp_path, monkeypatch):
     cfg = grid_config(data_file)
-    widths = five_wide(monkeypatch, cfg)
+    plans, widths = blocks_from_x_bytes(monkeypatch, cfg)
     # One cell fails inside its block, after its fit.
     real_evaluate = experiment._evaluate_cell
     bad_seed = experiment.derive_seed(cfg.seed, "optlr", 0.9, 1)
@@ -216,42 +216,46 @@ def test_pipeline_files_do_not_depend_on_the_worker_count(data_file, tmp_path, m
 
     monkeypatch.setattr(experiment, "_evaluate_cell", evaluate)
     written = {}
-    for n in (1, 2):
+    for n, plan in PLANS.items():
         use_workers(monkeypatch, n)
+        plans.clear()
+        widths.clear()
         report = run_pipeline(cfg)
         assert [(c.method, c.ratio, c.repeat) for c in report.failures()] == [("optlr", 0.9, 1)]
+        # The full fit, then the blocks of the plan, run in any order.
+        assert plans == [plan]
+        assert widths[0] == 1 and sorted(widths[1:]) == sorted(plan)
         out = tmp_path / f"w{n}"
         out.mkdir()
         written[n] = emit_report(report, str(out / "report.csv"))
-    # The full fit, then 30 cells in blocks of 5, at each worker count.
-    assert widths == [1] + [5] * 6 + [1] + [5] * 6
     assert [p.rsplit("/", 1)[1] for p in written[2]] == [
         "report.csv", "report_aggregate.csv", "report_gamma.csv"]
-    for one, two in zip(written[1], written[2]):
-        with open(one, "rb") as a, open(two, "rb") as b:
-            assert a.read() == b.read()
+    for one, two, three in zip(written[1], written[2], written[3]):
+        with open(one, "rb") as a, open(two, "rb") as b, open(three, "rb") as c:
+            assert a.read() == b.read() == c.read()
 
 
 def test_block_whose_fit_raises_fails_only_its_own_cells(data_file, monkeypatch):
     cfg = grid_config(data_file)
-    five_wide(monkeypatch, cfg)
+    blocks_from_x_bytes(monkeypatch, cfg)
     use_workers(monkeypatch, 2)
     clean = run_pipeline(cfg)
     real_fit = experiment._fit_cells
 
     def fit(cfg, tr, full, block):
-        # The third block holds cells 10-14.
-        if block[0][0] == 10:
+        # The second block holds the columns of cells 5, 6, 9, 10 and 11;
+        # cells 7 and 8 are cell 6's twins (dropout at ratio 0.5).
+        if block[0][0] == 5:
             raise ModelError("refused block")
         return real_fit(cfg, tr, full, block)
 
     monkeypatch.setattr(experiment, "_fit_cells", fit)
     report = run_pipeline(cfg)
-    assert [i for i, c in enumerate(report.cells) if c.error] == [10, 11, 12, 13, 14]
+    assert [i for i, c in enumerate(report.cells) if c.error] == [5, 6, 7, 8, 9, 10, 11]
     assert {c.error for c in report.failures()} == {"ModelError: refused block"}
     for i, (a, b) in enumerate(zip(report.cells, clean.cells)):
-        assert (a.method, a.ratio, a.repeat) == (b.method, b.ratio, b.repeat)
-        if not 10 <= i <= 14:
+        assert (a.method, a.ratio, a.repeat, a.seed) == (b.method, b.ratio, b.repeat, b.seed)
+        if not 5 <= i <= 11:
             assert a == b
 
 

@@ -43,6 +43,18 @@ def grid_worst_case(losses, delta, step=1e-5):
     return best
 
 
+def up_scale(losses):
+    """The exponent e for which 2^e lifts a largest loss below 1/2 into
+    [1/2, 1), else 0.
+
+    The oracles square losses; below about 1e-154 the squares underflow to
+    zero, and a dual of losses near 1e-297 would read as 0. Scaling up by a
+    power of two (``np.ldexp``) is exact, and so is scaling the result back.
+    """
+    top = float(np.max(losses))
+    return int(-np.frexp(top)[1]) if 0.0 < top < 0.5 else 0
+
+
 def sweep_segments(losses, delta):
     """Oracle: the dual's minimum on every segment between sorted losses, O(n).
 
@@ -53,7 +65,8 @@ def sweep_segments(losses, delta):
     m - sqrt(v / a), with value m + sqrt(a v); otherwise the segment's left
     end is its minimum. Returns each segment's (value, eta), k = 1..n.
     """
-    top = np.sort(np.asarray(losses, dtype=np.float64))[::-1]
+    scale = up_scale(losses)
+    top = np.sort(np.ldexp(np.asarray(losses, dtype=np.float64), scale))[::-1]
     c2 = 2.0 * delta + 1.0
     k = np.arange(1, top.size + 1)
     q = k / top.size
@@ -67,7 +80,7 @@ def sweep_segments(losses, delta):
         eta = np.clip(free, np.append(top[1:], -np.inf), top)
         value = np.where(eta == free, m + np.sqrt(a * v),
                          np.sqrt(c2 * q * ((m - eta) ** 2 + v)) + eta)
-    return value, eta
+    return np.ldexp(value, -scale), np.ldexp(eta, -scale)
 
 
 def sweep_worst_case(losses, delta):
@@ -86,8 +99,10 @@ def sweep_worst_case(losses, delta):
 
 def dual(losses, delta, eta):
     """The dual objective itself, evaluated at one eta."""
-    tail = np.maximum(np.asarray(losses) - eta, 0.0)
-    return float(np.sqrt(2.0 * delta + 1.0) * np.sqrt(np.mean(tail * tail)) + eta)
+    scale = up_scale(losses)
+    tail = np.maximum(np.ldexp(np.asarray(losses), scale) - np.ldexp(eta, scale), 0.0)
+    return float(np.ldexp(np.sqrt(2.0 * delta + 1.0) * np.sqrt(np.mean(tail * tail))
+                          + np.ldexp(eta, scale), -scale))
 
 
 # -------------------------------------------------------------- worst case
