@@ -8,7 +8,6 @@ labels are canonical {0, 1}.
 from __future__ import annotations
 
 import gzip
-import io
 import itertools
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Sequence
@@ -74,8 +73,7 @@ def read_table(path: str) -> tuple[str | None, list[str], list[list[str]]]:
             raise ValueError(f"{path}: bad row {ln!r}")
     cells = ",".join(body).split(",") if body else []
     columns = [cells[k::width] for k in range(width)]
-    if header[0] == "index" and not np.array_equal(np.array(columns[0], dtype=np.int64),
-                                                   np.arange(len(body))):
+    if header[0] == "index" and columns[0] != [str(i) for i in range(len(body))]:
         raise ValueError(f"{path}: rows must be indexed 0..n-1 in order")
     return comment, header, columns
 
@@ -212,11 +210,11 @@ def _token_error(fault: int, token: bytes, line_no: int) -> DataError:
     return DataError(f"line {line_no}: " + _MESSAGES[fault].format(tok=tok, index=index))
 
 
-def _line_blocks(fh: IO[bytes]) -> Iterator[bytes]:
-    """Whole lines of a binary file, about BLOCK_BYTES at a time, with
-    "\\r\\n" and a bare "\\r" rewritten to "\\n" as text mode reads them."""
+def _line_blocks(chunks: Iterable[bytes]) -> Iterator[bytes]:
+    """Whole lines of a byte stream read in chunks of about BLOCK_BYTES,
+    with "\\r\\n" and a bare "\\r" rewritten to "\\n" as text mode reads them."""
     pending = bytearray()
-    while chunk := fh.read(BLOCK_BYTES):
+    for chunk in chunks:
         # Only the new bytes, and a "\r" held back from the last chunk, can
         # end a line. A "\r" last in the chunk may be half of "\r\n", so it waits.
         fresh = max(len(pending) - 1, 0)
@@ -230,32 +228,24 @@ def _line_blocks(fh: IO[bytes]) -> Iterator[bytes]:
         yield bytes(pending).replace(b"\r\n", b"\n").replace(b"\r", b"\n")
 
 
-def _numbers(block: bytes, a: np.ndarray, lo: np.ndarray,
-             hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The numbers ``block[lo[t]:hi[t]]`` that ``_parse_block`` does not
-    convert itself (exponents, digits past 2**53 or 22 after the point, inf
-    and nan, malformed text), and which of them converted.
+def _numbers(a: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The numbers ``a[lo[t]:hi[t]]`` that ``_parse_block`` does not convert
+    itself (exponents, digits past 2**53 or 22 after the point, inf and
+    nan, malformed text), and which of them converted.
 
-    They go one per line through one np.loadtxt call. If it fails, each is
-    retried alone with float(), to find the ones that fail.
+    The block is masked to those numbers, one per line, split once, and
+    each read by float(); one that float() refuses is NaN and not ok.
     """
     inside = np.cumsum(np.bincount(lo, minlength=a.size + 1)
                        - np.bincount(hi, minlength=a.size + 1))[:-1] > 0
     keep = inside.copy()
     keep[hi] = True                         # the blank after each number
-    text = np.where(inside, a, np.uint8(ord("\n")))[keep]
-    try:
-        num = np.loadtxt(io.StringIO(text.tobytes().decode("ascii")),
-                         dtype=np.float64, comments=None, ndmin=1)
-        if num.size == lo.size:
-            return num, np.ones(lo.size, dtype=bool)
-    except ValueError:
-        pass
+    tokens = np.where(inside, a, np.uint8(ord("\n")))[keep].tobytes().split()
     num = np.full(lo.size, np.nan)
     ok = np.ones(lo.size, dtype=bool)
-    for t, (l, h) in enumerate(zip(lo.tolist(), hi.tolist())):
+    for t, token in enumerate(tokens):
         try:
-            num[t] = float(block[l:h])
+            num[t] = float(token)
         except ValueError:
             ok[t] = False
     return num, ok
@@ -347,7 +337,7 @@ def _parse_block(block: bytes, line0: int) -> tuple[np.ndarray, ...]:
     ok = clean.copy()
     rest = np.flatnonzero(clean & np.isnan(num))
     if rest.size:
-        num[rest], ok[rest] = _numbers(block, a, num_lo[rest], end[rest])
+        num[rest], ok[rest] = _numbers(a, num_lo[rest], end[rest])
 
     fault = np.select(
         [is_label & ~ok, is_label & ~(np.isfinite(num) & (num == np.floor(num))),
@@ -376,20 +366,20 @@ def _parse_block(block: bytes, line0: int) -> tuple[np.ndarray, ...]:
     return num[is_label], np.bincount(frow, minlength=n_rows), index.astype(np.int32), value
 
 
-def _numbered_blocks(fh: IO[bytes]) -> Iterator[tuple[bytes, int]]:
-    """``_line_blocks`` of the file, each with the count of lines before it."""
+def _numbered_blocks(chunks: Iterable[bytes]) -> Iterator[tuple[bytes, int]]:
+    """``_line_blocks`` of the stream, each with the count of lines before it."""
     line0 = 0
-    for block in _line_blocks(fh):
+    for block in _line_blocks(chunks):
         yield block, line0
         line0 += block.count(b"\n")
 
 
-def _read_libsvm(fh: IO[bytes], n_features: int | None) -> SparseDataset:
-    """Parse a binary libsvm stream into one SparseDataset, its blocks
-    parsed side by side on every CPU and joined in file order."""
+def _read_libsvm(chunks: Iterable[bytes], n_features: int | None) -> SparseDataset:
+    """Parse a libsvm byte stream, read in chunks, into one SparseDataset, its
+    blocks parsed side by side on every CPU and joined in file order."""
     parts = [(np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32),
               np.empty(0))]
-    parts += map_blocks(lambda numbered: _parse_block(*numbered), _numbered_blocks(fh))
+    parts += map_blocks(lambda numbered: _parse_block(*numbered), _numbered_blocks(chunks))
     labels, counts, indices, values = (np.concatenate(p) for p in zip(*parts))
     del parts
 
@@ -439,11 +429,13 @@ def parse_libsvm(source: Iterable[str] | IO[str], n_features: int | None = None)
     Every number reads as float() reads it. A plain decimal, ``[sign] digits
     [. digits]`` whose digits form an integer below 2**53 with at most 22
     after the point, is converted exactly with numpy (Clinger's fast path);
-    any other number goes through np.loadtxt. Blocks of lines are parsed on
-    every CPU, and the result does not depend on how many there are.
+    any other number is read by float() itself. Blocks of lines are parsed
+    on every CPU, and the result does not depend on how many there are.
     """
     text = "\n".join(line.translate(_BREAKS_AS_SPACE) for line in source)
-    return _read_libsvm(io.BytesIO(text.encode("utf-8", "surrogatepass")), n_features)
+    data = text.encode("utf-8", "surrogatepass")
+    return _read_libsvm((data[lo:lo + BLOCK_BYTES] for lo in range(0, len(data), BLOCK_BYTES)),
+                        n_features)
 
 
 def load_libsvm(path: str, n_features: int | None = None) -> SparseDataset:
@@ -452,7 +444,7 @@ def load_libsvm(path: str, n_features: int | None = None) -> SparseDataset:
     opener = gzip.open if str(path).endswith(".gz") else open
     try:
         with opener(path, "rb") as fh:  # type: ignore[operator]
-            return _read_libsvm(fh, n_features)
+            return _read_libsvm(iter(lambda: fh.read(BLOCK_BYTES), b""), n_features)
     except (OSError, EOFError) as exc:   # EOFError: a truncated gzip stream
         raise DataError(f"cannot read {path}: {exc}") from exc
 

@@ -2,8 +2,10 @@
 
 A pipeline run fits the full-set model, scores training samples against the
 validation split, then for every (method, ratio, repeat) cell draws a subset,
-refits, and records held-out metrics. All randomness flows from one base
-seed through a keyed hash, so a config reproduces its report byte for byte.
+refits, and records held-out metrics. The refits run as the columns of
+lockstep blocks, planned like psi's row solves by ``parallel.column_blocks``.
+All randomness flows from one base seed through a keyed hash, so a config
+reproduces its report byte for byte, whatever the CPU count.
 """
 
 from __future__ import annotations
@@ -22,17 +24,6 @@ from .data import (SparseDataset, SplitSpec, flip_labels, load_libsvm, split,
                    with_feature_dim, write_table)
 from .influence import ConvergenceError, PcgConfig
 from .model import ModelParams
-
-# Work-array floor of one block of cell fits. A block holds up to
-# k_max = max(FIT_BLOCK_BYTES, bytes of X) // (8 (n + d)) cells (40 at
-# n + d = 1842; 42 on a 12000 x 5002 one-hot X of 40 fields, whose bytes
-# pass the floor), so an (n, k) and a (d, k) array of the fit stay near the
-# larger of this size and X's. Each Newton product reads X once plus k dense
-# columns, so widening pays while X dominates that read. The fit holds about
-# six such pairs at its peak, and up to one block per CPU runs at once
-# (``map_blocks``). Each column's fit is bit for bit its own whatever its
-# block, so the widths, which follow the CPU count, change no digit.
-FIT_BLOCK_BYTES = 576 * 1024
 
 # Grid keys read only by one method, and that method.
 _METHOD_KEYS = {"sigmoid_alphas": "sigmoid", "linear_alpha": "linear", "optlr_floor": "optlr"}
@@ -317,7 +308,7 @@ def run_pipeline(cfg: ExperimentConfig) -> ExperimentReport:
     the result is copied to each. The distinct columns are refitted warm
     from the full-set theta as lockstep columns of ``model.fit_columns``, in
     blocks of near-equal width, the same number per CPU
-    (``fit_block_widths``), run side by side (``parallel.map_blocks``).
+    (``parallel.column_blocks``), run side by side (``parallel.map_blocks``).
     Since each column's fit is bit for bit its own fit, neither the plan nor
     the twins change any digit of the report. A failure inside one cell, a
     non-converged cell fit included, is recorded on that cell's result and
@@ -391,10 +382,7 @@ def run_pipeline(cfg: ExperimentConfig) -> ExperimentReport:
                 results.append(_failed(cells[i], exc))
         return results
 
-    blocks, lo = [], 0
-    for width in fit_block_widths(len(drawn), tr):
-        blocks.append(drawn[lo:lo + width])
-        lo += width
+    blocks = [drawn[cols] for cols in parallel.column_blocks(len(drawn), tr.X)]
     for block, fitted_cells in zip(blocks, parallel.map_blocks(fit_block, blocks)):
         for (i, _, _), cell in zip(block, fitted_cells):
             cells[i] = cell
@@ -415,26 +403,6 @@ def run_pipeline(cfg: ExperimentConfig) -> ExperimentReport:
         influence_seconds=influence_seconds,
         total_seconds=time.perf_counter() - t_start,
     )
-
-
-def fit_block_widths(n_cells: int, tr: SparseDataset) -> list[int]:
-    """The widths of the blocks that fit ``n_cells`` cell columns on ``tr``.
-
-    Blocks hold at most k_max = max(FIT_BLOCK_BYTES, bytes of X) // (8 (n + d))
-    columns. Their count is the least multiple of ``parallel.cpu_count()``
-    that keeps them within k_max, capped at ``n_cells``, so each CPU gets an
-    equal share. The cells run in order, widths differing by at most one,
-    the wider first.
-    """
-    if n_cells == 0:
-        return []
-    X = tr.X
-    x_bytes = X.data.nbytes + X.indices.nbytes + X.indptr.nbytes
-    k_max = max(1, max(FIT_BLOCK_BYTES, x_bytes) // (8 * (tr.n_rows + tr.n_features)))
-    cpus = parallel.cpu_count()
-    n_blocks = min(n_cells, cpus * -(-n_cells // (cpus * k_max)))
-    width, wider = divmod(n_cells, n_blocks)
-    return [width + 1] * wider + [width] * (n_blocks - wider)
 
 
 def _require_converged(fit: ModelParams, what: str) -> None:

@@ -8,7 +8,9 @@ lowers validation risk. Every solve is ``model.pcg``, matrix-free conjugate
 gradient preconditioned by the exact Hessian diagonal (Jacobi); Newton steps
 in ``model.train`` use the same loop without a preconditioner. The psi norms
 need one solve per training row; those run a block of rows at a time, as the
-columns of one block solve.
+columns of one block solve, in the blocks ``parallel.column_blocks`` plans
+for the pipeline's cell fits too. Each row's psi is bit for bit its own
+solve's, whatever its block.
 """
 
 from __future__ import annotations
@@ -17,19 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import model
+from . import model, parallel
 from .data import SparseDataset, read_table, write_table
 from .model import ModelParams, PcgInfo
-from .parallel import map_blocks
-
-# Work-array budget of one psi block: k = PSI_BLOCK_BYTES // (8 d) rows are
-# solved together (32 at d = 1002), so each dense (d, k) array of the solve
-# stays near 256 KiB. A block peaks at about nine such arrays (at n = 840,
-# d = 1002, with the (n, k) product of each HVP). Blocks run on up to one
-# thread per CPU (``map_blocks``), so that many blocks are in memory at once.
-# Each row's solve is bit for bit the same at any k (``model.pcg``), so the
-# width changes no psi digit; it stays fixed only to bound that memory.
-PSI_BLOCK_BYTES = 256 * 1024
 
 
 class ConvergenceError(RuntimeError):
@@ -109,31 +101,29 @@ def compute_psi_norms(params: ModelParams, tr: SparseDataset,
                       cfg: PcgConfig = PcgConfig()) -> np.ndarray:
     """Norm of the parameter influence H^{-1} grad_i for every training row.
 
-    Runs one conjugate-gradient solve per row, k rows at a time as the
-    columns of one block solve (k from ``PSI_BLOCK_BYTES``), the blocks side
-    by side on up to one thread per CPU, so cost scales linearly with the
-    training set; a row with a zero gradient solves to exactly zero. A solve
-    that misses its tolerance raises ConvergenceError naming the first such
-    row.
+    Runs one conjugate-gradient solve per row, a block of rows at a time as
+    the columns of one block solve (``parallel.column_blocks``), the blocks
+    side by side on up to one thread per CPU, so cost scales linearly with
+    the training set; a row with a zero gradient solves to exactly zero. A
+    solve that misses its tolerance raises ConvergenceError naming the first
+    such row.
     """
     H = model.curvature(params, tr)
     H.diag  # built once here, not by each block
     resid = model._sigma(params, tr) - tr.y
     base = params.reg_c * params.theta
-    k = max(1, PSI_BLOCK_BYTES // (8 * max(params.dim, 1)))
 
-    def solve(lo: int) -> np.ndarray:
-        rows = slice(lo, min(lo + k, tr.n_rows))
-        # Column j is grad_{lo+j} = (p - y) x + C theta, formed densely.
+    def solve(rows: slice) -> np.ndarray:
+        # Column j is grad_{rows.start+j} = (p - y) x + C theta, formed densely.
         grads = tr.X[rows].multiply(resid[rows, None]).T.toarray(order="F") + base[:, None]
         sol, info = inverse_hvp_pcg(H, grads, cfg)
         if not np.all(info.converged):
             j = int(np.argmin(info.converged))
             raise ConvergenceError(
-                f"sample {lo + j}: inverse HVP stopped at residual {info.residual[j]:.3e}")
+                f"sample {rows.start + j}: inverse HVP stopped at residual {info.residual[j]:.3e}")
         return np.linalg.norm(sol, axis=0)
 
-    return np.concatenate(map_blocks(solve, range(0, tr.n_rows, k)))
+    return np.concatenate(parallel.map_blocks(solve, parallel.column_blocks(tr.n_rows, tr.X)))
 
 
 def write_influence_csv(path: str, phi: np.ndarray, psi: np.ndarray | None = None) -> None:
@@ -149,8 +139,11 @@ def read_influence_csv(path: str) -> tuple[np.ndarray, np.ndarray | None]:
     _, header, columns = read_table(path)
     if header not in (["index", "phi"], ["index", "phi", "psi_norm"]):
         raise ValueError(f"{path}: unexpected header {','.join(header)!r}")
-    phi = np.array(columns[1], dtype=np.float64)
-    psi = np.array(columns[2], dtype=np.float64) if len(columns) == 3 else None
+    try:
+        phi = np.array(columns[1], dtype=np.float64)
+        psi = np.array(columns[2], dtype=np.float64) if len(columns) == 3 else None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if not np.all(np.isfinite(phi)):
         raise ValueError(f"{path}: phi must be finite")
     if psi is not None and not np.all(np.isfinite(psi) & (psi >= 0)):

@@ -292,6 +292,8 @@ def pcg(H: Curvature, b: np.ndarray, tol: float | np.ndarray, max_iter: int,
     one. The block is kept column-contiguous (``_dot``), so each column's
     iterates, iteration count and result are bit for bit those of its solve
     on its own, whatever the other columns are and whenever they stop.
+    ``mdiag``, the preconditioner's diagonal, has shape (d,) and serves
+    every column.
     ``tol`` is one relative tolerance or one per column. A column stops
     once its recursively updated residual r (the residual CG carries along,
     not a fresh b - H x) has ||r|| <= tol ||b||, and then leaves the block,
@@ -307,7 +309,7 @@ def pcg(H: Curvature, b: np.ndarray, tol: float | np.ndarray, max_iter: int,
     # Column-contiguous blocks (``_dot``); a vector becomes a block of one.
     b = np.asfortranarray(b[:, None] if vector else b)
     if mdiag is not None:
-        mdiag = np.asfortranarray(mdiag[:, None] if mdiag.ndim == 1 else mdiag)
+        mdiag = mdiag[:, None]
     tol = np.broadcast_to(np.asarray(tol, dtype=np.float64), b.shape[1:])
     bnorm = np.sqrt(_dot(b, b))
     # Each column's outcome, filled in as it stops; zero columns stop at once.
@@ -318,10 +320,8 @@ def pcg(H: Curvature, b: np.ndarray, tol: float | np.ndarray, max_iter: int,
     n_iter = 0
 
     def narrow(keep):
-        nonlocal H, mdiag
+        nonlocal H
         H = H.columns(keep)
-        if mdiag is not None and mdiag.shape[1] > 1:
-            mdiag = mdiag[:, keep]
         return bnorm[keep], tol[keep], cols[keep]
 
     if np.any(converged):

@@ -263,7 +263,8 @@ def write_plan_csv(plan: SamplingPlan, path: str) -> None:
 
 
 def read_plan_csv(path: str) -> SamplingPlan:
-    """Read a plan written by ``write_plan_csv``."""
+    """Read a plan written by ``write_plan_csv``; a malformed file raises
+    SamplingError naming it."""
     try:
         comment, header, columns = read_table(path)
     except ValueError as exc:
@@ -277,11 +278,14 @@ def read_plan_csv(path: str) -> SamplingPlan:
     bad = next((f for f in flags if f not in ("0", "1")), None)
     if bad is not None:
         raise SamplingError(f"{path}: selected flag must be 0 or 1, got {bad!r}")
-    return SamplingPlan(
-        method=meta.get("method", ""),
-        probs=np.array(probs, dtype=np.float64),
-        selected=np.flatnonzero(np.array(flags, dtype=str) == "1"),
-        target_ratio=float(meta.get("ratio", "nan")),
-        seed=int(meta.get("seed", "0")),
-        alpha=float(meta.get("alpha", "nan")),
-    )
+    try:
+        return SamplingPlan(
+            method=meta.get("method", ""),
+            probs=np.array(probs, dtype=np.float64),
+            selected=np.flatnonzero(np.array(flags, dtype=str) == "1"),
+            target_ratio=float(meta.get("ratio", "nan")),
+            seed=int(meta.get("seed", "0")),
+            alpha=float(meta.get("alpha", "nan")),
+        )
+    except ValueError as exc:   # a malformed number, or a plan SamplingPlan refuses
+        raise SamplingError(f"{path}: {exc}") from None

@@ -66,22 +66,33 @@ def dataset_path(name):
 
 
 def record_plans(monkeypatch):
-    """Record each plan of ``run_pipeline`` (``experiment.fit_block_widths``)
-    and the width of every ``model.fit_columns`` call, the full fit's 1
-    included; the widths of blocks run side by side come in any order."""
-    from infsub import experiment, model
+    """Record the block widths of each plan (``parallel.column_blocks``) and
+    the width of every ``model.fit_columns`` call, the full fit's 1
+    included. A pipeline plans psi's rows first when it computes psi, then
+    its cells. The widths of blocks run side by side come in any order."""
+    from infsub import model, parallel
 
     plans, widths = [], []
-    real_plan, real_fit = experiment.fit_block_widths, model.fit_columns
+    real_plan, real_fit = parallel.column_blocks, model.fit_columns
 
-    def plan(n_cells, tr):
-        plans.append(real_plan(n_cells, tr))
-        return plans[-1]
+    def plan(n_columns, X):
+        blocks = real_plan(n_columns, X)
+        plans.append([b.stop - b.start for b in blocks])
+        return blocks
 
     def fit(ds, reg_c, W, theta0, tol, max_iter):
         widths.append(W.shape[1])
         return real_fit(ds, reg_c, W, theta0, tol, max_iter)
 
-    monkeypatch.setattr(experiment, "fit_block_widths", plan)
+    monkeypatch.setattr(parallel, "column_blocks", plan)
     monkeypatch.setattr(model, "fit_columns", fit)
     return plans, widths
+
+
+def blocks_of(monkeypatch, k):
+    """Make every ``parallel.column_blocks`` plan blocks of k columns, the
+    last one narrower where k does not divide the count."""
+    from infsub import parallel
+
+    monkeypatch.setattr(parallel, "column_blocks",
+                        lambda n, X: [slice(lo, min(lo + k, n)) for lo in range(0, n, k)])

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 from scipy.special import expit
 
-from conftest import dataset_path, make_ds, random_ds, record_plans
+from conftest import blocks_of, dataset_path, make_ds, random_ds, record_plans
 from infsub import experiment, model, parallel, sampling
 from infsub.data import write_libsvm
 from infsub.experiment import ExperimentConfig, emit_report, run_pipeline
@@ -230,17 +230,19 @@ def grid_order(cfg):
 
 def test_pipeline_fits_its_cells_in_one_block(data_file, tmp_path, monkeypatch):
     # Far below k_max, the 18 cells fit in one block on one CPU, and in one
-    # block per CPU on more; the report files are the same bytes at each count.
+    # block per CPU on more, as optlr's psi solves its 69 training rows
+    # first; the report files are the same bytes at each count.
     plans, widths = record_plans(monkeypatch)
     cfg = grid_config(data_file)
     written = {}
-    for cpus, plan in ((1, [18]), (2, [9, 9]), (3, [6, 6, 6])):
+    for cpus, psi_plan, plan in ((1, [69], [18]), (2, [35, 34], [9, 9]),
+                                 (3, [23, 23, 23], [6, 6, 6])):
         monkeypatch.setattr(parallel, "cpu_count", lambda: cpus)
         plans.clear()
         widths.clear()
         report = run_pipeline(cfg)
         assert not report.failures() and len(report.cells) == 18
-        assert plans == [plan] and widths == [1] + plan
+        assert plans == [psi_plan, plan] and widths == [1] + plan
         out = tmp_path / f"cpus{cpus}"
         out.mkdir()
         written[cpus] = [Path(p).read_bytes() for p in emit_report(report, str(out / "r.csv"))]
@@ -250,7 +252,7 @@ def test_pipeline_fits_its_cells_in_one_block(data_file, tmp_path, monkeypatch):
 def test_cell_alone_matches_cell_in_block(data_file, monkeypatch):
     cfg = grid_config(data_file)
     wide = run_pipeline(cfg)
-    monkeypatch.setattr(experiment, "fit_block_widths", lambda n_cells, tr: [1] * n_cells)
+    blocks_of(monkeypatch, 1)
     alone = run_pipeline(cfg)
     # Every column's fit is bit for bit its own, so whole rows are equal.
     assert repr(alone.cells) == repr(wide.cells)
@@ -295,11 +297,11 @@ def test_equal_columns_are_fitted_once_and_copied_to_each_twin(data_file, monkey
 
 
 def plan_input(n_rows, n_features, nnz):
-    """A stand-in training set with the shape and byte size that
-    ``fit_block_widths`` reads: float64 values, int32 indices and offsets."""
-    X = SimpleNamespace(data=np.empty(nnz), indices=np.empty(nnz, dtype=np.int32),
-                        indptr=np.empty(n_rows + 1, dtype=np.int32))
-    return SimpleNamespace(X=X, n_rows=n_rows, n_features=n_features)
+    """A stand-in training matrix with the shape and byte size that
+    ``parallel.column_blocks`` reads: float64 values, int32 indices and offsets."""
+    return SimpleNamespace(shape=(n_rows, n_features), data=np.empty(nnz),
+                           indices=np.empty(nnz, dtype=np.int32),
+                           indptr=np.empty(n_rows + 1, dtype=np.int32))
 
 
 @pytest.mark.parametrize("shape, cpus, n_cells, plan", [
@@ -309,16 +311,21 @@ def plan_input(n_rows, n_features, nnz):
     ((12000, 5002, 480000), 1, 20, [20]),
     ((12000, 5002, 480000), 2, 100, [25] * 4),
     ((12000, 5002, 480000), 3, 100, [34, 33, 33]),
-    # 840 rows, d = 1002: the FIT_BLOCK_BYTES floor gives k_max 40.
+    # 840 rows, d = 1002: the COLUMN_BLOCK_BYTES floor gives k_max 40.
     ((840, 1002, 33600), 2, 384, [39] * 4 + [38] * 6),
     ((840, 1002, 33600), 3, 384, [32] * 12),
     ((840, 1002, 33600), 4, 3, [1, 1, 1]),
     ((840, 1002, 33600), 2, 0, []),
+    # psi's 840 row solves at that shape.
+    ((840, 1002, 33600), 2, 840, [39] * 4 + [38] * 18),
 ])
 def test_fit_block_widths_follow_x_bytes_and_the_cpu_count(monkeypatch, shape, cpus, n_cells,
                                                            plan):
+    # The cell fits' blocks and psi's come from the one planner.
     monkeypatch.setattr(parallel, "cpu_count", lambda: cpus)
-    assert experiment.fit_block_widths(n_cells, plan_input(*shape)) == plan
+    blocks = parallel.column_blocks(n_cells, plan_input(*shape))
+    assert [b.stop - b.start for b in blocks] == plan
+    assert [b.start for b in blocks] == [sum(plan[:i]) for i in range(len(plan))]
 
 
 def test_single_class_draw_fails_only_its_cell(tmp_path):

@@ -1,6 +1,7 @@
 """Ingestion, validation, splitting, and label-noise behavior of the data layer."""
 
 import gzip
+import re
 
 import numpy as np
 import pytest
@@ -207,6 +208,15 @@ def test_table_reader_checks(tmp_path):
     assert read_table(str(path)) == (None, ["x", "index"], [["5"], ["9"]])
     with pytest.raises(RuntimeError, match="cannot read"):
         read_table(str(tmp_path / "missing.csv"))
+
+
+def test_table_reader_names_the_file_of_a_bad_index(tmp_path):
+    # The index column reads as write_table writes it, or the error names the file.
+    path = tmp_path / "t.csv"
+    for bad in ("x", "1.0", "01", "+1", "1_0"):
+        path.write_text(f"index,phi\n0,1.0\n{bad},2.0\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: rows must be indexed 0..n-1")):
+            read_table(str(path))
 
 
 # ------------------------------------------------------------- the dataset type

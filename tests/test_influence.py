@@ -5,12 +5,13 @@ factorization of the influence scores is checked against a per-pair oracle
 that solves the system once per training row.
 """
 
+import re
+
 import numpy as np
 import pytest
 
-import infsub.influence as influence_mod
-from conftest import dense_grad_rows, dense_hessian, make_ds, random_ds
-from infsub import model
+from conftest import blocks_of, dense_grad_rows, dense_hessian, make_ds, random_ds
+from infsub import model, parallel
 from infsub.data import SparseDataset
 from infsub.influence import (ConvergenceError, PcgConfig, compute_phi, compute_psi_norms,
                               inverse_hvp_pcg, read_influence_csv, write_influence_csv)
@@ -314,11 +315,6 @@ def test_psi_norms_compute_the_diagonal_once(fitted, monkeypatch):
     assert len(calls) == 1
 
 
-def _block_width(monkeypatch, k, d):
-    """Make ``compute_psi_norms`` solve k rows per block at dimension d."""
-    monkeypatch.setattr(influence_mod, "PSI_BLOCK_BYTES", 8 * d * k)
-
-
 @pytest.mark.parametrize("k", [1, 3, 7, 20, 64], ids=lambda k: f"k{k}")
 def test_psi_norms_match_per_row_solves(monkeypatch, k):
     # Oracle: one tight vector PCG solve per row. n = 20 covers a block
@@ -326,7 +322,7 @@ def test_psi_norms_match_per_row_solves(monkeypatch, k):
     rng = np.random.default_rng(43)
     tr = random_ds(rng, n=20, d=6, zero_frac=0.3)
     params = train(tr, reg_c=0.05, tol=1e-12)
-    _block_width(monkeypatch, k, params.dim)
+    blocks_of(monkeypatch, k)
     norms = compute_psi_norms(params, tr, TIGHT)
     H = model.curvature(params, tr)
     g_tr = dense_grad_rows(params, tr, regularized=True)
@@ -343,10 +339,11 @@ def test_psi_is_bit_identical_at_every_block_width(monkeypatch):
     rng = np.random.default_rng(47)
     tr = random_ds(rng, n=40, d=12, zero_frac=0.3)
     params = train(tr, reg_c=0.05)
-    assert influence_mod.PSI_BLOCK_BYTES // (8 * params.dim) >= tr.n_rows
+    monkeypatch.setattr(parallel, "cpu_count", lambda: 1)
+    assert parallel.column_blocks(tr.n_rows, tr.X) == [slice(0, tr.n_rows)]
     default = compute_psi_norms(params, tr)
     for k in (1, 3):
-        _block_width(monkeypatch, k, params.dim)
+        blocks_of(monkeypatch, k)
         assert np.array_equal(compute_psi_norms(params, tr), default)
 
 
@@ -364,14 +361,14 @@ def test_psi_zero_gradient_row_is_zero_in_narrow_blocks(monkeypatch, k):
     # The zero row alone in its block (k = 1) or beside a live row (k = 2).
     tr = make_ds([[1.0, 2.0], [0.0, 0.0], [-1.0, 0.5]], [0, 1, 1])
     params = ModelParams(np.zeros(2), 0.5)
-    _block_width(monkeypatch, k, 2)
+    blocks_of(monkeypatch, k)
     norms = compute_psi_norms(params, tr)
     assert norms[1] == 0.0
     assert np.all(norms[[0, 2]] > 0)
 
 
 def test_psi_without_features_is_zero():
-    # d = 0 leaves every gradient empty; the block width must not divide by d.
+    # d = 0 leaves every gradient empty; the block plan must not divide by d.
     tr = make_ds(np.zeros((3, 0)), [0, 1, 1])
     params = train(tr, reg_c=0.1)
     assert params.dim == 0
@@ -395,7 +392,7 @@ def test_psi_equal_for_duplicated_rows_in_different_blocks(monkeypatch, k):
     rows = np.vstack([base, base[0]])
     tr = make_ds(rows, [0, 1, 0, 1, 1, 0])
     params = train(tr, reg_c=0.3, tol=1e-10)
-    _block_width(monkeypatch, k, 3)
+    blocks_of(monkeypatch, k)
     norms = compute_psi_norms(params, tr, TIGHT)
     assert norms[5] == norms[0]
 
@@ -410,7 +407,7 @@ def test_psi_names_first_row_that_missed(monkeypatch, k, first_miss):
     rows[:first_miss] = 0.0
     tr = make_ds(rows, [0, 1, 0, 1, 1, 0])
     params = ModelParams(np.zeros(3), 0.5)
-    _block_width(monkeypatch, k, 3)
+    blocks_of(monkeypatch, k)
     with pytest.raises(ConvergenceError, match=f"^sample {first_miss}: inverse HVP stopped"):
         compute_psi_norms(params, tr, PcgConfig(tol=1e-14, max_iter=1))
 
@@ -476,6 +473,10 @@ def test_influence_csv_read_errors(tmp_path):
     for bad in ("-1e-300", "inf", "nan"):
         path.write_text(f"index,phi,psi_norm\n0,0.5,1.0\n1,0.25,{bad}\n")
         with pytest.raises(ValueError, match="psi_norm must be finite and nonnegative"):
+            read_influence_csv(str(path))
+    for text in ("index,phi\n0,abc\n", "index,phi,psi_norm\n0,0.5,x\n"):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: could not convert"):
             read_influence_csv(str(path))
     with pytest.raises(RuntimeError, match="cannot read"):
         read_influence_csv(str(tmp_path / "missing.csv"))

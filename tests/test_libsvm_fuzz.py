@@ -130,7 +130,7 @@ def test_reader_agrees_on_bundled_files():
 
 
 def test_blank_blocks_raise_no_warning(tmp_path):
-    # A block of blank lines has no numbers; np.loadtxt would warn on it.
+    # A block of blank lines has no numbers, and must read without a warning.
     path = tmp_path / "blank.svm"
     path.write_bytes(b"1 0:1\n" + b" \n" * 40 + b"0 1:2\n")
     with mock.patch.object(data, "BLOCK_BYTES", 8):

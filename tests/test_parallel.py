@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_ds, random_ds, record_plans
+from conftest import blocks_of, make_ds, random_ds, record_plans
 from infsub import cli, data, experiment, influence, parallel
 from infsub.data import DataError, load_libsvm, write_libsvm
 from infsub.experiment import ExperimentConfig, emit_report, load_splits, run_pipeline
@@ -190,13 +190,15 @@ def grid_config(data_file):
 def blocks_from_x_bytes(monkeypatch, cfg):
     """Make ``run_pipeline``'s k_max come from X's bytes alone: 3592 bytes of
     the 69 x 4 training split, over 8 (n + d) = 584, give 6. Returns the
-    plans (``fit_block_widths``) and the ``fit_columns`` widths it runs."""
+    plans (``parallel.column_blocks``) and the ``fit_columns`` widths it runs."""
     X = load_splits(cfg)[0].X
     assert X.data.nbytes + X.indices.nbytes + X.indptr.nbytes == 3592
-    monkeypatch.setattr(experiment, "FIT_BLOCK_BYTES", 1)
+    monkeypatch.setattr(parallel, "COLUMN_BLOCK_BYTES", 1)
     return record_plans(monkeypatch)
 
 
+# psi's 69 rows at k_max 6 make 12 blocks at 1, 2 or 3 CPUs.
+PSI_PLAN = [6] * 9 + [5] * 3
 # 30 cells; dropout's 3 repeats per ratio share one column, so 26 are fitted.
 # k_max 6 makes 5 blocks on one CPU, and 6 on 2 or 3 CPUs (3 or 2 per CPU).
 PLANS = {1: [6, 5, 5, 5, 5], 2: [5, 5, 4, 4, 4, 4], 3: [5, 5, 4, 4, 4, 4]}
@@ -223,7 +225,7 @@ def test_pipeline_files_do_not_depend_on_the_worker_count(data_file, tmp_path, m
         report = run_pipeline(cfg)
         assert [(c.method, c.ratio, c.repeat) for c in report.failures()] == [("optlr", 0.9, 1)]
         # The full fit, then the blocks of the plan, run in any order.
-        assert plans == [plan]
+        assert plans == [PSI_PLAN, plan]
         assert widths[0] == 1 and sorted(widths[1:]) == sorted(plan)
         out = tmp_path / f"w{n}"
         out.mkdir()
@@ -261,22 +263,34 @@ def test_block_whose_fit_raises_fails_only_its_own_cells(data_file, monkeypatch)
 
 # ---------------------------------------------------------------- psi blocks
 
+# 30 rows at d = 4: one block per CPU under the floor; from X's 1564 bytes
+# alone, over 8 (n + d) = 272, k_max 5 makes 6 blocks at 1, 2 or 3 CPUs.
+PSI_CSV_PLANS = {
+    None: {1: [30], 2: [15, 15], 3: [10, 10, 10]},
+    1: {1: [5] * 6, 2: [5] * 6, 3: [5] * 6},
+}
+
+
 def test_influence_psi_csv_does_not_depend_on_the_worker_count(tmp_path, monkeypatch):
     ds = random_ds(np.random.default_rng(61), n=40, d=4)
     tr, va, mod = (str(tmp_path / name) for name in ("tr.svm", "va.svm", "model.txt"))
     write_libsvm(ds.subset(np.arange(30)), tr)
     write_libsvm(ds.subset(np.arange(30, 40)), va)
     assert cli.main(["train", "--tr", tr, "--out", mod]) == 0
-    # 3 rows per block: 10 blocks.
-    monkeypatch.setattr(influence, "PSI_BLOCK_BYTES", 8 * 4 * 3)
-    csv = {}
-    for n in (1, 2):
-        use_workers(monkeypatch, n)
-        out = tmp_path / f"psi{n}.csv"
-        assert cli.main(["influence", "--model", mod, "--tr", tr, "--va", va, "--psi",
-                         "--out", str(out)]) == 0
-        csv[n] = out.read_bytes()
-    assert csv[1] == csv[2]
+    plans, _ = record_plans(monkeypatch)
+    csv = []
+    for floor, cpu_plans in PSI_CSV_PLANS.items():
+        if floor is not None:
+            monkeypatch.setattr(parallel, "COLUMN_BLOCK_BYTES", floor)
+        for n, plan in cpu_plans.items():
+            use_workers(monkeypatch, n)
+            plans.clear()
+            out = tmp_path / "psi.csv"
+            assert cli.main(["influence", "--model", mod, "--tr", tr, "--va", va, "--psi",
+                             "--out", str(out)]) == 0
+            assert plans == [plan]
+            csv.append(out.read_bytes())
+    assert len(csv) == 6 and len(set(csv)) == 1
 
 
 def test_psi_failure_names_the_lower_row_when_the_higher_block_fails_first(monkeypatch):
@@ -289,7 +303,7 @@ def test_psi_failure_names_the_lower_row_when_the_higher_block_fails_first(monke
     y = np.array([0, 1] * 6)
     tr = make_ds(rows, y)
     params = ModelParams(np.zeros(3), 0.5)
-    monkeypatch.setattr(influence, "PSI_BLOCK_BYTES", 8 * 3 * 3)
+    blocks_of(monkeypatch, 3)
     use_workers(monkeypatch, 2)
     row9_solved = threading.Event()
     real = influence.inverse_hvp_pcg

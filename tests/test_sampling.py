@@ -1,5 +1,7 @@
 """Influence-to-probability maps, stratified draws, and the weighted risk estimate."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -378,6 +380,19 @@ def test_plan_csv_round_trip_nan_alpha(tmp_path):
     back = read_plan_csv(str(path))
     assert np.isnan(back.alpha)
     assert back.selected.tolist() == [0, 2]
+
+
+def test_plan_csv_bad_values_name_the_file(tmp_path):
+    path = tmp_path / "bad.csv"
+    good = "method=random alpha=nan seed=0 ratio=0.5"
+    for comment, prob in ((good.replace("ratio=0.5", "ratio=abc"), "0.5"),
+                          (good.replace("alpha=nan", "alpha=abc"), "0.5"),
+                          (good.replace("seed=0", "seed=abc"), "0.5"),
+                          (good.replace("seed=0", "seed=1.5"), "0.5"),
+                          (good, "abc"), (good, "1.5")):
+        path.write_text(f"# {comment}\nindex,prob,selected\n0,{prob},1\n")
+        with pytest.raises(SamplingError, match=f"^{re.escape(str(path))}: "):
+            read_plan_csv(str(path))
 
 
 def test_plan_csv_read_errors(tmp_path):
