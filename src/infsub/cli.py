@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import experiment, influence, model, risk, sampling
-from .data import load_libsvm, with_feature_dim
+from .data import load_aligned, load_libsvm
 from .experiment import ConfigError, ExperimentConfig, config_from_mapping, read_config
 from .influence import PcgConfig
 
@@ -140,11 +140,7 @@ def _load_model_for(path: str, ds_dim: int) -> model.ModelParams:
 
 def _cmd_influence(args: argparse.Namespace) -> int:
     cfg = PcgConfig(tol=args.pcg_tol, max_iter=args.pcg_max_iter)
-    tr = load_libsvm(args.tr, args.n_features)
-    va = load_libsvm(args.va, args.n_features)
-    d = max(tr.n_features, va.n_features)
-    tr = with_feature_dim(tr, d)
-    va = with_feature_dim(va, d)
+    tr, va = load_aligned([args.tr, args.va], args.n_features)
     params = _load_model_for(args.model, tr.n_features)
     report = influence.compute_phi(params, tr, va, cfg)
     psi = influence.compute_psi_norms(params, tr, cfg) if args.psi else None

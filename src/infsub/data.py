@@ -158,6 +158,8 @@ class SplitSpec:
             raise DataError(f"te_fraction must be in [0, 1), got {self.te_fraction}")
         if self.va_fraction + self.te_fraction >= 1.0:
             raise DataError("va_fraction + te_fraction must leave room for training rows")
+        if self.seed < 0:
+            raise DataError(f"split seed must be nonnegative, got {self.seed}")
 
 
 # libsvm text is read as bytes, a block of whole lines at a time, and each
@@ -440,13 +442,16 @@ def parse_libsvm(source: Iterable[str] | IO[str], n_features: int | None = None)
 
 def load_libsvm(path: str, n_features: int | None = None) -> SparseDataset:
     """Read a libsvm file from disk, as ``parse_libsvm`` reads lines; names
-    ending in .gz are gunzipped. "\\n", "\\r\\n" and a bare "\\r" end a line."""
+    ending in .gz are gunzipped. "\\n", "\\r\\n" and a bare "\\r" end a line.
+    An error in the file's content is ``parse_libsvm``'s, after the path."""
     opener = gzip.open if str(path).endswith(".gz") else open
     try:
         with opener(path, "rb") as fh:  # type: ignore[operator]
             return _read_libsvm(iter(lambda: fh.read(BLOCK_BYTES), b""), n_features)
     except (OSError, EOFError) as exc:   # EOFError: a truncated gzip stream
         raise DataError(f"cannot read {path}: {exc}") from exc
+    except DataError as exc:             # a malformed line, or an unusable label set
+        raise DataError(f"{path}: {exc}") from None
 
 
 def write_libsvm(ds: SparseDataset, path: str, label_style: str = "01") -> None:
@@ -492,6 +497,14 @@ def with_feature_dim(ds: SparseDataset, n_features: int) -> SparseDataset:
         raise DataError(f"dimension {n_features} drops populated columns")
     X = sp.csr_array((ds.X.data, ds.X.indices, ds.X.indptr), shape=(ds.n_rows, n_features))
     return SparseDataset(X, ds.y)
+
+
+def load_aligned(paths: Sequence[str], n_features: int | None = None) -> list[SparseDataset]:
+    """Load libsvm files read together (``load_libsvm``), in order, each
+    widened to the largest feature dimension among them."""
+    parts = [load_libsvm(path, n_features) for path in paths]
+    d = max(ds.n_features for ds in parts)
+    return [with_feature_dim(ds, d) for ds in parts]
 
 
 def split(ds: SparseDataset, spec: SplitSpec) -> tuple[SparseDataset, SparseDataset, SparseDataset]:

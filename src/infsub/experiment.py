@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import influence, model, parallel, risk, sampling
-from .data import (SparseDataset, SplitSpec, flip_labels, load_libsvm, split,
-                   with_feature_dim, write_table)
+from .data import (SparseDataset, SplitSpec, flip_labels, load_aligned, load_libsvm,
+                   split, write_table)
 from .influence import ConvergenceError, PcgConfig
 from .model import ModelParams
 
@@ -129,25 +129,26 @@ def _coerce(name: str, kind, raw: str):
         raise ConfigError(f"{name}: cannot parse {raw!r}") from None
 
 
+def _parse(key: str, raw: str):
+    """The value of config key ``key``, an ``ExperimentConfig`` init field,
+    parsed as its annotation says (a ``list[...]`` from comma-separated
+    items); an unknown key or an unparsable value raises ConfigError."""
+    if key not in {f.name for f in dataclasses.fields(ExperimentConfig) if f.init}:
+        raise ConfigError(f"unknown config key {key!r}")
+    hint = typing.get_type_hints(ExperimentConfig)[key]
+    kind = next((a for a in typing.get_args(hint) if a is not type(None)), hint)
+    if typing.get_origin(hint) is list:
+        return [_coerce(key, kind, tok) for tok in raw.split(",") if tok.strip()]
+    return _coerce(key, kind, raw)
+
+
 def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
     """Build a config from string key/value pairs, e.g. a parsed config file.
 
-    Keys are the ``ExperimentConfig`` init fields, parsed as their annotations
-    say (a ``list[...]`` from comma-separated items). A ``_METHOD_KEYS`` key
+    Each value is parsed by its key (``_parse``). A ``_METHOD_KEYS`` key
     whose method is not requested is rejected: its value would change nothing.
     """
-    hints = typing.get_type_hints(ExperimentConfig)
-    keys = {f.name for f in dataclasses.fields(ExperimentConfig) if f.init}
-    kwargs = {}
-    for key, raw in mapping.items():
-        if key not in keys:
-            raise ConfigError(f"unknown config key {key!r}")
-        hint = hints[key]
-        kind = next((a for a in typing.get_args(hint) if a is not type(None)), hint)
-        if typing.get_origin(hint) is list:
-            kwargs[key] = [_coerce(key, kind, tok) for tok in raw.split(",") if tok.strip()]
-        else:
-            kwargs[key] = _coerce(key, kind, raw)
+    kwargs = {key: _parse(key, raw) for key, raw in mapping.items()}
     cfg = ExperimentConfig(**kwargs)
     for key, method in _METHOD_KEYS.items():
         if key in kwargs and method not in cfg.methods:
@@ -157,7 +158,8 @@ def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
 
 
 def read_config(path: str) -> dict[str, str]:
-    """Parse a ``key = value`` config file into raw strings; '#' starts a comment."""
+    """Parse a ``key = value`` config file into raw strings; '#' starts a comment.
+    A bad line, key or value (``_parse``) raises ConfigError naming its line."""
     mapping: dict[str, str] = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -170,6 +172,10 @@ def read_config(path: str) -> dict[str, str]:
                     raise ConfigError(f"{path}:{line_no}: expected key = value")
                 if key in mapping:
                     raise ConfigError(f"{path}:{line_no}: duplicate key {key!r}")
+                try:
+                    _parse(key, val)
+                except ConfigError as exc:
+                    raise ConfigError(f"{path}:{line_no}: {exc}") from None
                 mapping[key] = val
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
@@ -266,20 +272,16 @@ class ExperimentReport:
 def load_splits(cfg: ExperimentConfig) -> tuple[SparseDataset, SparseDataset, SparseDataset]:
     """Materialize (tr, va, te) from either config layout.
 
-    Separately loaded files are widened to a common feature dimension; a
-    missing te_path yields an empty test set and test metrics become NaN.
+    Separately loaded files are widened to a common feature dimension
+    (``load_aligned``); a missing te_path yields an empty test set and test
+    metrics become NaN.
     """
     if cfg.dataset_path is not None:
         ds = load_libsvm(cfg.dataset_path, cfg.n_features)
         return split(ds, cfg.split_spec)
-    tr = load_libsvm(cfg.tr_path, cfg.n_features)
-    va = load_libsvm(cfg.va_path, cfg.n_features)
-    te = load_libsvm(cfg.te_path, cfg.n_features) if cfg.te_path else None
-    d = max(tr.n_features, va.n_features, te.n_features if te is not None else 0)
-    tr = with_feature_dim(tr, d)
-    va = with_feature_dim(va, d)
-    te = with_feature_dim(te, d) if te is not None else tr.subset(np.empty(0, dtype=np.int64))
-    return tr, va, te
+    paths = [cfg.tr_path, cfg.va_path] + ([cfg.te_path] if cfg.te_path else [])
+    tr, va, *te = load_aligned(paths, cfg.n_features)
+    return tr, va, te[0] if te else tr.subset(np.empty(0, dtype=np.int64))
 
 
 def expand_methods(cfg: ExperimentConfig) -> list[tuple[str, str, float | None]]:

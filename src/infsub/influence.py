@@ -6,11 +6,11 @@ g_va the summed validation log-loss gradient, and grad_i the regularized
 per-sample training gradient. Negative phi marks samples whose upweighting
 lowers validation risk. Every solve is ``model.pcg``, matrix-free conjugate
 gradient preconditioned by the exact Hessian diagonal (Jacobi); Newton steps
-in ``model.train`` use the same loop without a preconditioner. The psi norms
-need one solve per training row; those run a block of rows at a time, as the
-columns of one block solve, in the blocks ``parallel.column_blocks`` plans
-for the pipeline's cell fits too. Each row's psi is bit for bit its own
-solve's, whatever its block.
+in ``model.fit_columns`` use the same loop without a preconditioner. The psi
+norms need one solve per training row; those run a block of rows at a time,
+as the columns of one block solve, in the blocks ``parallel.column_blocks``
+plans for the pipeline's cell fits too. Each row's psi is bit for bit its
+own solve's, whatever its block.
 """
 
 from __future__ import annotations

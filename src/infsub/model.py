@@ -524,13 +524,14 @@ _LINE = np.dtype([("int", np.int64), ("float", np.float64)])
 
 
 def _int_float(path: str, no: int, line: str, what: str) -> tuple[int, float]:
-    """The two fields ``int float`` of a header or weight line; the float must be finite."""
+    """The two fields ``int float`` of a header or weight line; the float must
+    be finite, and a header's C nonnegative."""
     try:
         k_s, v_s = line.split()
         k, v = int(k_s), float(v_s)
     except ValueError:
         k, v = 0, float("nan")
-    if not np.isfinite(v):
+    if not np.isfinite(v) or (what == "header" and v < 0):
         raise ModelError(f"{path}:{no}: bad {what} {line!r}")
     return k, v
 
@@ -578,8 +579,8 @@ def load_params(path: str) -> ModelParams:
     except ValueError:
         return _read_lines(path, text)
     d, index, value = int(rows["int"][0]), rows["int"][1:], rows["float"][1:]
-    if (d < 0 or not np.all(np.isfinite(rows["float"])) or np.any(index < 0)
-            or np.any(index >= d) or np.unique(index).size != index.size):
+    if (d < 0 or rows["float"][0] < 0 or not np.all(np.isfinite(rows["float"]))
+            or np.any(index < 0) or np.any(index >= d) or np.unique(index).size != index.size):
         return _read_lines(path, text)
     theta = np.zeros(d)
     theta[index] = value

@@ -9,7 +9,7 @@ sample untouched, pi = 0 removes it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -182,16 +182,13 @@ def draw_subset(probs: np.ndarray, target_ratio: float, labels: np.ndarray,
     rows at pi = 0 become eligible, uniformly, only once every
     positive-probability row of the class is in.
     """
-    if method not in METHODS:
-        raise SamplingError(f"unknown method {method!r}")
-    probs = _finite_vector(probs, "probs")
-    if np.any(probs < 0) or np.any(probs > 1):
-        raise SamplingError("probs must lie in [0, 1]")
+    # The plan checks the method, probabilities and ratio; the draw fills its selection.
+    plan = SamplingPlan(method=method, probs=probs, selected=np.empty(0, dtype=np.int64),
+                        target_ratio=target_ratio, seed=seed, alpha=alpha)
+    probs = plan.probs
     labels = np.asarray(labels)
     if labels.shape != probs.shape:
         raise SamplingError(f"{labels.shape[0]} labels for {probs.shape[0]} probabilities")
-    if not 0.0 < target_ratio <= 1.0:
-        raise SamplingError(f"target_ratio must be in (0, 1], got {target_ratio}")
     if method == "dropout" and phi is None:
         raise SamplingError("dropout ranks rows by phi; pass the influence scores")
     if phi is not None:
@@ -226,8 +223,7 @@ def draw_subset(probs: np.ndarray, target_ratio: float, labels: np.ndarray,
             picked.append(np.concatenate([cls[pos], cls[zero[fill]]]))
 
     selected = np.sort(np.concatenate(picked)) if picked else np.empty(0, dtype=np.int64)
-    return SamplingPlan(method=method, probs=probs, selected=selected,
-                        target_ratio=target_ratio, seed=seed, alpha=alpha)
+    return replace(plan, selected=selected)
 
 
 def subset_risk_weighted(params: ModelParams, ds: SparseDataset,

@@ -223,6 +223,17 @@ def test_missing_input_file_is_a_clean_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_influence_names_the_malformed_file(files, tmp_path, capsys):
+    bad = tmp_path / "bad.svm"
+    bad.write_text("1 0:1\n1 2:x\n")
+    out = tmp_path / "influence.csv"
+    code = cli.main(["influence", "--model", files["model"], "--tr", files["tr"],
+                     "--va", str(bad), "--out", str(out)])
+    assert code == 2
+    assert f"error: {bad}: line 2: bad feature '2:x'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_pipeline_writes_report_aggregate_and_gamma(files, tmp_path):
     rep = tmp_path / "report.csv"
     code = cli.main(["pipeline", "--dataset", files["full"],
@@ -313,6 +324,38 @@ def test_pipeline_config_rejects_duplicate_key(files, tmp_path, capsys):
     assert code == 2
     assert f"{cfg}:4: duplicate key 'repeats'" in capsys.readouterr().err
     assert not rep.exists()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("repeats = x", "repeats: cannot parse 'x'"),
+    ("bogus = 1", "unknown config key 'bogus'"),
+    ("compute_gamma = maybe", "compute_gamma: expected a boolean, got 'maybe'"),
+], ids=["unparsable", "unknown-key", "not-a-boolean"])
+def test_pipeline_config_errors_name_the_file_and_line(files, tmp_path, capsys, line, message):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"# grid\nmethods = random\n{line}\n")
+    out = tmp_path / "r.csv"
+    code = cli.main(["pipeline", "--config", str(cfg), "--dataset", files["full"],
+                     "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {cfg}:3: {message}\n"
+    assert not out.exists()
+
+
+def test_pipeline_flag_errors_keep_their_message(files, tmp_path, capsys):
+    code = cli.main(["pipeline", "--dataset", files["full"], "--method", "random",
+                     "--repeats", "x", "--out", str(tmp_path / "r.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: repeats: cannot parse 'x'\n"
+
+
+def test_pipeline_rejects_negative_split_seed_before_loading(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    code = cli.main(["pipeline", "--dataset", str(tmp_path / "nonexistent.svm"),
+                     "--split-seed", "-1", "--method", "random", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: split seed must be nonnegative, got -1\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags, match", [

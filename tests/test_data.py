@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 from conftest import dataset_path, make_ds
 from infsub import synthdata
 from infsub.data import (DataError, SparseDataset, SplitSpec, flip_labels,
-                         load_libsvm, parse_libsvm, read_table, round_half_up,
-                         split, with_feature_dim, write_libsvm, write_table)
+                         load_aligned, load_libsvm, parse_libsvm, read_table,
+                         round_half_up, split, with_feature_dim, write_libsvm,
+                         write_table)
 
 
 def test_round_half_up():
@@ -144,6 +145,42 @@ def test_load_truncated_gzip(tmp_path):
     path.write_bytes(packed[:len(packed) // 2])
     with pytest.raises(DataError, match="cannot read .*end-of-stream"):
         load_libsvm(str(path))
+
+
+def test_a_malformed_file_is_named_before_its_line(tmp_path):
+    # Several files are often read together; the error says which one is bad.
+    lines = ["1 0:1", "1 2:x"]
+    with pytest.raises(DataError) as err:
+        parse_libsvm(lines)
+    assert str(err.value) == "line 2: bad feature '2:x'"
+    for name, write in (("bad.svm", open), ("bad.svm.gz", gzip.open)):
+        path = tmp_path / name
+        with write(path, "wt", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        with pytest.raises(DataError) as err:
+            load_libsvm(str(path))
+        assert str(err.value) == f"{path}: line 2: bad feature '2:x'"
+    mixed = tmp_path / "mixed.svm"
+    mixed.write_text("-1 0:1\n2 0:2\n")
+    with pytest.raises(DataError, match=re.escape(f"{mixed}: label alphabet")):
+        load_libsvm(str(mixed))
+
+
+def test_load_aligned_widens_every_file_to_the_widest(tmp_path):
+    paths = []
+    for name, rows in (("a.svm", [[1.0, 2.0]]), ("b.svm", [[0.0, 0.0, 0.0, 3.0]]),
+                       ("c.svm", [[4.0]])):
+        paths.append(str(tmp_path / name))
+        write_libsvm(make_ds(rows, [1]), paths[-1])
+    parts = load_aligned(paths)
+    assert [ds.n_features for ds in parts] == [4, 4, 4]
+    for path, ds in zip(paths, parts):
+        alone = load_libsvm(path)
+        assert np.array_equal(ds.X.toarray()[:, :alone.n_features], alone.X.toarray())
+        assert np.array_equal(ds.y, alone.y)
+    assert [ds.n_features for ds in load_aligned(paths, 6)] == [6, 6, 6]
+    with pytest.raises(DataError, match="overflows dimension 3"):
+        load_aligned(paths, 3)
 
 
 def test_write_libsvm_unwritable_path(tmp_path):
@@ -293,6 +330,8 @@ def test_split_spec_validation():
         SplitSpec(va_fraction=0.3, te_fraction=-0.1)
     with pytest.raises(DataError):
         SplitSpec(va_fraction=0.6, te_fraction=0.4)
+    with pytest.raises(DataError, match="split seed must be nonnegative, got -1"):
+        SplitSpec(va_fraction=0.3, seed=-1)
 
 
 def _id_dataset(n, n_pos):

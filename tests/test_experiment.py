@@ -152,6 +152,18 @@ def test_config_from_file(tmp_path):
         read_config(str(bad))
     with pytest.raises(ConfigError, match="cannot read"):
         read_config(str(tmp_path / "missing.cfg"))
+    # A value is parsed, and its key checked, where the file is read.
+    bad.write_text("repeats = 2\nratios = 0.9,x\n")
+    with pytest.raises(ConfigError) as err:
+        read_config(str(bad))
+    assert str(err.value) == f"{bad}:2: ratios: cannot parse 'x'"
+    bad.write_text("\nspam = 1\n")
+    with pytest.raises(ConfigError) as err:
+        read_config(str(bad))
+    assert str(err.value) == f"{bad}:2: unknown config key 'spam'"
+    # A range is checked once the whole config is built, as for a flag.
+    bad.write_text("reg_c = 0\n")
+    assert read_config(str(bad)) == {"reg_c": "0"}
 
 
 def test_expand_methods_fans_out_sigmoid():

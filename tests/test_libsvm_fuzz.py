@@ -109,8 +109,10 @@ def test_reader_agrees_with_oracle(tmp_path_factory, text, block, n_features, wo
     want = outcome(lambda: oracle.parse_libsvm(lines, n_features))
     with mock.patch.object(data, "BLOCK_BYTES", block), \
             mock.patch.object(parallel, "cpu_count", lambda: workers):
-        assert outcome(lambda: load_libsvm(str(plain), n_features)) == want
-        assert outcome(lambda: load_libsvm(str(packed), n_features)) == want
+        for path in (plain, packed):
+            # A file's error is the oracle's, after the file's path.
+            named = f"{path}: {want}" if isinstance(want, str) else want
+            assert outcome(lambda: load_libsvm(str(path), n_features)) == named
         assert outcome(lambda: parse_libsvm(lines, n_features)) == want
 
 

@@ -608,6 +608,83 @@ def test_public_kernels_match_reference_bit_for_bit():
         assert np.array_equal(H.s, ref.s) and H.c_wbar == ref.c_wbar
 
 
+# ---------------------------------------------------------------- line search
+
+LS_C = 0.2
+
+
+def _newton_step_at_zero():
+    """A 40 x 6 problem, and its Newton step at theta = 0 with that step's slope."""
+    ds = random_ds(np.random.default_rng(7), n=40, d=6)
+    params = ModelParams(np.zeros(ds.n_features), LS_C)
+    g = gradient(params, ds)
+    step = -np.linalg.solve(dense_hessian(params, ds), g)
+    return ds, step, float(g @ step)
+
+
+def _line_search(ds, steps, slopes):
+    """``_backtrack`` from theta = 0 under unit weights, one column per step;
+    returns the (theta, z, f) it leaves."""
+    W = np.ones((ds.n_rows, steps.shape[1]), order="F")
+    theta = np.zeros((ds.n_features, steps.shape[1]), order="F")
+    z = ds.X @ theta
+    wbar = np.mean(W, axis=0)
+    f = model._objective(theta, z, W, wbar, ds.y[:, None], LS_C)
+    model._backtrack(ds.X, ds.y[:, None], W, wbar, LS_C, theta, z, f, steps, slopes)
+    return theta, z, f
+
+
+def _passes_armijo(ds, step, slope, t):
+    """Whether t * step from theta = 0 passes Armijo (c1 = 1e-4), computed alone."""
+    zero = np.zeros((ds.n_features, 1))
+    y, w = ds.y[:, None], np.ones((ds.n_rows, 1))
+    f0 = model._objective(zero, ds.X @ zero, w, np.ones(1), y, LS_C)[0]
+    trial = t * step[:, None]
+    f_trial = model._objective(trial, ds.X @ trial, w, np.ones(1), y, LS_C)[0]
+    return f_trial <= f0 + 1e-4 * t * slope
+
+
+def test_backtrack_halves_each_column_to_its_first_passing_step():
+    ds, step, slope = _newton_step_at_zero()
+    scale = np.array([1.0, 40.0])
+    steps = np.asfortranarray(step[:, None] * scale)
+    theta, z, f = _line_search(ds, steps, slope * scale)
+    ts = []
+    for j in range(2):
+        # t is read off theta, since the search started at theta = 0.
+        t = float(theta[0, j] / steps[0, j])
+        assert np.array_equal(theta[:, j], t * steps[:, j])
+        k = int(-np.log2(t))
+        assert t == 0.5 ** k
+        assert _passes_armijo(ds, steps[:, j], slope * scale[j], t)
+        assert not any(_passes_armijo(ds, steps[:, j], slope * scale[j], 0.5 ** i)
+                       for i in range(k))
+        alone = _line_search(ds, steps[:, j:j + 1].copy(order="F"), slope * scale[j:j + 1])
+        assert np.array_equal(alone[0][:, 0], theta[:, j])
+        assert np.array_equal(alone[1][:, 0], z[:, j])
+        assert alone[2][0] == f[j]
+        ts.append(t)
+    # The Newton step passes whole; forty times it passes only at 1/32, an odd
+    # power of two that a search quartering t would skip.
+    assert ts == [1.0, 0.5 ** 5]
+
+
+def test_backtrack_takes_the_last_halving_untested():
+    # A slope 1e12 times the step's true one asks a decrease no trial gives,
+    # at any of the 61 trial lengths: the column ends at t = 2^-60, untested.
+    ds, step, slope = _newton_step_at_zero()
+    slopes = np.array([slope, 1e12 * slope])
+    steps = np.asfortranarray(np.column_stack([step, step]))
+    theta, z, f = _line_search(ds, steps, slopes)
+    assert not any(_passes_armijo(ds, step, slopes[1], 0.5 ** i) for i in range(61))
+    assert np.array_equal(theta[:, 1], 0.5 ** 60 * step)
+    assert np.array_equal(z[:, 1], ds.X @ theta[:, 1])
+    y, w = ds.y[:, None], np.ones((ds.n_rows, 1))
+    assert f[1] == model._objective(theta[:, 1:], z[:, 1:], w, np.ones(1), y, LS_C)[0]
+    # Its block-mate with the true slope is not held back with it.
+    assert np.array_equal(theta[:, 0], step)
+
+
 # ---------------------------------------------------------------- persistence
 
 def test_save_load_round_trip_exact(tmp_path, small_fit):
@@ -720,6 +797,8 @@ def test_load_params_errors(tmp_path):
     ("x 0.1\n", r":1: bad header 'x 0.1'"),
     ("3\n", r":1: bad header '3'"),
     ("3 abc\n", r":1: bad header"),
+    ("3 -0.5\n", r":1: bad header '3 -0.5'$"),
+    ("3 -0.5\n0 1.0\n", r":1: bad header '3 -0.5'$"),
     ("-2 0.1\n", r":1: negative dimension -2"),
     ("3 0.1\n\n0\n", r":3: bad weight line '0'"),
     ("3 0.1\n0 1.0\n1 abc\n", r":3: bad weight line '1 abc'"),
@@ -733,7 +812,8 @@ def test_load_params_errors(tmp_path):
     ("3 0.1\n\n1 2.0\n3 1.0\n", r":4: index 3 out of range for dimension 3"),
     ("3 0.1\n-1 2.0\n", r":2: index -1 out of range for dimension 3"),
     ("3 0.1\n99999999999999999999 2.0\n", r":2: index 99999999999999999999 out of range"),
-], ids=["header-dim", "header-short", "header-reg-c", "negative-dim", "no-value",
+], ids=["header-dim", "header-short", "header-reg-c", "negative-reg-c",
+        "negative-reg-c-with-weights", "negative-dim", "no-value",
         "bad-value", "nan-value", "extra-field", "repeated-index", "hex-index",
         "exponent-index", "comment", "overflowing-value", "index-past-dim", "negative-index",
         "index-past-int64"])
