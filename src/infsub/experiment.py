@@ -146,7 +146,9 @@ def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
     """Build a config from string key/value pairs, e.g. a parsed config file.
 
     Each value is parsed by its key (``_parse``). A ``_METHOD_KEYS`` key
-    whose method is not requested is rejected: its value would change nothing.
+    whose method is not requested, or a split setting (``va_fraction``,
+    ``te_fraction``, ``split_seed``) when the data comes pre-split, is
+    rejected: its value would change nothing.
     """
     kwargs = {key: _parse(key, raw) for key, raw in mapping.items()}
     cfg = ExperimentConfig(**kwargs)
@@ -154,6 +156,10 @@ def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
         if key in kwargs and method not in cfg.methods:
             raise ConfigError(f"{key} is set but no requested method reads it; "
                               f"it needs method {method}")
+    for key in ("va_fraction", "te_fraction", "split_seed"):
+        if key in kwargs and cfg.split_spec is None:
+            raise ConfigError(f"{key} is set but the data comes pre-split as "
+                              "tr_path/va_path; only dataset_path is split")
     return cfg
 
 

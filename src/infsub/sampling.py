@@ -81,10 +81,7 @@ def sigmoid_probs(phi: np.ndarray, alpha: float) -> np.ndarray:
     spread = float(np.max(phi) - np.min(phi))
     if spread == 0.0:
         raise SamplingError("constant influence vector; sigmoid weights are undefined")
-    # exp overflows to inf where alpha phi / spread is large; 1/(1 + inf) = 0
-    # is then the exact limit.
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(alpha * phi / spread))
+    return model._sigmoid(-alpha * phi / spread)
 
 
 def optlr_probs(psi: np.ndarray, floor: float = OPTLR_FLOOR) -> np.ndarray:

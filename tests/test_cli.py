@@ -1,5 +1,10 @@
 """End-to-end command-line coverage: every subcommand plus exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -469,6 +474,34 @@ def test_pipeline_rejects_key_no_requested_method_reads(tmp_path, capsys, settin
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, key", [
+    ("--va-fraction=0.4", "va_fraction"),
+    ("--te-fraction=0.1", "te_fraction"),
+    ("--split-seed=3", "split_seed"),
+], ids=["va-fraction", "te-fraction", "split-seed"])
+def test_pipeline_rejects_split_setting_for_pre_split_data(tmp_path, capsys, flag, key):
+    # The files do not exist: the unused setting is refused before they are read.
+    out = tmp_path / "report.csv"
+    code = cli.main(["pipeline", "--tr", str(tmp_path / "missing-tr.svm"),
+                     "--va", str(tmp_path / "missing-va.svm"), "--method", "random",
+                     flag, "--out", str(out)])
+    assert code == 2
+    assert f"{key} is set but the data comes pre-split" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_pipeline_config_split_setting_for_pre_split_data_exits_2(files, tmp_path, capsys):
+    # With readable files the run would otherwise go ahead with the setting ignored.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"tr_path = {files['tr']}\nva_path = {files['va']}\nsplit_seed = 5\n")
+    out = tmp_path / "report.csv"
+    code = cli.main(["pipeline", "--config", str(cfg), "--method", "random",
+                     "--repeats", "1", "--out", str(out)])
+    assert code == 2
+    assert "split_seed is set but the data comes pre-split" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_noise_runs_and_reports_accuracy(files, tmp_path, capsys):
     rep = tmp_path / "noise.csv"
     code = cli.main(["noise", "--dataset", files["full"], "--flip", "0.3",
@@ -499,3 +532,38 @@ def test_noise_rejects_zero_flip(files, tmp_path, capsys):
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         cli.main(["frobnicate"])
+
+
+# Run in a fresh interpreter: this suite's own oracles import scipy.special.
+_NO_SCIPY_SPECIAL = """
+import sys
+from infsub import cli
+
+pima, out = sys.argv[1], sys.argv[2]
+runs = [
+    ["train", "--tr", pima, "--out", f"{out}/model.txt"],
+    ["influence", "--model", f"{out}/model.txt", "--tr", pima, "--va", pima, "--psi",
+     "--out", f"{out}/influence.csv"],
+    ["sample", "--influence", f"{out}/influence.csv", "--tr", pima, "--method", "sigmoid",
+     "--ratio", "0.8", "--out", f"{out}/plan.csv"],
+    ["evaluate", "--model", f"{out}/model.txt", "--data", pima, "--deltas", "0,0.5",
+     "--influence", f"{out}/influence.csv", "--plan", f"{out}/plan.csv"],
+    ["pipeline", "--dataset", pima, "--method", "dropout,sigmoid,optlr,random",
+     "--alpha", "5", "--ratio", "0.8", "--repeats", "1", "--out", f"{out}/report.csv"],
+]
+for argv in runs:
+    assert cli.main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m.startswith("scipy.special")))
+"""
+
+
+def test_commands_never_load_scipy_special(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-c", _NO_SCIPY_SPECIAL,
+         dataset_path("pima_like.svm"), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

@@ -5,6 +5,8 @@ Hessians assembled densely from the definition; the trainer is checked by
 its own optimality contract and by an exact reweighting equivalence.
 """
 
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from conftest import dataset_path, dense_hessian, make_ds, random_ds
-from infsub import model
+from infsub import model, parallel
 from infsub.data import SplitSpec, split, load_libsvm
 from infsub.model import (PROB_CLIP, Curvature, ModelError, ModelParams, accuracy,
                           curvature, gradient, hessian_diag, hvp, load_params,
@@ -46,6 +48,65 @@ def test_params_validation():
     p = ModelParams([0.0, 1.5], 0.1)
     assert p.dim == 2
     assert p.theta.dtype == np.float64
+
+
+# ----------------------------------------------------------------- sigmoid
+
+def _sigmoid_draws(n=100_000):
+    """Seeded margins over [-750, 750]; exp(-z) overflows below -709.78."""
+    return np.random.default_rng(20).uniform(-750.0, 750.0, n)
+
+
+def _ulps(a, b):
+    """Units in the last place between nonnegative doubles, elementwise."""
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+def test_sigmoid_is_the_formula_bit_for_bit():
+    z = _sigmoid_draws()
+    with np.errstate(over="ignore"):
+        want = 1.0 / (1.0 + np.exp(-z))
+    assert np.array_equal(model._sigmoid(z), want)
+
+
+def test_sigmoid_is_within_two_ulp_of_scipy_expit():
+    z = _sigmoid_draws()
+    assert _ulps(model._sigmoid(z), expit(z)).max() <= 2
+
+
+def test_sigmoid_is_exact_at_the_limits_without_a_warning():
+    z = np.array([0.0, -0.0, 800.0, -800.0, np.inf, -np.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = model._sigmoid(z)
+    assert np.array_equal(got, [0.5, 0.5, 1.0, 0.0, 1.0, 0.0])
+
+
+def test_sigmoid_in_block_workers_at_once(monkeypatch):
+    # More workers than this machine may have CPUs wait for each other, then
+    # overflow exp at once and again, switching threads often: the errstate
+    # one of them leaves must not unsilence another.
+    workers = 4
+    monkeypatch.setattr(parallel, "cpu_count", lambda: workers)
+    z = np.concatenate([_sigmoid_draws(), [800.0, -800.0, -np.inf]])
+    blocks = np.array_split(z, workers)
+    all_in = threading.Barrier(workers)
+
+    def run(block):
+        all_in.wait(timeout=30)
+        return [model._sigmoid(block) for _ in range(20)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = parallel.map_blocks(run, blocks)
+    finally:
+        sys.setswitchinterval(interval)
+    want = model._sigmoid(z)
+    for rep in range(20):
+        assert np.array_equal(np.concatenate([g[rep] for g in got]), want)
 
 
 # ------------------------------------------------------------- predictions
@@ -498,12 +559,14 @@ def _reference_weights(ds, sample_weight):
 
 
 def _reference_sigma(params, ds):
-    return expit(ds.X @ params.theta)
+    """1 / (1 + exp(-X theta)), the formula ``model._sigmoid`` evaluates."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-(ds.X @ params.theta)))
 
 
 def reference_risk(params, ds, sample_weight=None):
     """``model.risk`` as it was before losses and derivatives shared the margins."""
-    p = np.clip(expit(ds.X @ params.theta), PROB_CLIP, 1.0 - PROB_CLIP)
+    p = np.clip(_reference_sigma(params, ds), PROB_CLIP, 1.0 - PROB_CLIP)
     y = ds.y
     losses = -(y * np.log(p) + (1 - y) * np.log1p(-p))
     w = _reference_weights(ds, sample_weight)
