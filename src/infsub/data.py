@@ -379,6 +379,8 @@ def _numbered_blocks(chunks: Iterable[bytes]) -> Iterator[tuple[bytes, int]]:
 def _read_libsvm(chunks: Iterable[bytes], n_features: int | None) -> SparseDataset:
     """Parse a libsvm byte stream, read in chunks, into one SparseDataset, its
     blocks parsed side by side on every CPU and joined in file order."""
+    if n_features is not None and n_features < 0:
+        raise DataError("n_features must be nonnegative")
     parts = [(np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32),
               np.empty(0))]
     parts += map_blocks(lambda numbered: _parse_block(*numbered), _numbered_blocks(chunks))
@@ -399,8 +401,6 @@ def _read_libsvm(chunks: Iterable[bytes], n_features: int | None) -> SparseDatas
     if n_features is None:
         d = max_index + 1
     else:
-        if n_features < 0:
-            raise DataError("n_features must be nonnegative")
         if max_index >= n_features:
             raise DataError(f"feature index {max_index} overflows dimension {n_features}")
         d = n_features

@@ -77,8 +77,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.dataset_path is None and (self.tr_path is None or self.va_path is None):
             raise ConfigError("need dataset_path or both tr_path and va_path")
-        if self.dataset_path is not None and self.tr_path is not None:
-            raise ConfigError("dataset_path and tr_path are mutually exclusive")
+        if self.dataset_path is not None and {self.tr_path, self.va_path, self.te_path} != {None}:
+            raise ConfigError("dataset_path and tr_path/va_path/te_path are mutually exclusive")
         if self.repeats < 1:
             raise ConfigError("repeats must be at least 1")
         if not 0.0 < self.reg_c < float("inf"):

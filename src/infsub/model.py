@@ -18,7 +18,6 @@ round apart on the rest.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -535,69 +534,50 @@ def save_params(params: ModelParams, path: str) -> None:
         raise ModelError(f"cannot write {path}: {exc}") from exc
 
 
-# A model file's lines, the header ``d C`` included, are each ``int float``.
-_LINE = np.dtype([("int", np.int64), ("float", np.float64)])
-
-
-def _int_float(path: str, no: int, line: str, what: str) -> tuple[int, float]:
-    """The two fields ``int float`` of a header or weight line; the float must
-    be finite, and a header's C nonnegative."""
-    try:
-        k_s, v_s = line.split()
-        k, v = int(k_s), float(v_s)
-    except ValueError:
-        k, v = 0, float("nan")
-    if not np.isfinite(v) or (what == "header" and v < 0):
-        raise ModelError(f"{path}:{no}: bad {what} {line!r}")
-    return k, v
-
-
-def _read_lines(path: str, text: str) -> ModelParams:
-    """Parse a model file line by line, naming the first faulty line."""
-    lines = [(no, ln.strip()) for no, ln in enumerate(text.split("\n"), start=1) if ln.strip()]
-    (no, head), *body = lines
-    d, reg_c = _int_float(path, no, head, "header")
-    if d < 0:
-        raise ModelError(f"{path}:{no}: negative dimension {d}")
-    theta = np.zeros(d)
-    seen: set[int] = set()
-    for no, ln in body:
-        k, theta_k = _int_float(path, no, ln, "weight line")
-        if not 0 <= k < d:
-            raise ModelError(f"{path}:{no}: index {k} out of range for dimension {d}")
-        if k in seen:
-            raise ModelError(f"{path}:{no}: duplicate index {k}")
-        seen.add(k)
-        theta[k] = theta_k
-    return ModelParams(theta, reg_c)
-
-
 def load_params(path: str) -> ModelParams:
-    """Inverse of ``save_params``; weights round-trip exactly. Errors name the 1-based line.
+    """Inverse of ``save_params``; weights round-trip exactly.
 
-    The lines are converted in one np.loadtxt pass and checked as arrays.
-    The integer field goes through int() there too: a numpy that still has
-    the deprecated float parse reads ``1.0`` or ``1e0`` into int64 and only
-    warns.
-    A file that fails there is read again line by line, by int() and
-    float(), which load what they accept and name the first faulty line.
+    Each nonblank line is two fields, ``int float`` as int() and float() read
+    them: the header ``d C``, then ``index value`` lines. A ModelError names
+    the file and its first faulty line, 1-based: a bad header (C not finite
+    and nonnegative), a negative dimension, a bad weight line (value not
+    finite), an index out of range (not 0 <= index < d) or a duplicate index.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            lines = [(no, s) for no, ln in enumerate(fh.read().split("\n"), 1) if (s := ln.strip())]
     except OSError as exc:
         raise ModelError(f"cannot read {path}: {exc}") from exc
-    if not text.strip():
+    if not lines:
         raise ModelError(f"{path}: empty model file")
-    try:
-        rows = np.loadtxt(io.StringIO(text), dtype=_LINE, comments=None, ndmin=1,
-                          converters={0: int})
-    except ValueError:
-        return _read_lines(path, text)
-    d, index, value = int(rows["int"][0]), rows["int"][1:], rows["float"][1:]
-    if (d < 0 or rows["float"][0] < 0 or not np.all(np.isfinite(rows["float"]))
-            or np.any(index < 0) or np.any(index >= d) or np.unique(index).size != index.size):
-        return _read_lines(path, text)
+    ints, floats = [], []
+    for _, line in lines:
+        try:
+            k_s, v_s = line.split()
+            k, v = int(k_s), float(v_s)
+        except ValueError:
+            k, v = 0, np.nan
+        ints.append(k)
+        floats.append(v)
+    (no, head), d = lines[0], ints[0]
+    if not 0.0 <= floats[0] < np.inf:
+        raise ModelError(f"{path}:{no}: bad header {head!r}")
+    if d < 0:
+        raise ModelError(f"{path}:{no}: negative dimension {d}")
     theta = np.zeros(d)
-    theta[index] = value
-    return ModelParams(theta, float(rows["float"][0]))
+    # Lines 1..end-1 have finite values and in-range indices (Python ints, of any size).
+    value = np.array(floats)
+    good = np.isfinite(value[1:]) & np.array([0 <= k < d for k in ints[1:]], dtype=bool)
+    end = 1 + (good.size if good.all() else int(np.argmin(good)))
+    index = np.array(ints[1:end], dtype=np.int64)
+    _, first_seen = np.unique(index, return_index=True)
+    if first_seen.size < index.size:
+        first = 1 + int(np.setdiff1d(np.arange(index.size), first_seen)[0])
+        raise ModelError(f"{path}:{lines[first][0]}: duplicate index {ints[first]}")
+    if end < len(lines):
+        no, line = lines[end]
+        if not np.isfinite(value[end]):
+            raise ModelError(f"{path}:{no}: bad weight line {line!r}")
+        raise ModelError(f"{path}:{no}: index {ints[end]} out of range for dimension {d}")
+    theta[index] = value[1:]
+    return ModelParams(theta, floats[0])

@@ -1,5 +1,6 @@
 """End-to-end command-line coverage: every subcommand plus exit codes."""
 
+import io
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import dataset_path, random_ds
-from infsub import cli, influence, model, sampling
+from infsub import cli, experiment, influence, model, sampling
 from infsub.data import load_libsvm, round_half_up, write_libsvm
 
 
@@ -502,6 +503,23 @@ def test_pipeline_config_split_setting_for_pre_split_data_exits_2(files, tmp_pat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--va", "--te"])
+def test_pipeline_refuses_split_file_next_to_dataset(files, tmp_path, capsys, monkeypatch, flag):
+    # The dataset is readable, so the run would otherwise go ahead with the
+    # file ignored; it must be refused before any file is read.
+    def no_read(*args, **kwargs):
+        raise AssertionError("a file was read")
+
+    monkeypatch.setattr(experiment, "load_libsvm", no_read)
+    out = tmp_path / "report.csv"
+    code = cli.main(["pipeline", "--dataset", files["full"], flag, str(tmp_path / "missing.svm"),
+                     "--method", "random", "--repeats", "1", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: dataset_path and tr_path/va_path/te_path are mutually exclusive\n")
+    assert not out.exists()
+
+
 def test_noise_runs_and_reports_accuracy(files, tmp_path, capsys):
     rep = tmp_path / "noise.csv"
     code = cli.main(["noise", "--dataset", files["full"], "--flip", "0.3",
@@ -527,6 +545,22 @@ def test_noise_rejects_zero_flip(files, tmp_path, capsys):
     assert code == 2
     assert "needs flip_fraction > 0" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_main_exits_1_when_stdout_is_a_closed_pipe(files, tmp_path, monkeypatch):
+    # As when the output is piped to a reader that has exited: the model is
+    # written, the line that reports it is not.
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    out = tmp_path / "m.txt"
+    assert cli.main(["train", "--tr", files["tr"], "--out", str(out)]) == 1
+    assert out.exists()
 
 
 def test_unknown_command_rejected():

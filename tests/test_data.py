@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dataset_path, make_ds
-from infsub import synthdata
+from infsub import data, synthdata
 from infsub.data import (DataError, SparseDataset, SplitSpec, flip_labels,
                          load_aligned, load_libsvm, parse_libsvm, read_table,
                          round_half_up, split, with_feature_dim, write_libsvm,
@@ -119,6 +119,18 @@ def test_parse_n_features_override():
         parse_libsvm(["1 5:1"], n_features=5)
     with pytest.raises(DataError, match="nonnegative"):
         parse_libsvm(["1 0:1"], n_features=-1)
+
+
+def test_negative_n_features_is_refused_before_any_parse(tmp_path, monkeypatch):
+    # The file is malformed too: the setting's error comes first, and no block is parsed.
+    path = tmp_path / "bad.svm"
+    path.write_text("1 0:1\nspam 0:x\n")
+    calls = []
+    monkeypatch.setattr(data, "_parse_block", lambda *block: calls.append(block))
+    with pytest.raises(DataError) as err:
+        load_libsvm(str(path), n_features=-1)
+    assert str(err.value) == f"{path}: n_features must be nonnegative"
+    assert calls == []
 
 
 def test_load_gzip_and_plain(tmp_path):

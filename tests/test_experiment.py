@@ -134,6 +134,11 @@ def test_config_from_mapping_errors():
         config_from_mapping({"dataset_path": "x", "compute_gamma": "maybe"})
 
 
+@pytest.mark.parametrize("raw", ["0", "false", "No", " FALSE "])
+def test_config_from_mapping_reads_false_words(raw):
+    assert config_from_mapping({"dataset_path": "x", "compute_gamma": raw}).compute_gamma is False
+
+
 def test_config_from_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(

@@ -812,8 +812,8 @@ def test_save_load_round_trip_any_weights(tmp_path_factory, theta, reg_c):
 ], ids=["plus-sign", "underscore-index", "underscore-value", "crlf", "blank-lines",
         "other-blanks"])
 def test_load_params_accepts_what_int_and_float_accept(tmp_path, text, theta):
-    # One np.loadtxt pass reads most files; the rest are read by int() and
-    # float(), so a file loads exactly when it did line by line.
+    # Each line's two fields are read by int() and float(), so a file loads
+    # exactly when they accept every line.
     path = tmp_path / "model.txt"
     path.write_bytes(text)
     back = load_params(str(path))
@@ -829,14 +829,22 @@ def test_load_params_accepts_what_int_and_float_accept(tmp_path, text, theta):
 ], ids=["exponent-index", "float-index", "fractional-index", "float-dim"])
 def test_load_params_rejects_float_integers_with_warnings_ignored(tmp_path, text, match):
     # The test suite turns warnings into errors, but a program runs with the
-    # default filters, under which a numpy that reads '1.0' into an int64
-    # field only warns. The integer fields must still follow int().
+    # default filters. Under them too, an integer field that int() refuses
+    # is a bad line, not a warning.
     path = tmp_path / "model.txt"
     path.write_text(text)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with pytest.raises(ModelError, match=match):
             load_params(str(path))
+
+
+def test_save_params_names_a_path_it_cannot_write(tmp_path):
+    path = tmp_path / "missing-dir" / "model.txt"
+    with pytest.raises(ModelError) as err:
+        save_params(ModelParams(np.ones(2), 0.1), str(path))
+    assert str(err.value).startswith(f"cannot write {path}: ")
+    assert isinstance(err.value.__cause__, FileNotFoundError)
 
 
 def test_load_params_errors(tmp_path):

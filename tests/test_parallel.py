@@ -24,6 +24,15 @@ def use_workers(monkeypatch, n):
     monkeypatch.setattr(parallel, "cpu_count", lambda: n)
 
 
+def test_cpu_count_without_cpu_affinity_is_the_os_count(monkeypatch):
+    monkeypatch.delattr(parallel.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(parallel.os, "cpu_count", lambda: 3)
+    assert parallel.cpu_count() == 3
+    # os.cpu_count() is None when the count cannot be determined.
+    monkeypatch.setattr(parallel.os, "cpu_count", lambda: None)
+    assert parallel.cpu_count() == 1
+
+
 # ----------------------------------------------------------------- map_blocks
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8])

@@ -56,6 +56,12 @@ def test_linear_rejects_degenerate_inputs():
         linear_probs(np.array([np.nan]))
 
 
+@pytest.mark.parametrize("phi", [np.zeros(0), np.ones((2, 2))], ids=["empty", "2-d"])
+def test_probabilities_refuse_an_empty_or_2d_vector(phi):
+    with pytest.raises(SamplingError, match="^phi must be a nonempty flat vector$"):
+        linear_probs(phi)
+
+
 def test_probs_for_dispatches_with_defaults():
     phi = np.array([-2.0, 0.5, 1.0, -0.25])
     psi = np.array([0.0, 1.0, 4.0, 2.0])
