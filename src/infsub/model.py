@@ -540,8 +540,9 @@ def load_params(path: str) -> ModelParams:
     Each nonblank line is two fields, ``int float`` as int() and float() read
     them: the header ``d C``, then ``index value`` lines. A ModelError names
     the file and its first faulty line, 1-based: a bad header (C not finite
-    and nonnegative), a negative dimension, a bad weight line (value not
-    finite), an index out of range (not 0 <= index < d) or a duplicate index.
+    and nonnegative), a negative dimension, a dimension too large for one
+    array, a bad weight line (value not finite), an index out of range (not
+    0 <= index < d) or a duplicate index.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -564,7 +565,10 @@ def load_params(path: str) -> ModelParams:
         raise ModelError(f"{path}:{no}: bad header {head!r}")
     if d < 0:
         raise ModelError(f"{path}:{no}: negative dimension {d}")
-    theta = np.zeros(d)
+    try:
+        theta = np.zeros(d)
+    except (ValueError, MemoryError):
+        raise ModelError(f"{path}:{no}: dimension {d} too large") from None
     # Lines 1..end-1 have finite values and in-range indices (Python ints, of any size).
     value = np.array(floats)
     good = np.isfinite(value[1:]) & np.array([0 <= k < d for k in ints[1:]], dtype=bool)

@@ -883,11 +883,12 @@ def test_load_params_errors(tmp_path):
     ("3 0.1\n\n1 2.0\n3 1.0\n", r":4: index 3 out of range for dimension 3"),
     ("3 0.1\n-1 2.0\n", r":2: index -1 out of range for dimension 3"),
     ("3 0.1\n99999999999999999999 2.0\n", r":2: index 99999999999999999999 out of range"),
+    ("\n99999999999999999999 0.1\n", r":2: dimension 99999999999999999999 too large"),
 ], ids=["header-dim", "header-short", "header-reg-c", "negative-reg-c",
         "negative-reg-c-with-weights", "negative-dim", "no-value",
         "bad-value", "nan-value", "extra-field", "repeated-index", "hex-index",
         "exponent-index", "comment", "overflowing-value", "index-past-dim", "negative-index",
-        "index-past-int64"])
+        "index-past-int64", "dim-past-int64"])
 def test_load_params_names_malformed_line(tmp_path, text, match):
     path = tmp_path / "model.txt"
     path.write_text(text)

@@ -36,6 +36,8 @@ def oracle_load(path: str) -> ModelParams:
         if dim is None:
             if k < 0:
                 raise ModelError(f"{path}:{no}: negative dimension {k}")
+            if k >= 2**63:
+                raise ModelError(f"{path}:{no}: dimension {k} too large")
             dim, reg_c, theta = k, v, np.zeros(k)
         elif not 0 <= k < dim:
             raise ModelError(f"{path}:{no}: index {k} out of range for dimension {dim}")
@@ -62,9 +64,11 @@ def outcome(load, path: str):
 LINES = ["x 1.0", "1", "1 2.0 3", "1.0 2.0", "1e0 2.0", "0x1 2.0", "1 abc", "1 2.0 #c",
          "+1 2_5.0", "1_0 2.0", "\u0663 1.0", "1\u00a02.0", "1 --2", "1 1e400"]
 BAD_VALUES = ["nan", "inf", "-inf", "-Infinity", "NaN", "1e999"]
-# At most 10 weights are drawn, so no header here asks for a large array.
+# A header's dimension is small or past int64, which numpy refuses without
+# allocating; an index edit puts the latter in a header that follows a blank line.
 HEADERS = ["x 0.1", "-3 0.1", "3 -0.5", "3 nan", "3 inf", "3", "3.0 0.1", "-0 -0.0",
-           "+2 1e-3", "2 0.1 x", "1_0 0.1", "0 0.0", "-99999999999999999999 0.1"]
+           "+2 1e-3", "2 0.1 x", "1_0 0.1", "0 0.0", "-99999999999999999999 0.1",
+           "99999999999999999999 0.1"]
 BLANKS = ["", " ", "\t", " \x0c "]
 LINE_ENDS = ["\n", "\n", "\r\n", "\r"]
 KINDS = ["line", "value", "index", "repeat", "header", "blank"]
