@@ -172,7 +172,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    deltas = [float(tok) for tok in (args.deltas or "").split(",") if tok.strip()]
+    deltas = experiment.parse_items("--deltas", float, args.deltas or "")
     if args.deltas is not None and not deltas:
         raise ConfigError(f"--deltas {args.deltas!r} names no radius")
     risk.check_deltas(deltas)

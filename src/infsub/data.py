@@ -212,10 +212,12 @@ def _token_error(fault: int, token: bytes, line_no: int) -> DataError:
     return DataError(f"line {line_no}: " + _MESSAGES[fault].format(tok=tok, index=index))
 
 
-def _line_blocks(chunks: Iterable[bytes]) -> Iterator[bytes]:
-    """Whole lines of a byte stream read in chunks of about BLOCK_BYTES,
-    with "\\r\\n" and a bare "\\r" rewritten to "\\n" as text mode reads them."""
+def _line_blocks(chunks: Iterable[bytes]) -> Iterator[tuple[bytes, int]]:
+    """Whole lines of a byte stream read in chunks of about BLOCK_BYTES, each
+    block with the count of lines before it, and with "\\r\\n" and a bare
+    "\\r" rewritten to "\\n" as text mode reads them."""
     pending = bytearray()
+    line0 = 0
     for chunk in chunks:
         # Only the new bytes, and a "\r" held back from the last chunk, can
         # end a line. A "\r" last in the chunk may be half of "\r\n", so it waits.
@@ -223,34 +225,12 @@ def _line_blocks(chunks: Iterable[bytes]) -> Iterator[bytes]:
         pending += chunk
         cut = max(pending.rfind(b"\n", fresh), pending.rfind(b"\r", fresh, len(pending) - 1)) + 1
         if cut:
-            block = bytes(pending[:cut])
+            block = bytes(pending[:cut]).replace(b"\r\n", b"\n").replace(b"\r", b"\n")
             del pending[:cut]
-            yield block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            yield block, line0
+            line0 += block.count(b"\n")
     if pending:
-        yield bytes(pending).replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-
-
-def _numbers(a: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The numbers ``a[lo[t]:hi[t]]`` that ``_parse_block`` does not convert
-    itself (exponents, digits past 2**53 or 22 after the point, inf and
-    nan, malformed text), and which of them converted.
-
-    The block is masked to those numbers, one per line, split once, and
-    each read by float(); one that float() refuses is NaN and not ok.
-    """
-    inside = np.cumsum(np.bincount(lo, minlength=a.size + 1)
-                       - np.bincount(hi, minlength=a.size + 1))[:-1] > 0
-    keep = inside.copy()
-    keep[hi] = True                         # the blank after each number
-    tokens = np.where(inside, a, np.uint8(ord("\n")))[keep].tobytes().split()
-    num = np.full(lo.size, np.nan)
-    ok = np.ones(lo.size, dtype=bool)
-    for t, token in enumerate(tokens):
-        try:
-            num[t] = float(token)
-        except ValueError:
-            ok[t] = False
-    return num, ok
+        yield bytes(pending).replace(b"\r\n", b"\n").replace(b"\r", b"\n"), line0
 
 
 def _parse_block(block: bytes, line0: int) -> tuple[np.ndarray, ...]:
@@ -297,6 +277,7 @@ def _parse_block(block: bytes, line0: int) -> tuple[np.ndarray, ...]:
     lo = np.concatenate((start[at_index], num_lo[tok]))
     hi = np.concatenate((sep[at_index], end[tok]))
     negative = a[lo] == ord("-")
+    text_lo = lo.copy()                     # where a number's text starts, sign and all
     lo += negative | (a[lo] == ord("+"))
     width = hi - lo
     m = np.zeros(lo.size)
@@ -314,32 +295,37 @@ def _parse_block(block: bytes, line0: int) -> tuple[np.ndarray, ...]:
     # An index must be all digits. A value of digits and at most one point,
     # with m below 2**53 and at most 22 digits after the point, is exactly
     # m / 10**frac: both are exact doubles, so that one division rounds as
-    # float() does (Clinger's fast path), and "-0" stays -0.0. The rest are
-    # NaN here, and values go through ``_numbers``.
+    # float() does (Clinger's fast path), and "-0" stays -0.0.
     n_index = at_index.size
     read = (digits > 0) & (digits + points == width)
     read[:n_index] &= points[:n_index] == 0
     read[n_index:] &= ((points[n_index:] <= 1) & (m[n_index:] < _EXACT)
                        & (frac[n_index:] < _POW10.size))
-    # An index past _WIDE characters is read from its text, all digits; past
-    # 10 digits its value only needs to stay too large.
-    for s in np.flatnonzero(width[:n_index] > _WIDE).tolist():
-        text = block[lo[s]:hi[s]]
-        if text.isdigit():
-            left = text.lstrip(b"0")
-            read[s], m[s] = True, int(left or b"0") if len(left) <= 10 else _EXACT
     np.negative(m, out=m, where=negative)
     found = np.where(read, m / _POW10[np.where(read, frac, 0)], np.nan)
+    # Any other number is read by float() from its text, sign included; an
+    # index only if it is digits alone after its sign, whose float() is exact
+    # below 2**53 and past 2**31 - 1 above it, however many digits. A number
+    # float() refuses stays NaN and its token not ok. The texts are sliced
+    # in one comprehension, quicker than one at a time in the loop.
+    unread = np.flatnonzero(~read)
+    texts = [block[i:k] for i, k in zip(text_lo[unread].tolist(), hi[unread].tolist())]
+    numbers, refused = [], []
+    for s, text in zip(unread.tolist(), texts):
+        try:
+            if s < n_index and not block[lo[s]:hi[s]].isdigit():
+                raise ValueError
+            numbers.append(float(text))
+        except ValueError:
+            numbers.append(np.nan)
+            refused.append(s)
+    found[unread] = numbers
     index = np.zeros(start.size)
     index[at_index] = found[:n_index]
     num = np.full(start.size, np.nan)
     num[tok] = found[n_index:]
-    clean = has_num.copy()
-    clean[at_index] &= ~np.isnan(index[at_index])
-    ok = clean.copy()
-    rest = np.flatnonzero(clean & np.isnan(num))
-    if rest.size:
-        num[rest], ok[rest] = _numbers(a, num_lo[rest], end[rest])
+    ok = has_num.copy()
+    ok[np.concatenate((at_index, tok))[refused]] = False
 
     fault = np.select(
         [is_label & ~ok, is_label & ~(np.isfinite(num) & (num == np.floor(num))),
@@ -368,14 +354,6 @@ def _parse_block(block: bytes, line0: int) -> tuple[np.ndarray, ...]:
     return num[is_label], np.bincount(frow, minlength=n_rows), index.astype(np.int32), value
 
 
-def _numbered_blocks(chunks: Iterable[bytes]) -> Iterator[tuple[bytes, int]]:
-    """``_line_blocks`` of the stream, each with the count of lines before it."""
-    line0 = 0
-    for block in _line_blocks(chunks):
-        yield block, line0
-        line0 += block.count(b"\n")
-
-
 def _read_libsvm(chunks: Iterable[bytes], n_features: int | None) -> SparseDataset:
     """Parse a libsvm byte stream, read in chunks, into one SparseDataset, its
     blocks parsed side by side on every CPU and joined in file order."""
@@ -383,7 +361,7 @@ def _read_libsvm(chunks: Iterable[bytes], n_features: int | None) -> SparseDatas
         raise DataError("n_features must be nonnegative")
     parts = [(np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32),
               np.empty(0))]
-    parts += map_blocks(lambda numbered: _parse_block(*numbered), _numbered_blocks(chunks))
+    parts += map_blocks(lambda numbered: _parse_block(*numbered), _line_blocks(chunks))
     labels, counts, indices, values = (np.concatenate(p) for p in zip(*parts))
     del parts
 

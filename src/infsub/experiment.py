@@ -79,6 +79,8 @@ class ExperimentConfig:
             raise ConfigError("need dataset_path or both tr_path and va_path")
         if self.dataset_path is not None and {self.tr_path, self.va_path, self.te_path} != {None}:
             raise ConfigError("dataset_path and tr_path/va_path/te_path are mutually exclusive")
+        if self.n_features is not None and self.n_features < 0:
+            raise ConfigError(f"n_features must be nonnegative, got {self.n_features}")
         if self.repeats < 1:
             raise ConfigError("repeats must be at least 1")
         if not 0.0 < self.reg_c < float("inf"):
@@ -129,6 +131,12 @@ def _coerce(name: str, kind, raw: str):
         raise ConfigError(f"{name}: cannot parse {raw!r}") from None
 
 
+def parse_items(name: str, kind, raw: str) -> list:
+    """The comma-separated items of ``raw``, blank ones skipped, each parsed
+    as ``kind``; one that does not parse raises ConfigError naming ``name``."""
+    return [_coerce(name, kind, tok) for tok in raw.split(",") if tok.strip()]
+
+
 def _parse(key: str, raw: str):
     """The value of config key ``key``, an ``ExperimentConfig`` init field,
     parsed as its annotation says (a ``list[...]`` from comma-separated
@@ -138,7 +146,7 @@ def _parse(key: str, raw: str):
     hint = typing.get_type_hints(ExperimentConfig)[key]
     kind = next((a for a in typing.get_args(hint) if a is not type(None)), hint)
     if typing.get_origin(hint) is list:
-        return [_coerce(key, kind, tok) for tok in raw.split(",") if tok.strip()]
+        return parse_items(key, kind, raw)
     return _coerce(key, kind, raw)
 
 

@@ -163,6 +163,8 @@ class SamplingPlan:
             raise SamplingError("selected must be strictly increasing valid row indices")
         if not 0.0 < self.target_ratio <= 1.0:
             raise SamplingError(f"target_ratio must be in (0, 1], got {self.target_ratio}")
+        if self.seed < 0:
+            raise SamplingError(f"seed must be nonnegative, got {self.seed}")
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "selected", selected)
 
@@ -256,8 +258,9 @@ def write_plan_csv(plan: SamplingPlan, path: str) -> None:
 
 
 def read_plan_csv(path: str) -> SamplingPlan:
-    """Read a plan written by ``write_plan_csv``; a malformed file raises
-    SamplingError naming it."""
+    """Read a plan written by ``write_plan_csv``; a malformed file, or a
+    metadata comment without all four of its keys, raises SamplingError
+    naming it."""
     try:
         comment, header, columns = read_table(path)
     except ValueError as exc:
@@ -267,18 +270,21 @@ def read_plan_csv(path: str) -> SamplingPlan:
     if header != ["index", "prob", "selected"]:
         raise SamplingError(f"{path}: unexpected header {','.join(header)!r}")
     meta = dict(tok.partition("=")[::2] for tok in comment.split())
+    missing = [key for key in ("method", "alpha", "seed", "ratio") if key not in meta]
+    if missing:
+        raise SamplingError(f"{path}: metadata comment lacks {', '.join(missing)}")
     _, probs, flags = columns
     bad = next((f for f in flags if f not in ("0", "1")), None)
     if bad is not None:
         raise SamplingError(f"{path}: selected flag must be 0 or 1, got {bad!r}")
     try:
         return SamplingPlan(
-            method=meta.get("method", ""),
+            method=meta["method"],
             probs=np.array(probs, dtype=np.float64),
             selected=np.flatnonzero(np.array(flags, dtype=str) == "1"),
-            target_ratio=float(meta.get("ratio", "nan")),
-            seed=int(meta.get("seed", "0")),
-            alpha=float(meta.get("alpha", "nan")),
+            target_ratio=float(meta["ratio"]),
+            seed=int(meta["seed"]),
+            alpha=float(meta["alpha"]),
         )
     except ValueError as exc:   # a malformed number, or a plan SamplingPlan refuses
         raise SamplingError(f"{path}: {exc}") from None

@@ -181,6 +181,15 @@ def test_evaluate_rejects_bad_radius_before_loading(tmp_path, capsys, radius):
     assert not curve.exists()
 
 
+def test_evaluate_names_an_unparsable_radius_before_loading(tmp_path, capsys):
+    missing = str(tmp_path / "missing")
+    code = cli.main(["evaluate", "--model", missing, "--data", missing, "--deltas", "0.5,x"])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --deltas: cannot parse 'x'\n"
+
+
 def test_evaluate_out_needs_deltas(files, tmp_path, capsys):
     curve = tmp_path / "curve.csv"
     code = cli.main(["evaluate", "--model", files["model"], "--data", files["va"],

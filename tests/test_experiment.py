@@ -87,11 +87,12 @@ def test_config_validates_grid():
     (dict(pcg_tol=1.0), "pcg_tol must be below 1, got 1.0"),
     (dict(sigmoid_alphas=[5.0, float("inf")]), "sigmoid alpha must be positive and finite, got inf"),
     (dict(linear_alpha=float("inf")), "linear_alpha must be positive and finite, got inf"),
+    (dict(n_features=-1), "n_features must be nonnegative, got -1"),
 ], ids=["no-ratios", "dup-methods", "dup-ratios", "dup-alphas", "no-alphas", "negative-alpha", "zero-linear-alpha",
         "zero-floor", "floor-above-one", "pcg-tol", "pcg-max-iter",
         "va-fraction", "no-training-rows", "zero-reg-c", "infinite-reg-c", "nan-reg-c",
         "zero-train-tol", "zero-train-max-iter", "infinite-train-tol", "infinite-pcg-tol",
-        "unit-pcg-tol", "infinite-alpha", "infinite-linear-alpha"])
+        "unit-pcg-tol", "infinite-alpha", "infinite-linear-alpha", "negative-n-features"])
 def test_config_rejects_bad_grid_before_reading_data(bad, match):
     # "a" does not exist: the error must come from the config itself.
     with pytest.raises(ValueError, match=match):

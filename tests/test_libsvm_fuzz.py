@@ -36,6 +36,7 @@ WORDS = ["1.5", "-2.5E+2", ".5", "5.", "+0", "-0.0", "1e-3", "1E5", "1e400", "1e
          "abc", "", "1e", "--1", "+.e1", "0x1", "1d5", "infinit", "tiny", "é"]
 SEPARATORS = [" ", "  ", "\t", " \t ", "\x0b", "\x0c", "\x1c", "\x1f"]
 LINE_ENDS = ["\n", "\r\n", "\r"]
+ZEROS = "0" * 30   # pads an index past the 24 characters the reader's digit columns read
 
 indices = st.one_of(
     st.integers(0, 40).map(str),
@@ -43,6 +44,8 @@ indices = st.one_of(
     st.integers(0, 9).map(lambda i: f"00{i}"),
     st.integers(0, 3).map(lambda i: f"-{i}"),
     st.just(str(2**31 - 1)),
+    st.tuples(st.sampled_from(["", "+", "-"]), st.integers(0, 40)).map(
+        lambda i: i[0] + ZEROS + str(i[1])),
     st.sampled_from(BAD_INDICES),
 )
 # Plain decimals at the edges of the reader's exact kernel: 1 to 16 digits
@@ -177,10 +180,22 @@ def test_an_index_too_long_for_int_is_named_with_its_line(tmp_path, capsys, toke
 @pytest.mark.parametrize("token, message", [
     ("-007", "negative feature index -7"),
     ("+002147483648", "feature index 2147483648 exceeds 2147483647"),
+    ("-" + ZEROS + "7", "negative feature index -7"),
+    ("+" + ZEROS + "2147483648", "feature index 2147483648 exceeds 2147483647"),
 ])
 def test_an_out_of_range_index_is_written_as_int_writes_it(token, message):
     with pytest.raises(DataError, match=f"^line 1: {re.escape(message)}$"):
         parse_libsvm([f"1 {token}:1"])
+
+
+@pytest.mark.parametrize("token, index", [
+    (ZEROS + "7", 7),
+    ("+" + ZEROS + "7", 7),
+    ("-" + ZEROS, 0),
+    (ZEROS + "2147483647", 2147483647),
+])
+def test_a_long_zero_padded_index_reads_as_its_digits(token, index):
+    assert parse_libsvm([f"1 {token}:1"]).X.indices.tolist() == [index]
 
 
 def test_bytes_that_are_not_utf8_are_a_bad_token(tmp_path):

@@ -295,6 +295,8 @@ def test_plan_validation():
         SamplingPlan("random", np.array([2.0]), np.array([0]), 0.5, 0)
     with pytest.raises(SamplingError, match="target_ratio"):
         SamplingPlan("random", np.array([0.5]), np.array([0]), 1.5, 0)
+    with pytest.raises(SamplingError, match="seed must be nonnegative, got -4"):
+        SamplingPlan("random", np.array([0.5]), np.array([0]), 0.5, -4)
     assert "random" in METHODS
 
 
@@ -395,6 +397,8 @@ def test_plan_csv_bad_values_name_the_file(tmp_path):
                           (good.replace("alpha=nan", "alpha=abc"), "0.5"),
                           (good.replace("seed=0", "seed=abc"), "0.5"),
                           (good.replace("seed=0", "seed=1.5"), "0.5"),
+                          (good.replace("seed=0", "seed=-4"), "0.5"),
+                          (good.replace("seed=0 ", ""), "0.5"),
                           (good, "abc"), (good, "1.5")):
         path.write_text(f"# {comment}\nindex,prob,selected\n0,{prob},1\n")
         with pytest.raises(SamplingError, match=f"^{re.escape(str(path))}: "):
