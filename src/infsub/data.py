@@ -8,6 +8,7 @@ labels are canonical {0, 1}.
 from __future__ import annotations
 
 import gzip
+import io
 import itertools
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Sequence
@@ -162,7 +163,8 @@ class SplitSpec:
             raise DataError(f"split seed must be nonnegative, got {self.seed}")
 
 
-# libsvm text is read as bytes, a block of whole lines at a time, and each
+# libsvm text is read as latin-1, which maps each byte to one character and
+# back, so a block of whole lines comes back as the file's own bytes; each
 # block is split, checked and converted with numpy rather than token by token,
 # the blocks side by side on every CPU. A block's temporaries take several
 # times its size and one block per CPU is in memory at once, so blocks stay
@@ -182,8 +184,8 @@ _POW10 = np.array([float(10**f) for f in range(23)])    # the powers of ten doub
 # Bytes no number can hold: all but blanks, digits, signs, the point, the
 # exponent and the letters of inf, infinity and nan (colons are counted
 # apart). Blanks are the ASCII whitespace str.split() splits on; line ends
-# are "\n" alone by the time a block is parsed, "\r\n" and a bare "\r"
-# having been rewritten to it.
+# are "\n" alone by the time a block is parsed, text mode having read
+# "\r\n" and a bare "\r" as "\n".
 _STRAY = bytes(0 if b in b" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f0123456789+-.eEinfatyINFATY:" else 1
                for b in range(256))        # a bytes.translate table
 _BREAKS_AS_SPACE = str.maketrans("\r\n", "  ")
@@ -212,25 +214,14 @@ def _token_error(fault: int, token: bytes, line_no: int) -> DataError:
     return DataError(f"line {line_no}: " + _MESSAGES[fault].format(tok=tok, index=index))
 
 
-def _line_blocks(chunks: Iterable[bytes]) -> Iterator[tuple[bytes, int]]:
-    """Whole lines of a byte stream read in chunks of about BLOCK_BYTES, each
-    block with the count of lines before it, and with "\\r\\n" and a bare
-    "\\r" rewritten to "\\n" as text mode reads them."""
-    pending = bytearray()
+def _line_blocks(fh: IO[str]) -> Iterator[tuple[bytes, int]]:
+    """Whole lines of a libsvm text stream (latin-1, universal newlines), read
+    about BLOCK_BYTES characters and the rest of a line at a time, each block
+    as the bytes it decodes from, with the count of lines before it."""
     line0 = 0
-    for chunk in chunks:
-        # Only the new bytes, and a "\r" held back from the last chunk, can
-        # end a line. A "\r" last in the chunk may be half of "\r\n", so it waits.
-        fresh = max(len(pending) - 1, 0)
-        pending += chunk
-        cut = max(pending.rfind(b"\n", fresh), pending.rfind(b"\r", fresh, len(pending) - 1)) + 1
-        if cut:
-            block = bytes(pending[:cut]).replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-            del pending[:cut]
-            yield block, line0
-            line0 += block.count(b"\n")
-    if pending:
-        yield bytes(pending).replace(b"\r\n", b"\n").replace(b"\r", b"\n"), line0
+    for text in iter(lambda: fh.read(BLOCK_BYTES) + fh.readline(), ""):
+        yield text.encode("latin-1"), line0
+        line0 += text.count("\n")
 
 
 def _parse_block(block: bytes, line0: int) -> tuple[np.ndarray, ...]:
@@ -354,14 +345,15 @@ def _parse_block(block: bytes, line0: int) -> tuple[np.ndarray, ...]:
     return num[is_label], np.bincount(frow, minlength=n_rows), index.astype(np.int32), value
 
 
-def _read_libsvm(chunks: Iterable[bytes], n_features: int | None) -> SparseDataset:
-    """Parse a libsvm byte stream, read in chunks, into one SparseDataset, its
-    blocks parsed side by side on every CPU and joined in file order."""
+def _read_libsvm(fh: IO[str], n_features: int | None) -> SparseDataset:
+    """Parse a libsvm text stream (latin-1, universal newlines) into one
+    SparseDataset, its blocks parsed side by side on every CPU and joined in
+    file order."""
     if n_features is not None and n_features < 0:
         raise DataError("n_features must be nonnegative")
     parts = [(np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32),
               np.empty(0))]
-    parts += map_blocks(lambda numbered: _parse_block(*numbered), _line_blocks(chunks))
+    parts += map_blocks(lambda numbered: _parse_block(*numbered), _line_blocks(fh))
     labels, counts, indices, values = (np.concatenate(p) for p in zip(*parts))
     del parts
 
@@ -413,19 +405,19 @@ def parse_libsvm(source: Iterable[str] | IO[str], n_features: int | None = None)
     on every CPU, and the result does not depend on how many there are.
     """
     text = "\n".join(line.translate(_BREAKS_AS_SPACE) for line in source)
-    data = text.encode("utf-8", "surrogatepass")
-    return _read_libsvm((data[lo:lo + BLOCK_BYTES] for lo in range(0, len(data), BLOCK_BYTES)),
-                        n_features)
+    data = io.BytesIO(text.encode("utf-8", "surrogatepass"))
+    return _read_libsvm(io.TextIOWrapper(data, "latin-1", newline="\n"), n_features)
 
 
 def load_libsvm(path: str, n_features: int | None = None) -> SparseDataset:
     """Read a libsvm file from disk, as ``parse_libsvm`` reads lines; names
-    ending in .gz are gunzipped. "\\n", "\\r\\n" and a bare "\\r" end a line.
+    ending in .gz are gunzipped. The file is read as text, latin-1 with
+    universal newlines: "\\n", "\\r\\n" and a bare "\\r" end a line.
     An error in the file's content is ``parse_libsvm``'s, after the path."""
     opener = gzip.open if str(path).endswith(".gz") else open
     try:
-        with opener(path, "rb") as fh:  # type: ignore[operator]
-            return _read_libsvm(iter(lambda: fh.read(BLOCK_BYTES), b""), n_features)
+        with opener(path, "rt", encoding="latin-1") as fh:  # type: ignore[operator]
+            return _read_libsvm(fh, n_features)
     except (OSError, EOFError) as exc:   # EOFError: a truncated gzip stream
         raise DataError(f"cannot read {path}: {exc}") from exc
     except DataError as exc:             # a malformed line, or an unusable label set

@@ -39,9 +39,10 @@ class ExperimentConfig:
 
     Datasets come either as pre-split tr/va/te paths or as one dataset_path
     split here by (va_fraction, te_fraction, split_seed). Methods named
-    "sigmoid" fan out into one cell per entry of sigmoid_alphas. Every value
-    is checked here, before any data is read; ``pcg`` and ``split_spec`` keep
-    the solver and split settings built from them.
+    "sigmoid" fan out into one cell per entry of sigmoid_alphas, each with its
+    own label (``expand_methods``). Every value is checked here, before any
+    data is read; ``pcg`` and ``split_spec`` keep the solver and split
+    settings built from them.
     """
 
     tr_path: str | None = None
@@ -75,6 +76,9 @@ class ExperimentConfig:
     split_spec: SplitSpec | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        for key in ("tr_path", "va_path", "te_path", "dataset_path"):
+            if getattr(self, key) == "":
+                raise ConfigError(f"{key} is empty; give a file or leave the key out")
         if self.dataset_path is None and (self.tr_path is None or self.va_path is None):
             raise ConfigError("need dataset_path or both tr_path and va_path")
         if self.dataset_path is not None and {self.tr_path, self.va_path, self.te_path} != {None}:
@@ -105,6 +109,10 @@ class ExperimentConfig:
         for a in self.sigmoid_alphas:
             if not 0.0 < a < float("inf"):
                 raise ConfigError(f"sigmoid alpha must be positive and finite, got {a}")
+        labels = [label for label, _, _ in expand_methods(self)]
+        for label in labels:
+            if labels.count(label) > 1:
+                raise ConfigError(f"sigmoid alphas alike to 6 digits share the label {label!r}")
         if self.linear_alpha is not None and not 0.0 < self.linear_alpha < float("inf"):
             raise ConfigError(
                 f"linear_alpha must be positive and finite, got {self.linear_alpha}")

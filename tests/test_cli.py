@@ -389,6 +389,25 @@ def test_pipeline_rejects_bad_grid_before_loading(tmp_path, capsys, flags, match
     assert not out.exists()
 
 
+@pytest.mark.parametrize("from_file", [False, True], ids=["flag", "config-file"])
+def test_pipeline_rejects_an_empty_te_path_before_loading(tmp_path, capsys, from_file):
+    # tr and va do not exist: the empty te_path must be refused before they are read.
+    flags = ["--tr", str(tmp_path / "missing-tr.svm"), "--va", str(tmp_path / "missing-va.svm")]
+    if from_file:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("te_path =\n")
+        flags += ["--config", str(cfg)]
+    else:
+        flags += ["--te", ""]
+    out = tmp_path / "report.csv"
+    code = cli.main(["pipeline", *flags, "--method", "random", "--repeats", "1",
+                     "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: te_path is empty; give a file or leave the key out\n")
+    assert not out.exists()
+
+
 def test_pipeline_rejects_zero_reg_c_before_loading(tmp_path, capsys):
     # The dataset does not exist: reg_c must be refused before it is read.
     out = tmp_path / "report.csv"

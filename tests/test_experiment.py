@@ -88,15 +88,25 @@ def test_config_validates_grid():
     (dict(sigmoid_alphas=[5.0, float("inf")]), "sigmoid alpha must be positive and finite, got inf"),
     (dict(linear_alpha=float("inf")), "linear_alpha must be positive and finite, got inf"),
     (dict(n_features=-1), "n_features must be nonnegative, got -1"),
+    (dict(sigmoid_alphas=[1.0000001, 1.0000002]), "alike to 6 digits share the label 'sigmoid@1'"),
 ], ids=["no-ratios", "dup-methods", "dup-ratios", "dup-alphas", "no-alphas", "negative-alpha", "zero-linear-alpha",
         "zero-floor", "floor-above-one", "pcg-tol", "pcg-max-iter",
         "va-fraction", "no-training-rows", "zero-reg-c", "infinite-reg-c", "nan-reg-c",
         "zero-train-tol", "zero-train-max-iter", "infinite-train-tol", "infinite-pcg-tol",
-        "unit-pcg-tol", "infinite-alpha", "infinite-linear-alpha", "negative-n-features"])
+        "unit-pcg-tol", "infinite-alpha", "infinite-linear-alpha", "negative-n-features",
+        "alphas-labelled-alike"])
 def test_config_rejects_bad_grid_before_reading_data(bad, match):
     # "a" does not exist: the error must come from the config itself.
     with pytest.raises(ValueError, match=match):
         ExperimentConfig(dataset_path="a", **bad)
+
+
+@pytest.mark.parametrize("key", ["tr_path", "va_path", "te_path", "dataset_path"])
+def test_config_rejects_an_empty_path(key):
+    # An empty te_path would otherwise leave the test split silently empty.
+    paths = {} if key == "dataset_path" else dict(tr_path="t", va_path="v")
+    with pytest.raises(ConfigError, match=f"^{key} is empty"):
+        ExperimentConfig(**{**paths, key: ""})
 
 
 def test_config_builds_solver_and_split_settings():

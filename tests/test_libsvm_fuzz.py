@@ -243,3 +243,25 @@ def test_line_ends_count_as_text_mode_counts_them(tmp_path):
         with mock.patch.object(data, "BLOCK_BYTES", block):
             with pytest.raises(DataError, match="line 4: bad label 'spam'"):
                 load_libsvm(str(path))
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("packed", [False, True], ids=["plain", "gzip"])
+def test_blocks_stay_bounded_whatever_the_line_end(tmp_path, end, packed):
+    # Each block is about BLOCK_BYTES and the rest of one line, whichever
+    # line end the file uses, so a file of bare "\r" ends is not one block.
+    rows = [f"{i % 2} {i % 7}:1 {i % 7 + 1}:{i % 10}" for i in range(200)]
+    lf = tmp_path / "lf.svm"
+    lf.write_text("\n".join(rows) + "\n")
+    body = (end.join(rows) + end).encode()
+    path = tmp_path / ("ends.svm.gz" if packed else "ends.svm")
+    path.write_bytes(gzip.compress(body) if packed else body)
+    spy = mock.Mock(wraps=data._parse_block)
+    with mock.patch.object(data, "BLOCK_BYTES", 64), \
+            mock.patch.object(data, "_parse_block", spy), \
+            mock.patch.object(parallel, "cpu_count", lambda: 1):
+        got = outcome(lambda: load_libsvm(str(path)))
+    sizes = [len(call.args[0]) for call in spy.call_args_list]
+    assert len(sizes) > 1
+    assert max(sizes) <= 64 + max(len(row) + 1 for row in rows)
+    assert got == outcome(lambda: load_libsvm(str(lf)))
