@@ -154,6 +154,7 @@ def _cmd_influence(args: argparse.Namespace) -> int:
 def _cmd_sample(args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
+    sampling.check_ratio(args.ratio)
     if args.alpha is not None:
         sampling.check_alpha(args.alpha)
     tr = load_libsvm(args.tr, args.n_features)

@@ -8,7 +8,6 @@ labels are canonical {0, 1}.
 from __future__ import annotations
 
 import gzip
-import io
 import itertools
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Sequence
@@ -188,7 +187,6 @@ _POW10 = np.array([float(10**f) for f in range(23)])    # the powers of ten doub
 # "\r\n" and a bare "\r" as "\n".
 _STRAY = bytes(0 if b in b" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f0123456789+-.eEinfatyINFATY:" else 1
                for b in range(256))        # a bytes.translate table
-_BREAKS_AS_SPACE = str.maketrans("\r\n", "  ")
 
 # What can be wrong with one token, in the order its checks run, and what
 # the error then says.
@@ -349,8 +347,6 @@ def _read_libsvm(fh: IO[str], n_features: int | None) -> SparseDataset:
     """Parse a libsvm text stream (latin-1, universal newlines) into one
     SparseDataset, its blocks parsed side by side on every CPU and joined in
     file order."""
-    if n_features is not None and n_features < 0:
-        raise DataError("n_features must be nonnegative")
     parts = [(np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32),
               np.empty(0))]
     parts += map_blocks(lambda numbered: _parse_block(*numbered), _line_blocks(fh))
@@ -384,19 +380,22 @@ def _read_libsvm(fh: IO[str], n_features: int | None) -> SparseDataset:
     return SparseDataset(X, y.astype(np.int8))
 
 
-def parse_libsvm(source: Iterable[str] | IO[str], n_features: int | None = None) -> SparseDataset:
-    """Parse svmlight/libsvm text into a SparseDataset.
+def load_libsvm(path: str, n_features: int | None = None) -> SparseDataset:
+    """Read an svmlight/libsvm file into a SparseDataset.
 
-    Each item of ``source`` is one line; a non-blank line is ``label
-    idx:val idx:val ...``, split on ASCII whitespace. Accepted label
-    alphabets are {0,1} (kept as-is), {-1,+1} (mapped to {0,1}) and {1,2}
-    (mapped to {0,1}); precedence is in that order, so an all-1 file reads as
-    all-positive. A label is any integral number; an index is ASCII digits
-    with an optional sign, at most 2**31 - 1; a value is any finite number
-    float() reads, in ASCII and without underscores. Indices may start at 0
-    or 1, in any order within a row, and are stored as given; the feature
-    dimension is max index + 1 unless ``n_features`` overrides it. Malformed
-    lines raise DataError with their 1-based line number.
+    Names ending in .gz are gunzipped. The file is read as text, latin-1
+    with universal newlines: "\\n", "\\r\\n" and a bare "\\r" end a line. A
+    non-blank line is ``label idx:val idx:val ...``, split on ASCII
+    whitespace. Accepted label alphabets are {0,1} (kept as-is), {-1,+1}
+    (mapped to {0,1}) and {1,2} (mapped to {0,1}); precedence is in that
+    order, so an all-1 file reads as all-positive. A label is any integral
+    number; an index is ASCII digits with an optional sign, at most
+    2**31 - 1; a value is any finite number float() reads, in ASCII and
+    without underscores. Indices may start at 0 or 1, in any order within a
+    row, and are stored as given; the feature dimension is max index + 1
+    unless ``n_features`` overrides it. A negative ``n_features`` raises
+    DataError before the file is opened; an unreadable file, or a malformed
+    line named by its 1-based number, raises it after the path.
 
     Every number reads as float() reads it. A plain decimal, ``[sign] digits
     [. digits]`` whose digits form an integer below 2**53 with at most 22
@@ -404,16 +403,8 @@ def parse_libsvm(source: Iterable[str] | IO[str], n_features: int | None = None)
     any other number is read by float() itself. Blocks of lines are parsed
     on every CPU, and the result does not depend on how many there are.
     """
-    text = "\n".join(line.translate(_BREAKS_AS_SPACE) for line in source)
-    data = io.BytesIO(text.encode("utf-8", "surrogatepass"))
-    return _read_libsvm(io.TextIOWrapper(data, "latin-1", newline="\n"), n_features)
-
-
-def load_libsvm(path: str, n_features: int | None = None) -> SparseDataset:
-    """Read a libsvm file from disk, as ``parse_libsvm`` reads lines; names
-    ending in .gz are gunzipped. The file is read as text, latin-1 with
-    universal newlines: "\\n", "\\r\\n" and a bare "\\r" end a line.
-    An error in the file's content is ``parse_libsvm``'s, after the path."""
+    if n_features is not None and n_features < 0:
+        raise DataError(f"n_features must be nonnegative, got {n_features}")
     opener = gzip.open if str(path).endswith(".gz") else open
     try:
         with opener(path, "rt", encoding="latin-1") as fh:  # type: ignore[operator]

@@ -87,6 +87,8 @@ class ExperimentConfig:
             raise ConfigError(f"n_features must be nonnegative, got {self.n_features}")
         if self.repeats < 1:
             raise ConfigError("repeats must be at least 1")
+        if not 0 <= self.seed < 1 << 63:   # derive_seed keeps 63 bits
+            raise ConfigError(f"seed must be in [0, 2**63), got {self.seed}")
         if not 0.0 < self.reg_c < float("inf"):
             raise ConfigError(f"reg_c must be finite and positive, got {self.reg_c}")
         if not 0.0 < self.train_tol < float("inf"):
@@ -329,16 +331,17 @@ def run_pipeline(cfg: ExperimentConfig) -> ExperimentReport:
     ConvergenceError, since influence is only meaningful at an optimum.
     Every cell is drawn first. Cells whose weight columns are equal (the
     same rows, and for optlr the same probabilities) are fitted once, and
-    the result is copied to each. The distinct columns are refitted warm
-    from the full-set theta as lockstep columns of ``model.fit_columns``, in
-    blocks of near-equal width, the same number per CPU
-    (``parallel.column_blocks``), run side by side (``parallel.map_blocks``).
-    Since each column's fit is bit for bit its own fit, neither the plan nor
-    the twins change any digit of the report. A failure inside one cell, a
-    non-converged cell fit included, is recorded on that cell's result and
-    does not abort the grid. With flip_fraction set, training labels are
-    corrupted (seeded) before the full fit, while validation and test stay
-    clean; test accuracy is then also reported.
+    the result is written to each under its own labels. The distinct
+    columns are refitted warm from the full-set theta as lockstep columns of
+    ``model.fit_columns``, in blocks of near-equal width, the same number
+    per CPU (``parallel.column_blocks``), run side by side
+    (``parallel.map_blocks``). Since each column's fit is bit for bit its
+    own fit, neither the plan nor the shared fits change any digit of the
+    report. A failure inside one cell, a non-converged cell fit included, is
+    recorded on that cell's result and does not abort the grid. With
+    flip_fraction set, training labels are corrupted (seeded) before the
+    full fit, while validation and test stay clean; test accuracy is then
+    also reported.
     """
     t_start = time.perf_counter()
     tr, va, te = load_splits(cfg)
@@ -363,13 +366,11 @@ def run_pipeline(cfg: ExperimentConfig) -> ExperimentReport:
     # Draw every plan first; draws are seeded per cell, so their order
     # changes nothing. A cell that fails here records its error and fits
     # nothing. One (method, ratio) shares its probabilities across repeats.
-    # A cell whose column equals an earlier one's is that cell's twin and is
-    # not fitted itself: dropout's repeats draw the same rows. A column is
-    # set by the rows and, for optlr, by the probabilities of its ratio.
+    # Each weight column maps to its cells, rows and optlr probabilities,
+    # and is fitted as its first cell: dropout's repeats draw the same rows.
+    # A column is set by the rows and, for optlr, the probabilities of its ratio.
     cells: list[CellResult] = []
-    drawn: list[tuple[int, np.ndarray, np.ndarray | None]] = []
-    first: dict[tuple, int] = {}        # each distinct column's first cell
-    twins: list[tuple[int, int]] = []   # (cell, first cell of its column)
+    columns: dict[tuple, tuple[list[int], np.ndarray, np.ndarray | None]] = {}
     for ratio in cfg.ratios:
         for label, base, alpha in labels:
             probs = None
@@ -383,37 +384,34 @@ def run_pipeline(cfg: ExperimentConfig) -> ExperimentReport:
                     selected = _draw_cell(tr, probs, base, ratio, cell.seed, phi)
                     optlr = base == "optlr"
                     key = (selected.tobytes(), ratio if optlr else None)
-                    if key in first:
-                        twins.append((len(cells), first[key]))
-                    else:
-                        first[key] = len(cells)
-                        drawn.append((len(cells), selected, probs if optlr else None))
+                    columns.setdefault(key, ([], selected, probs if optlr else None))
+                    columns[key][0].append(len(cells))
                 except Exception as exc:
                     cell = _failed(cell, exc)
                 cells.append(cell)
 
-    def fit_block(block: list[tuple[int, np.ndarray, np.ndarray | None]]) -> list[CellResult]:
+    def fit_block(block: list[tuple[list[int], np.ndarray, np.ndarray | None]]) -> list[CellResult]:
         try:
             fits = _fit_cells(cfg, tr, full, block)
         except Exception as exc:
-            return [_failed(cells[i], exc) for i, _, _ in block]
+            return [_failed(cells[ids[0]], exc) for ids, _, _ in block]
         results = []
-        for (i, selected, _), fitted in zip(block, fits):
+        for (ids, selected, _), fitted in zip(block, fits):
             try:
-                results.append(_evaluate_cell(cfg, cells[i], full, fitted, va, te,
+                results.append(_evaluate_cell(cfg, cells[ids[0]], full, fitted, va, te,
                                               int(np.count_nonzero(selected))))
             except Exception as exc:
-                results.append(_failed(cells[i], exc))
+                results.append(_failed(cells[ids[0]], exc))
         return results
 
+    drawn = list(columns.values())
     blocks = [drawn[cols] for cols in parallel.column_blocks(len(drawn), tr.X)]
-    for block, fitted_cells in zip(blocks, parallel.map_blocks(fit_block, blocks)):
-        for (i, _, _), cell in zip(block, fitted_cells):
-            cells[i] = cell
-    for i, j in twins:
-        twin = cells[i]
-        cells[i] = dataclasses.replace(cells[j], method=twin.method, ratio=twin.ratio,
-                                       repeat=twin.repeat, seed=twin.seed)
+    for block, results in zip(blocks, parallel.map_blocks(fit_block, blocks)):
+        for (ids, _, _), result in zip(block, results):
+            for i in ids:
+                c = cells[i]
+                cells[i] = dataclasses.replace(result, method=c.method, ratio=c.ratio,
+                                               repeat=c.repeat, seed=c.seed)
 
     return ExperimentReport(
         cells=cells,
@@ -464,7 +462,7 @@ def _cell_weights(n: int, rows: np.ndarray, probs: np.ndarray | None) -> float |
 
 
 def _fit_cells(cfg: ExperimentConfig, tr: SparseDataset, full: ModelParams,
-               block: list[tuple[int, np.ndarray, np.ndarray | None]]) -> list[ModelParams]:
+               block: list[tuple[list[int], np.ndarray, np.ndarray | None]]) -> list[ModelParams]:
     """Fit a block of drawn cells in lockstep, each warm from the full-set fit."""
     W = np.zeros((tr.n_rows, len(block)), order="F")
     for j, (_, selected, probs) in enumerate(block):

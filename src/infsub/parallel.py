@@ -3,11 +3,10 @@
 Three loops run their blocks here: the pipeline's blocks of cell fits
 (``experiment.run_pipeline``), the psi blocks of row solves
 (``influence.compute_psi_norms``) and the blocks of lines of a libsvm file
-(``data.load_libsvm`` and ``data.parse_libsvm``). Their blocks share
-nothing, and their sparse products, BLAS calls and numpy array operations
-release the GIL, so threads run them side by side. Each block's arithmetic
-stays its own, so results do not depend on how many threads ran them. The
-first two loops solve independent columns over one training matrix, and
+(``data.load_libsvm``). Their blocks share nothing, and their sparse
+products, BLAS calls and numpy array operations release the GIL, so threads
+run them side by side. Each block's arithmetic stays its own, so results do
+not depend on how many threads ran them. The first two loops solve independent columns over one training matrix, and
 ``column_blocks`` plans both from ``cpu_count`` and the matrix's size; that
 changes no digit, since each column of a block computes bit for bit as it
 would alone (``model.fit_columns``, ``model.pcg``).
@@ -71,43 +70,34 @@ def map_blocks(fn: Callable[[B], R], blocks: Iterable[B]) -> list[R]:
     one CPU no thread is started. Workers draw blocks from the iterable in
     order, one at a time under a lock, so an iterator is never read ahead of
     the workers. Results come back in input order. If any call raises, or
-    the iterator raises while drawing a block, no later block is started,
-    and the failure of the lowest-indexed block is re-raised once every
-    started block has finished.
+    the iterator raises as a block is drawn, no later block is started, and
+    the failure of the lowest-indexed block is re-raised once every started
+    block has finished.
     """
     it = iter(blocks)
     results: list = []
+    failures: list[tuple[int, BaseException]] = []
     lock = threading.Lock()
-    drawing = True      # until the iterator ends or anything fails
-    failed: tuple[int, BaseException] | None = None
-
-    def fail(i: int, exc: BaseException) -> None:   # the lock is held
-        nonlocal drawing, failed
-        drawing = False
-        if failed is None or i < failed[0]:
-            failed = (i, exc)
 
     def work() -> None:
-        nonlocal drawing
         while True:
             with lock:
-                if not drawing:
+                if failures:
                     return
                 i = len(results)
                 try:
                     block = next(it)
-                except StopIteration:
-                    drawing = False
+                except StopIteration:    # an ended iterator stays ended
                     return
                 except BaseException as exc:
-                    fail(i, exc)
+                    failures.append((i, exc))
                     return
                 results.append(None)
             try:
                 results[i] = fn(block)
             except BaseException as exc:
                 with lock:
-                    fail(i, exc)
+                    failures.append((i, exc))
 
     cpus = cpu_count()
     threads = [threading.Thread(target=work)
@@ -119,6 +109,6 @@ def map_blocks(fn: Callable[[B], R], blocks: Iterable[B]) -> list[R]:
     finally:
         for t in threads:
             t.join()
-    if failed is not None:
-        raise failed[1]
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
     return results

@@ -44,6 +44,12 @@ def check_alpha(alpha: float) -> None:
         raise SamplingError(f"alpha must be positive and finite, got {alpha}")
 
 
+def check_ratio(ratio: float) -> None:
+    """Refuse a target ratio |subset|/|Tr| outside (0, 1]."""
+    if not 0.0 < ratio <= 1.0:
+        raise SamplingError(f"target_ratio must be in (0, 1], got {ratio}")
+
+
 def dropout_probs(phi: np.ndarray) -> np.ndarray:
     """Keep-with-certainty for helpful or neutral samples: pi = 1 iff phi <= 0."""
     phi = _finite_vector(phi, "phi")
@@ -106,8 +112,7 @@ def random_probs(n: int, target_ratio: float) -> np.ndarray:
     """Uniform baseline: every sample at pi = target_ratio."""
     if n < 1:
         raise SamplingError("n must be at least 1")
-    if not 0.0 < target_ratio <= 1.0:
-        raise SamplingError(f"target_ratio must be in (0, 1], got {target_ratio}")
+    check_ratio(target_ratio)
     return np.full(n, target_ratio)
 
 
@@ -161,8 +166,7 @@ class SamplingPlan:
         if selected.size and (np.any(np.diff(selected) <= 0)
                               or selected[0] < 0 or selected[-1] >= probs.size):
             raise SamplingError("selected must be strictly increasing valid row indices")
-        if not 0.0 < self.target_ratio <= 1.0:
-            raise SamplingError(f"target_ratio must be in (0, 1], got {self.target_ratio}")
+        check_ratio(self.target_ratio)
         if self.seed < 0:
             raise SamplingError(f"seed must be nonnegative, got {self.seed}")
         object.__setattr__(self, "probs", probs)

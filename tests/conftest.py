@@ -58,6 +58,14 @@ def dense_grad_rows(params, ds, regularized=True):
     return G
 
 
+def libsvm_file(directory, lines, name="lines.svm"):
+    """Write ``lines`` to a file under ``directory``, one per line as UTF-8
+    text, and return its path for ``load_libsvm``."""
+    path = directory / name
+    path.write_bytes("\n".join(lines).encode("utf-8"))
+    return str(path)
+
+
 def dataset_path(name):
     """Absolute path of a bundled dataset file."""
     from importlib import resources

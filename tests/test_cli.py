@@ -167,6 +167,32 @@ def test_sample_rejects_infinite_alpha_before_loading(tmp_path, capsys, method):
     assert not plan_path.exists()
 
 
+def test_sample_rejects_ratio_outside_unit_interval_before_loading(tmp_path, capsys):
+    missing, plan_path = str(tmp_path / "missing"), tmp_path / "p.csv"
+    code = cli.main(["sample", "--influence", missing, "--tr", missing, "--method", "random",
+                     "--ratio", "1.5", "--out", str(plan_path)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: target_ratio must be in (0, 1], got 1.5\n"
+    assert not plan_path.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["train", "--tr", "MISSING", "--out", "OUT"],
+    ["influence", "--model", "MISSING", "--tr", "MISSING", "--va", "MISSING", "--out", "OUT"],
+    ["sample", "--influence", "MISSING", "--tr", "MISSING", "--method", "random",
+     "--ratio", "0.5", "--out", "OUT"],
+    ["evaluate", "--model", "MISSING", "--data", "MISSING"],
+], ids=["train", "influence", "sample", "evaluate"])
+def test_negative_n_features_is_refused_before_any_file_is_opened(tmp_path, capsys, args):
+    # No file exists: the setting, not a missing file, must be the error.
+    out = tmp_path / "out"
+    names = {"MISSING": str(tmp_path / "missing.svm"), "OUT": str(out)}
+    code = cli.main([names.get(a, a) for a in args] + ["--n-features", "-1"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: n_features must be nonnegative, got -1\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("radius", ["-2", "nan", "inf"])
 def test_evaluate_rejects_bad_radius_before_loading(tmp_path, capsys, radius):
     # Checked before any file is read: neither path exists, and no logloss

@@ -9,10 +9,10 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dataset_path, make_ds
+from conftest import dataset_path, libsvm_file, make_ds
 from infsub import data, synthdata
 from infsub.data import (DataError, SparseDataset, SplitSpec, flip_labels,
-                         load_aligned, load_libsvm, parse_libsvm, read_table,
+                         load_aligned, load_libsvm, read_table,
                          round_half_up, split, with_feature_dim, write_libsvm,
                          write_table)
 
@@ -28,8 +28,8 @@ def test_round_half_up():
 
 # ---------------------------------------------------------------- parsing
 
-def test_parse_single_row():
-    ds = parse_libsvm(["1 1:0.5 3:2.0"])
+def test_parse_single_row(tmp_path):
+    ds = load_libsvm(libsvm_file(tmp_path, ["1 1:0.5 3:2.0"]))
     assert ds.n_rows == 1
     assert ds.n_features == 4
     assert ds.y.tolist() == [1]
@@ -38,98 +38,100 @@ def test_parse_single_row():
     assert val.tolist() == [0.5, 2.0]
 
 
-def test_parse_label_minus_one_maps_to_zero():
-    ds = parse_libsvm(["-1 0:1.0"])
+def test_parse_label_minus_one_maps_to_zero(tmp_path):
+    ds = load_libsvm(libsvm_file(tmp_path, ["-1 0:1.0"]))
     assert ds.y.tolist() == [0]
 
 
-def test_parse_pm1_alphabet():
-    ds = parse_libsvm(["-1 0:1", "+1 0:2", "-1 1:3"])
+def test_parse_pm1_alphabet(tmp_path):
+    ds = load_libsvm(libsvm_file(tmp_path, ["-1 0:1", "+1 0:2", "-1 1:3"]))
     assert ds.y.tolist() == [0, 1, 0]
 
 
-def test_parse_one_two_alphabet():
-    ds = parse_libsvm(["1 0:1", "2 0:2"])
+def test_parse_one_two_alphabet(tmp_path):
+    ds = load_libsvm(libsvm_file(tmp_path, ["1 0:1", "2 0:2"]))
     assert ds.y.tolist() == [0, 1]
 
 
-def test_parse_all_ones_read_as_positive():
+def test_parse_all_ones_read_as_positive(tmp_path):
     # {1} fits the 0/1 alphabet, which takes precedence over {1,2}.
-    ds = parse_libsvm(["1 0:1", "1 1:2"])
+    ds = load_libsvm(libsvm_file(tmp_path, ["1 0:1", "1 1:2"]))
     assert ds.y.tolist() == [1, 1]
 
 
-def test_parse_all_twos_read_as_positive():
-    ds = parse_libsvm(["2 0:1", "2 1:2"])
+def test_parse_all_twos_read_as_positive(tmp_path):
+    ds = load_libsvm(libsvm_file(tmp_path, ["2 0:1", "2 1:2"]))
     assert ds.y.tolist() == [1, 1]
 
 
-def test_parse_mixed_alphabet_rejected():
+def test_parse_mixed_alphabet_rejected(tmp_path):
     with pytest.raises(DataError, match="label alphabet"):
-        parse_libsvm(["-1 0:1", "2 0:2"])
+        load_libsvm(libsvm_file(tmp_path, ["-1 0:1", "2 0:2"]))
     with pytest.raises(DataError, match="label alphabet"):
-        parse_libsvm(["-1 0:1", "0 0:2", "1 0:3"])
+        load_libsvm(libsvm_file(tmp_path, ["-1 0:1", "0 0:2", "1 0:3"]))
 
 
-def test_parse_bad_label_reports_line():
+def test_parse_bad_label_reports_line(tmp_path):
     with pytest.raises(DataError, match="line 2"):
-        parse_libsvm(["1 0:1", "spam 0:1"])
+        load_libsvm(libsvm_file(tmp_path, ["1 0:1", "spam 0:1"]))
     with pytest.raises(DataError, match="line 1.*non-integer"):
-        parse_libsvm(["1.5 0:1"])
+        load_libsvm(libsvm_file(tmp_path, ["1.5 0:1"]))
 
 
-def test_parse_bad_feature_tokens():
+def test_parse_bad_feature_tokens(tmp_path):
     with pytest.raises(DataError, match="line 1"):
-        parse_libsvm(["1 novalue"])
+        load_libsvm(libsvm_file(tmp_path, ["1 novalue"]))
     with pytest.raises(DataError, match="line 1"):
-        parse_libsvm(["1 0:abc"])
+        load_libsvm(libsvm_file(tmp_path, ["1 0:abc"]))
+    # An index is digits alone, unlike a value.
     with pytest.raises(DataError, match="bad feature '1.0:1'"):
-        parse_libsvm(["1 1.0:1"])     # an index is digits alone, unlike a value
+        load_libsvm(libsvm_file(tmp_path, ["1 1.0:1"]))
     with pytest.raises(DataError, match="negative"):
-        parse_libsvm(["1 -2:1.0"])
+        load_libsvm(libsvm_file(tmp_path, ["1 -2:1.0"]))
     with pytest.raises(DataError, match="non-finite"):
-        parse_libsvm(["1 0:inf"])
+        load_libsvm(libsvm_file(tmp_path, ["1 0:inf"]))
     with pytest.raises(DataError, match="duplicate"):
-        parse_libsvm(["1 3:1.0 3:2.0"])
+        load_libsvm(libsvm_file(tmp_path, ["1 3:1.0 3:2.0"]))
 
 
-def test_parse_sorts_indices_within_row():
-    ds = parse_libsvm(["1 3:1.0 1:2.0"])
+def test_parse_sorts_indices_within_row(tmp_path):
+    ds = load_libsvm(libsvm_file(tmp_path, ["1 3:1.0 1:2.0"]))
     idx, val = ds.row(0)
     assert idx.tolist() == [1, 3]
     assert val.tolist() == [2.0, 1.0]
 
 
-def test_parse_skips_blank_lines():
-    ds = parse_libsvm(["", "1 0:1", "   ", "0 1:2", "\n"])
+def test_parse_skips_blank_lines(tmp_path):
+    ds = load_libsvm(libsvm_file(tmp_path, ["", "1 0:1", "   ", "0 1:2", "\n"]))
     assert ds.n_rows == 2
 
 
-def test_parse_empty_input():
-    ds = parse_libsvm([])
+def test_parse_empty_input(tmp_path):
+    ds = load_libsvm(libsvm_file(tmp_path, []))
     assert ds.n_rows == 0
     assert ds.n_features == 0
     assert np.isnan(ds.positive_fraction)
 
 
-def test_parse_n_features_override():
-    ds = parse_libsvm(["1 0:1"], n_features=7)
+def test_parse_n_features_override(tmp_path):
+    ds = load_libsvm(libsvm_file(tmp_path, ["1 0:1"]), n_features=7)
     assert ds.n_features == 7
     with pytest.raises(DataError, match="overflows"):
-        parse_libsvm(["1 5:1"], n_features=5)
+        load_libsvm(libsvm_file(tmp_path, ["1 5:1"]), n_features=5)
     with pytest.raises(DataError, match="nonnegative"):
-        parse_libsvm(["1 0:1"], n_features=-1)
+        load_libsvm(libsvm_file(tmp_path, ["1 0:1"]), n_features=-1)
 
 
 def test_negative_n_features_is_refused_before_any_parse(tmp_path, monkeypatch):
-    # The file is malformed too: the setting's error comes first, and no block is parsed.
+    # The file is malformed too: the setting's error comes first, without
+    # the path, since the file is not at fault, and no block is parsed.
     path = tmp_path / "bad.svm"
     path.write_text("1 0:1\nspam 0:x\n")
     calls = []
     monkeypatch.setattr(data, "_parse_block", lambda *block: calls.append(block))
     with pytest.raises(DataError) as err:
         load_libsvm(str(path), n_features=-1)
-    assert str(err.value) == f"{path}: n_features must be nonnegative"
+    assert str(err.value) == "n_features must be nonnegative, got -1"
     assert calls == []
 
 
@@ -162,9 +164,6 @@ def test_load_truncated_gzip(tmp_path):
 def test_a_malformed_file_is_named_before_its_line(tmp_path):
     # Several files are often read together; the error says which one is bad.
     lines = ["1 0:1", "1 2:x"]
-    with pytest.raises(DataError) as err:
-        parse_libsvm(lines)
-    assert str(err.value) == "line 2: bad feature '2:x'"
     for name, write in (("bad.svm", open), ("bad.svm.gz", gzip.open)):
         path = tmp_path / name
         with write(path, "wt", encoding="utf-8") as fh:
@@ -328,7 +327,7 @@ def test_index_arrays_stay_int32(tmp_path):
     tr, va, te = split(ds, SplitSpec(0.25, 0.25, seed=3))
     empty_te = split(ds, SplitSpec(0.25))[2]
     for part in (ds, tr, va, te, empty_te, ds.subset(np.array([5, 1, 5])),
-                 with_feature_dim(ds, 50), parse_libsvm([])):
+                 with_feature_dim(ds, 50), load_libsvm(libsvm_file(tmp_path, []))):
         assert part.X.indices.dtype == np.int32
         assert part.X.indptr.dtype == np.int32
 

@@ -1,5 +1,7 @@
 """Configuration, seed derivation, and the end-to-end experiment grid."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -89,12 +91,14 @@ def test_config_validates_grid():
     (dict(linear_alpha=float("inf")), "linear_alpha must be positive and finite, got inf"),
     (dict(n_features=-1), "n_features must be nonnegative, got -1"),
     (dict(sigmoid_alphas=[1.0000001, 1.0000002]), "alike to 6 digits share the label 'sigmoid@1'"),
+    (dict(seed=-1), re.escape("seed must be in [0, 2**63), got -1")),
+    (dict(seed=2**63), re.escape(f"seed must be in [0, 2**63), got {2**63}")),
 ], ids=["no-ratios", "dup-methods", "dup-ratios", "dup-alphas", "no-alphas", "negative-alpha", "zero-linear-alpha",
         "zero-floor", "floor-above-one", "pcg-tol", "pcg-max-iter",
         "va-fraction", "no-training-rows", "zero-reg-c", "infinite-reg-c", "nan-reg-c",
         "zero-train-tol", "zero-train-max-iter", "infinite-train-tol", "infinite-pcg-tol",
         "unit-pcg-tol", "infinite-alpha", "infinite-linear-alpha", "negative-n-features",
-        "alphas-labelled-alike"])
+        "alphas-labelled-alike", "negative-seed", "seed-past-63-bits"])
 def test_config_rejects_bad_grid_before_reading_data(bad, match):
     # "a" does not exist: the error must come from the config itself.
     with pytest.raises(ValueError, match=match):

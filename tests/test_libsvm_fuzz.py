@@ -1,10 +1,10 @@
 """Differential tests: the block-wise libsvm reader and writer against the
 token-by-token oracle in ``libsvm_oracle``.
 
-Random files, valid and malformed, go through both readers: plain files,
-gzipped files and lists of lines, with blocks shrunk to a few bytes so that
-lines straddle block ends, parsed by one worker or two. Both must give the
-same CSR and labels, or the same DataError message, line number included.
+Random files, valid and malformed, go through both readers, plain and
+gzipped, with blocks shrunk to a few bytes so that lines straddle block
+ends, parsed by one worker or two. Both must give the same CSR and labels,
+or the same DataError message, line number included.
 
 Deliberate differences are kept out of the alphabet below, by name:
 underscores in numbers (``1_0``), non-ASCII whitespace and digits, bytes
@@ -24,9 +24,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import libsvm_oracle as oracle
-from conftest import dataset_path
+from conftest import dataset_path, libsvm_file
 from infsub import cli, data, parallel
-from infsub.data import DataError, SparseDataset, load_libsvm, parse_libsvm, write_libsvm
+from infsub.data import DataError, SparseDataset, load_libsvm, write_libsvm
 
 LABELS = ["0", "1", "-1", "+1", "2", "1.0", "1e0", "-0", "0.0", "10e-1", "-1.00",
           "3", "1.5", "spam", "1:1", "1e", "+", "\x00", "NaNa"]
@@ -116,15 +116,6 @@ def test_reader_agrees_with_oracle(tmp_path_factory, text, block, n_features, wo
             # A file's error is the oracle's, after the file's path.
             named = f"{path}: {want}" if isinstance(want, str) else want
             assert outcome(lambda: load_libsvm(str(path), n_features)) == named
-        assert outcome(lambda: parse_libsvm(lines, n_features)) == want
-
-
-@settings(max_examples=100, deadline=None)
-@given(lines=st.lists(st.one_of(good_rows, st.text(alphabet=" \t\r\n01:.-", max_size=12)),
-                      max_size=6))
-def test_lines_with_embedded_breaks_agree(lines):
-    # An item is one line even when it holds "\r" or "\n": they are blanks in it.
-    assert outcome(lambda: parse_libsvm(lines)) == outcome(lambda: oracle.parse_libsvm(lines))
 
 
 def test_reader_agrees_on_bundled_files():
@@ -155,9 +146,10 @@ def test_blank_blocks_raise_no_warning(tmp_path):
     ("nan 0:1", "non-integer label 'nan'"),
     ("1 2147483648:1", "feature index 2147483648 exceeds 2147483647"),
 ])
-def test_deliberate_differences_from_the_oracle(line, match):
-    with pytest.raises(DataError, match=re.escape(f"line 1: {match}")):
-        parse_libsvm([line])
+def test_deliberate_differences_from_the_oracle(tmp_path, line, match):
+    path = libsvm_file(tmp_path, [line])
+    with pytest.raises(DataError, match=re.escape(f"{path}: line 1: {match}")):
+        load_libsvm(path)
 
 
 HUGE = "9" * 5000   # more digits than int() reads
@@ -168,9 +160,10 @@ HUGE = "9" * 5000   # more digits than int() reads
     (f"-{HUGE}", f"negative feature index -{HUGE}"),
 ], ids=["huge", "negative-huge"])
 def test_an_index_too_long_for_int_is_named_with_its_line(tmp_path, capsys, token, message):
+    second = libsvm_file(tmp_path, ["1 0:1", f"1 {token}:1"])
     with pytest.raises(DataError) as err:
-        parse_libsvm(["1 0:1", f"1 {token}:1"])
-    assert str(err.value) == f"line 2: {message}"
+        load_libsvm(second)
+    assert str(err.value) == f"{second}: line 2: {message}"
     path = tmp_path / "huge.svm"
     path.write_text(f"1 {token}:1\n")
     assert cli.main(["train", "--tr", str(path), "--out", str(tmp_path / "m.txt")]) == 2
@@ -183,9 +176,10 @@ def test_an_index_too_long_for_int_is_named_with_its_line(tmp_path, capsys, toke
     ("-" + ZEROS + "7", "negative feature index -7"),
     ("+" + ZEROS + "2147483648", "feature index 2147483648 exceeds 2147483647"),
 ])
-def test_an_out_of_range_index_is_written_as_int_writes_it(token, message):
-    with pytest.raises(DataError, match=f"^line 1: {re.escape(message)}$"):
-        parse_libsvm([f"1 {token}:1"])
+def test_an_out_of_range_index_is_written_as_int_writes_it(tmp_path, token, message):
+    path = libsvm_file(tmp_path, [f"1 {token}:1"])
+    with pytest.raises(DataError, match=f"^{re.escape(path)}: line 1: {re.escape(message)}$"):
+        load_libsvm(path)
 
 
 @pytest.mark.parametrize("token, index", [
@@ -194,8 +188,8 @@ def test_an_out_of_range_index_is_written_as_int_writes_it(token, message):
     ("-" + ZEROS, 0),
     (ZEROS + "2147483647", 2147483647),
 ])
-def test_a_long_zero_padded_index_reads_as_its_digits(token, index):
-    assert parse_libsvm([f"1 {token}:1"]).X.indices.tolist() == [index]
+def test_a_long_zero_padded_index_reads_as_its_digits(tmp_path, token, index):
+    assert load_libsvm(libsvm_file(tmp_path, [f"1 {token}:1"])).X.indices.tolist() == [index]
 
 
 def test_bytes_that_are_not_utf8_are_a_bad_token(tmp_path):
