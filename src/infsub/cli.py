@@ -181,6 +181,12 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         raise ConfigError("--out writes the worst-case curve; it needs --deltas")
     if bool(args.influence) != bool(args.plan):
         raise ConfigError("--influence and --plan go together: the covariance check needs both")
+    if args.influence:
+        phi, _ = influence.read_influence_csv(args.influence)
+        plan = sampling.read_plan_csv(args.plan)
+        if phi.size != plan.probs.size:
+            raise sampling.SamplingError(f"{args.influence} holds {phi.size} influence rows "
+                                         f"but {args.plan} holds {plan.probs.size} plan rows")
     ds = load_libsvm(args.data, args.n_features)
     params = _load_model_for(args.model, ds.n_features)
     losses = model.per_sample_loss(params, ds, regularized=False)
@@ -197,8 +203,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         base = _load_model_for(args.baseline_model, ds.n_features)
         print(f"squared parameter shift vs baseline: {risk.gamma_shift(base, params):.6e}")
     if args.influence:
-        phi, _ = influence.read_influence_csv(args.influence)
-        plan = sampling.read_plan_csv(args.plan)
         cov = risk.cov_phi_eps(phi, plan.probs)
         print(f"cov(influence, weight shift): {cov:.6e} "
               f"({'aimed' if cov <= 0 else 'NOT aimed'} at lowering validation risk)")

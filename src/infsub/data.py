@@ -393,9 +393,10 @@ def load_libsvm(path: str, n_features: int | None = None) -> SparseDataset:
     2**31 - 1; a value is any finite number float() reads, in ASCII and
     without underscores. Indices may start at 0 or 1, in any order within a
     row, and are stored as given; the feature dimension is max index + 1
-    unless ``n_features`` overrides it. A negative ``n_features`` raises
-    DataError before the file is opened; an unreadable file, or a malformed
-    line named by its 1-based number, raises it after the path.
+    unless ``n_features`` overrides it. An ``n_features`` that is negative,
+    or above 2**31 where no index can reach, raises DataError before the
+    file is opened; an unreadable file, or a malformed line named by its
+    1-based number, raises it after the path.
 
     Every number reads as float() reads it. A plain decimal, ``[sign] digits
     [. digits]`` whose digits form an integer below 2**53 with at most 22
@@ -405,6 +406,8 @@ def load_libsvm(path: str, n_features: int | None = None) -> SparseDataset:
     """
     if n_features is not None and n_features < 0:
         raise DataError(f"n_features must be nonnegative, got {n_features}")
+    if n_features is not None and n_features > _INDEX_MAX + 1:
+        raise DataError(f"n_features must be at most {_INDEX_MAX + 1}, got {n_features}")
     opener = gzip.open if str(path).endswith(".gz") else open
     try:
         with opener(path, "rt", encoding="latin-1") as fh:  # type: ignore[operator]
@@ -450,22 +453,15 @@ def write_libsvm(ds: SparseDataset, path: str, label_style: str = "01") -> None:
     write_lines(path, lines())
 
 
-def with_feature_dim(ds: SparseDataset, n_features: int) -> SparseDataset:
-    """Widen (or confirm) the feature dimension without touching stored entries."""
-    if n_features == ds.n_features:
-        return ds
-    if ds.X.nnz and n_features <= int(ds.X.indices.max()):
-        raise DataError(f"dimension {n_features} drops populated columns")
-    X = sp.csr_array((ds.X.data, ds.X.indices, ds.X.indptr), shape=(ds.n_rows, n_features))
-    return SparseDataset(X, ds.y)
-
-
 def load_aligned(paths: Sequence[str], n_features: int | None = None) -> list[SparseDataset]:
     """Load libsvm files read together (``load_libsvm``), in order, each
-    widened to the largest feature dimension among them."""
+    widened to the largest feature dimension among them; the stored entries
+    are shared, and a file already that wide is returned as loaded."""
     parts = [load_libsvm(path, n_features) for path in paths]
     d = max(ds.n_features for ds in parts)
-    return [with_feature_dim(ds, d) for ds in parts]
+    return [ds if ds.n_features == d else SparseDataset(
+        sp.csr_array((ds.X.data, ds.X.indices, ds.X.indptr), shape=(ds.n_rows, d)), ds.y)
+        for ds in parts]
 
 
 def split(ds: SparseDataset, spec: SplitSpec) -> tuple[SparseDataset, SparseDataset, SparseDataset]:

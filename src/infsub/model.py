@@ -116,18 +116,6 @@ def _margins(params: ModelParams, ds: SparseDataset) -> np.ndarray:
     return ds.X @ params.theta
 
 
-def _weights(ds: SparseDataset, sample_weight: np.ndarray | None) -> np.ndarray:
-    """Validated per-row weights; None means all ones, which changes no value."""
-    if sample_weight is None:
-        return np.ones(ds.n_rows)
-    w = np.asarray(sample_weight, dtype=np.float64)
-    if w.shape != (ds.n_rows,):
-        raise ModelError(f"sample_weight shape {w.shape} does not match {ds.n_rows} rows")
-    if not np.all(np.isfinite(w)) or np.any(w < 0):
-        raise ModelError("sample_weight must be finite and nonnegative")
-    return w
-
-
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a . b for vectors, column-wise a_j . b_j for (d, k) blocks.
 
@@ -162,13 +150,13 @@ def _log_loss(z: np.ndarray, y: np.ndarray) -> np.ndarray:
     return -(y * np.log(p) + (1 - y) * np.log1p(-p))
 
 
-# The loss and derivative kernels below take one fit (theta (d,), margins and
-# weights (n,), labels (n,), wbar a float) or a block of k fits (theta (d, k),
+# The loss and derivative kernels below take one fit (theta (d,), margins (n,),
+# weights (n,) or 1, labels (n,), wbar a float) or a block of k fits (theta (d, k),
 # margins and weights (n, k), labels (n, 1), wbar (k,)). A block column sums
 # in the order its one-fit call does, and the (d, k) arrays are column-
 # contiguous (``_dot``), so each column rounds bit for bit as its own fit.
 
-def _objective(theta: np.ndarray, z: np.ndarray, w: np.ndarray, wbar: float | np.ndarray,
+def _objective(theta: np.ndarray, z: np.ndarray, w: float | np.ndarray, wbar: float | np.ndarray,
                y: np.ndarray, reg_c: float) -> float | np.ndarray:
     """Weighted mean log loss at margins z = X theta, plus (C/2) wbar ||theta||^2.
 
@@ -182,8 +170,8 @@ def _objective(theta: np.ndarray, z: np.ndarray, w: np.ndarray, wbar: float | np
             + 0.5 * reg_c * wbar * _dot(theta, theta))
 
 
-def _derivatives(theta: np.ndarray, z: np.ndarray, w: np.ndarray, wbar: float | np.ndarray,
-                 y: np.ndarray, reg_c: float, X: sp.csr_array,
+def _derivatives(theta: np.ndarray, z: np.ndarray, w: float | np.ndarray,
+                 wbar: float | np.ndarray, y: np.ndarray, reg_c: float, X: sp.csr_array,
                  XT: sp.csc_array) -> tuple[np.ndarray, Curvature]:
     """Gradient and Hessian operator of ``_objective`` at margins z; one sigmoid."""
     p = _sigmoid(z)
@@ -192,10 +180,9 @@ def _derivatives(theta: np.ndarray, z: np.ndarray, w: np.ndarray, wbar: float | 
     return g, Curvature(X, w * (p * (1.0 - p)), reg_c * wbar, XT)
 
 
-def _at(params: ModelParams, ds: SparseDataset, sample_weight: np.ndarray | None):
-    """The kernel arguments of one fit at ``params``: theta, z, w, wbar, y, C."""
-    w = _weights(ds, sample_weight)
-    return params.theta, _margins(params, ds), w, float(np.mean(w)), ds.y, params.reg_c
+def _at(params: ModelParams, ds: SparseDataset):
+    """The kernel arguments of the unweighted objective at ``params``: theta, z, 1, 1, y, C."""
+    return params.theta, _margins(params, ds), 1.0, 1.0, ds.y, params.reg_c
 
 
 def _sigma(params: ModelParams, ds: SparseDataset) -> np.ndarray:
@@ -216,9 +203,9 @@ def per_sample_loss(params: ModelParams, ds: SparseDataset, regularized: bool = 
     return losses
 
 
-def risk(params: ModelParams, ds: SparseDataset, sample_weight: np.ndarray | None = None) -> float:
-    """Weighted mean of the regularized per-sample losses (weights default to 1)."""
-    return float(_objective(*_at(params, ds, sample_weight)))
+def risk(params: ModelParams, ds: SparseDataset) -> float:
+    """Mean of the regularized per-sample losses over every row of ``ds``."""
+    return float(_objective(*_at(params, ds)))
 
 
 def mean_logloss(params: ModelParams, ds: SparseDataset) -> float:
@@ -232,15 +219,14 @@ def accuracy(params: ModelParams, ds: SparseDataset) -> float:
     return float(np.mean((p >= 0.5) == (ds.y == 1)))
 
 
-def gradient(params: ModelParams, ds: SparseDataset, sample_weight: np.ndarray | None = None) -> np.ndarray:
-    """Gradient of ``risk`` at ``params``: (1/n) X^T (w (p - y)) + C wbar theta."""
-    return _derivatives(*_at(params, ds, sample_weight), ds.X, ds.X.T)[0]
+def gradient(params: ModelParams, ds: SparseDataset) -> np.ndarray:
+    """Gradient of ``risk`` at ``params``: (1/n) X^T (p - y) + C theta."""
+    return _derivatives(*_at(params, ds), ds.X, ds.X.T)[0]
 
 
-def curvature(params: ModelParams, ds: SparseDataset,
-              sample_weight: np.ndarray | None = None) -> Curvature:
+def curvature(params: ModelParams, ds: SparseDataset) -> Curvature:
     """Build the Hessian operator of ``risk`` at ``params``; the sigmoid runs once here."""
-    return _derivatives(*_at(params, ds, sample_weight), ds.X, ds.X.T)[1]
+    return _derivatives(*_at(params, ds), ds.X, ds.X.T)[1]
 
 
 def hvp(H: Curvature, v: np.ndarray) -> np.ndarray:
@@ -404,8 +390,8 @@ def check_two_classes(y: np.ndarray) -> None:
         raise ModelError("training data carries a single class")
 
 
-def train(ds: SparseDataset, reg_c: float, tol: float = TRAIN_TOL, max_iter: int = TRAIN_MAX_ITER,
-          sample_weight: np.ndarray | None = None) -> ModelParams:
+def train(ds: SparseDataset, reg_c: float, tol: float = TRAIN_TOL,
+          max_iter: int = TRAIN_MAX_ITER) -> ModelParams:
     """Fit one model by damped Newton from theta = 0: ``fit_columns`` with one column.
 
     Runs to gradient norm <= tol or max_iter steps; a non-converged fit is
@@ -413,15 +399,15 @@ def train(ds: SparseDataset, reg_c: float, tol: float = TRAIN_TOL, max_iter: int
     pipeline's full-set fit is this call; its cells are not, since they run
     as columns of ``fit_columns`` blocks, warm from the full-set theta.
     """
-    w = _weights(ds, sample_weight)
-    return fit_columns(ds, reg_c, w[:, None], np.zeros(ds.n_features), tol, max_iter)[0]
+    W, theta0 = np.ones((ds.n_rows, 1)), np.zeros(ds.n_features)
+    return fit_columns(ds, reg_c, W, theta0, tol, max_iter)[0]
 
 
 def fit_columns(ds: SparseDataset, reg_c: float, W: np.ndarray, theta0: np.ndarray,
                 tol: float = TRAIN_TOL, max_iter: int = TRAIN_MAX_ITER) -> list[ModelParams]:
     """Fit the k weighted objectives set by the columns of W, all from theta0.
 
-    Objective j is ``risk`` under the weights W[:, j] (shape (n, k)). Each
+    Objective j is ``_objective`` under the weights W[:, j] (shape (n, k)). Each
     column runs its own damped Newton iteration: a step from an
     unpreconditioned ``pcg`` solve with forcing tolerance
     min(0.5, sqrt(||g_j||)), then its own ``_backtrack``. The columns step

@@ -3,13 +3,13 @@
 Three loops run their blocks here: the pipeline's blocks of cell fits
 (``experiment.run_pipeline``), the psi blocks of row solves
 (``influence.compute_psi_norms``) and the blocks of lines of a libsvm file
-(``data.load_libsvm``). Their blocks share nothing, and their sparse
-products, BLAS calls and numpy array operations release the GIL, so threads
-run them side by side. Each block's arithmetic stays its own, so results do
-not depend on how many threads ran them. The first two loops solve independent columns over one training matrix, and
-``column_blocks`` plans both from ``cpu_count`` and the matrix's size; that
-changes no digit, since each column of a block computes bit for bit as it
-would alone (``model.fit_columns``, ``model.pcg``).
+(``data.load_libsvm``). Their blocks share nothing, and their sparse products,
+BLAS calls and numpy array operations release the GIL, so threads run them side
+by side. Each block's arithmetic stays its own, so results do not depend on how
+many threads ran them. The first two loops solve independent columns over one
+training matrix, and ``column_blocks`` plans both from ``cpu_count`` and the
+matrix's size; that changes no digit, since each column of a block computes bit
+for bit as it would alone (``model.fit_columns``, ``model.pcg``).
 """
 
 from __future__ import annotations

@@ -121,7 +121,7 @@ def test_04_parameter_shift_ordering_across_samplers():
 
 
 def test_05_worst_case_dual_matches_grid_search():
-    # 10 random loss vectors x delta in {0, 0.5, 2, 10}: the golden-section
+    # 10 random loss vectors x delta in {0, 0.5, 2, 10}: the exactly solved
     # dual must be within 1e-4 of a 1e-5-step grid oracle, and every value
     # must land between the mean and the max of the losses.
     from infsub.risk import worst_case_risk

@@ -24,7 +24,7 @@ from infsub import experiment, model, parallel, sampling
 from infsub.data import write_libsvm
 from infsub.experiment import ExperimentConfig, emit_report, run_pipeline
 from infsub.influence import compute_phi, compute_psi_norms
-from infsub.model import ModelError, ModelParams
+from infsub.model import ModelError
 
 # Double precision resolves a gradient whose terms are of order one only to
 # about this norm; it is the floor under every gradient-based bound below.
@@ -129,8 +129,8 @@ def test_block_fit_matches_dense_subset_optimum(n, d, seed, reg_c, picks):
         column = np.zeros(n)
         column[rows] = experiment._cell_weights(n, rows, probs)
         for theta in (ref, full.theta):
-            assert model.risk(ModelParams(theta, reg_c), tr, column) == pytest.approx(
-                fun(theta), rel=1e-12)
+            f = model._objective(theta, tr.X @ theta, column, np.mean(column), tr.y, reg_c)
+            assert f == pytest.approx(fun(theta), rel=1e-12)
         assert float(np.mean(column)) == pytest.approx(wbar, rel=1e-12)
 
         # The fit converged, and the gradient norm it reports is the subset
@@ -351,8 +351,8 @@ def test_capped_column_fails_while_its_block_succeeds(monkeypatch):
     # optimum and needs no step, while every ratio-0.5 cell needs more.
     real_train = model.train
 
-    def full_fit_uncapped(ds, reg_c, tol, max_iter, sample_weight=None):
-        return real_train(ds, reg_c, tol=tol, max_iter=100, sample_weight=sample_weight)
+    def full_fit_uncapped(ds, reg_c, tol, max_iter):
+        return real_train(ds, reg_c, tol=tol, max_iter=100)
 
     monkeypatch.setattr(model, "train", full_fit_uncapped)
     cfg = ExperimentConfig(dataset_path=dataset_path("pima_like.svm"), train_max_iter=1,
@@ -398,9 +398,8 @@ def test_block_that_fails_as_a_whole_fails_each_of_its_cells(data_file, monkeypa
 
 def test_fit_columns_one_column_is_train_bit_for_bit():
     ds = random_ds(np.random.default_rng(31), 120, 9)
-    w = np.random.default_rng(32).uniform(0.0, 2.0, ds.n_rows)
-    want = model.train(ds, 0.05, sample_weight=w)
-    got, = model.fit_columns(ds, 0.05, w[:, None], np.zeros(ds.n_features))
+    want = model.train(ds, 0.05)
+    got, = model.fit_columns(ds, 0.05, np.ones((ds.n_rows, 1)), np.zeros(ds.n_features))
     assert np.array_equal(got.theta, want.theta)
     assert (got.grad_norm, got.n_iter, got.converged) == (
         want.grad_norm, want.n_iter, want.converged)

@@ -145,6 +145,23 @@ def test_evaluate_prints_all_diagnostics(files, tmp_path, capsys):
     assert len(lines) == 4
 
 
+def test_evaluate_refuses_influence_and_plan_of_different_lengths(files, tmp_path, capsys):
+    # Both tables are read and compared before the data and the model, so
+    # nothing is printed but the error, which names both files.
+    plan_path, short = tmp_path / "plan.csv", tmp_path / "short.csv"
+    assert cli.main(["sample", "--influence", files["inf"], "--tr", files["tr"],
+                     "--method", "random", "--ratio", "0.5", "--out", str(plan_path)]) == 0
+    influence.write_influence_csv(str(short), np.zeros(40))
+    capsys.readouterr()
+    code = cli.main(["evaluate", "--model", files["model"], "--data", files["va"],
+                     "--influence", str(short), "--plan", str(plan_path)])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: {short} holds 40 influence rows but {plan_path} "
+                   "holds 80 plan rows\n")
+
+
 def test_evaluate_huge_radius_gives_the_largest_loss(files, tmp_path):
     # 2 delta + 1 overflows to inf at delta = 1e308; the curve must still
     # end at the largest loss, not NaN.
@@ -182,15 +199,18 @@ def test_sample_rejects_ratio_outside_unit_interval_before_loading(tmp_path, cap
     ["sample", "--influence", "MISSING", "--tr", "MISSING", "--method", "random",
      "--ratio", "0.5", "--out", "OUT"],
     ["evaluate", "--model", "MISSING", "--data", "MISSING"],
-], ids=["train", "influence", "sample", "evaluate"])
+    ["pipeline", "--dataset", "MISSING", "--out", "OUT"],
+], ids=["train", "influence", "sample", "evaluate", "pipeline"])
 def test_negative_n_features_is_refused_before_any_file_is_opened(tmp_path, capsys, args):
     # No file exists: the setting, not a missing file, must be the error.
+    # Indices stop at 2**31 - 1, so no index reaches a dimension above 2**31.
     out = tmp_path / "out"
     names = {"MISSING": str(tmp_path / "missing.svm"), "OUT": str(out)}
-    code = cli.main([names.get(a, a) for a in args] + ["--n-features", "-1"])
-    assert code == 2
-    assert capsys.readouterr().err == "error: n_features must be nonnegative, got -1\n"
-    assert not out.exists()
+    for value, rule in (("-1", "be nonnegative"), ("2147483649", "be at most 2147483648")):
+        code = cli.main([names.get(a, a) for a in args] + ["--n-features", value])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: n_features must {rule}, got {value}\n"
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("radius", ["-2", "nan", "inf"])

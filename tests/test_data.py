@@ -13,8 +13,7 @@ from conftest import dataset_path, libsvm_file, make_ds
 from infsub import data, synthdata
 from infsub.data import (DataError, SparseDataset, SplitSpec, flip_labels,
                          load_aligned, load_libsvm, read_table,
-                         round_half_up, split, with_feature_dim, write_libsvm,
-                         write_table)
+                         round_half_up, split, write_libsvm, write_table)
 
 
 def test_round_half_up():
@@ -306,16 +305,6 @@ def test_subset_and_row_views():
     assert ds.positive_fraction == pytest.approx(1.0 / 3.0)
 
 
-def test_with_feature_dim():
-    ds = make_ds([[1.0, 2.0]], [1])
-    wide = with_feature_dim(ds, 5)
-    assert wide.n_features == 5
-    assert np.array_equal(wide.X.toarray()[:, :2], ds.X.toarray())
-    assert with_feature_dim(ds, 2) is ds
-    with pytest.raises(DataError, match="drops populated"):
-        with_feature_dim(ds, 1)
-
-
 # ---------------------------------------------------------------- splitting
 
 def test_index_arrays_stay_int32(tmp_path):
@@ -326,8 +315,10 @@ def test_index_arrays_stay_int32(tmp_path):
     ds = load_libsvm(str(path))
     tr, va, te = split(ds, SplitSpec(0.25, 0.25, seed=3))
     empty_te = split(ds, SplitSpec(0.25))[2]
+    wide = load_aligned([str(path), libsvm_file(tmp_path, ["1 49:1.0"], "wide.svm")])[0]
+    assert wide.n_features == 50
     for part in (ds, tr, va, te, empty_te, ds.subset(np.array([5, 1, 5])),
-                 with_feature_dim(ds, 50), load_libsvm(libsvm_file(tmp_path, []))):
+                 wide, load_libsvm(libsvm_file(tmp_path, []))):
         assert part.X.indices.dtype == np.int32
         assert part.X.indptr.dtype == np.int32
 

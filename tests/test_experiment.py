@@ -297,10 +297,9 @@ def test_pipeline_nonconverged_cell_fit_fails_the_cell(monkeypatch):
     real_train = model.train
     calls = []
 
-    def full_fit_uncapped(ds, reg_c, tol, max_iter, sample_weight=None):
+    def full_fit_uncapped(ds, reg_c, tol, max_iter):
         calls.append(max_iter)
-        return real_train(ds, reg_c, tol=tol, max_iter=100 if len(calls) == 1 else max_iter,
-                          sample_weight=sample_weight)
+        return real_train(ds, reg_c, tol=tol, max_iter=100 if len(calls) == 1 else max_iter)
 
     monkeypatch.setattr(model, "train", full_fit_uncapped)
     cfg = ExperimentConfig(dataset_path=dataset_path("pima_like.svm"), train_max_iter=1,

@@ -138,7 +138,7 @@ def test_solver_input_validation(fitted):
                         np.ones(params.dim))
     # All-zero weights drop the C wbar term, so H is singular despite C > 0.
     with pytest.raises(ValueError, match="reg_c"):
-        inverse_hvp_pcg(model.curvature(params, ds, np.zeros(ds.n_rows)), np.ones(params.dim))
+        inverse_hvp_pcg(model.Curvature(ds.X, np.zeros(ds.n_rows), 0.0), np.ones(params.dim))
     with pytest.raises(ValueError, match="shape"):
         inverse_hvp_pcg(model.curvature(params, ds), np.ones(params.dim + 1))
     with pytest.raises(ValueError, match="finite"):

@@ -34,6 +34,14 @@ def small_fit():
     return ds, params
 
 
+def weighted_kernels(params, ds, w):
+    """Risk, gradient and Hessian operator of ``params`` on ``ds`` under the
+    weight column w, from the private kernels ``fit_columns`` runs."""
+    args = (params.theta, ds.X @ params.theta, w, float(np.mean(w)), ds.y, params.reg_c)
+    g, H = model._derivatives(*args, ds.X, ds.X.T)
+    return float(model._objective(*args)), g, H
+
+
 # ------------------------------------------------------------- params type
 
 def test_params_validation():
@@ -172,7 +180,7 @@ def test_weighted_risk_matches_manual(small_fit):
     losses = per_sample_loss(params, ds, regularized=False)
     manual = float(np.mean(w * losses)) + 0.5 * params.reg_c * float(np.mean(w)) * float(
         params.theta @ params.theta)
-    assert model.risk(params, ds, sample_weight=w) == pytest.approx(manual, rel=1e-14)
+    assert weighted_kernels(params, ds, w)[0] == pytest.approx(manual, rel=1e-14)
 
 
 def test_mean_logloss_is_unregularized(small_fit):
@@ -241,11 +249,11 @@ def test_weighted_gradient_matches_row_duplication():
     w[0] = 2.0
     theta = rng.normal(size=3)
     pw = ModelParams(theta, 0.4)
-    g_w = gradient(pw, ds, sample_weight=w)
+    g_w = weighted_kernels(pw, ds, w)[1]
     g_dup = gradient(pw, dup)
     n = ds.n_rows
     assert np.allclose(g_w, (n + 1) / n * g_dup, rtol=1e-12)
-    fit_w = train(ds, 0.4, tol=1e-12, sample_weight=w)
+    fit_w = model.fit_columns(ds, 0.4, w[:, None], np.zeros(3), tol=1e-12)[0]
     fit_dup = train(dup, 0.4, tol=1e-12)
     assert np.allclose(fit_w.theta, fit_dup.theta, atol=1e-8)
 
@@ -285,7 +293,7 @@ def test_weighted_hvp_matches_dense_oracle(small_fit):
     p = 1.0 / (1.0 + np.exp(-X @ params.theta))
     dense = ((X.T * (w * p * (1.0 - p))) @ X / ds.n_rows
              + params.reg_c * w.mean() * np.eye(params.dim))
-    H = curvature(params, ds, w)
+    H = weighted_kernels(params, ds, w)[2]
     for _ in range(5):
         v = rng.normal(size=params.dim)
         assert np.allclose(hvp(H, v), dense @ v, rtol=1e-12, atol=1e-14)
@@ -323,7 +331,7 @@ def test_hvp_linear_symmetric_positive_definite(small_fit):
 
 def test_block_hvp_is_column_hvps(small_fit):
     ds, params = small_fit
-    H = curvature(params, ds, np.random.default_rng(15).uniform(0.0, 2.0, ds.n_rows))
+    H = weighted_kernels(params, ds, np.random.default_rng(15).uniform(0.0, 2.0, ds.n_rows))[2]
     V = np.random.default_rng(16).normal(size=(params.dim, 5))
     out = hvp(H, V)
     assert out.shape == V.shape
@@ -335,7 +343,7 @@ def test_block_of_operators_applies_each_to_its_column(small_fit):
     # A block of fits carries one operator per column: s (n, k), c_wbar (k,).
     ds, params = small_fit
     rng = np.random.default_rng(17)
-    ops = [curvature(params, ds, rng.uniform(0.0, 2.0, ds.n_rows)) for _ in range(3)]
+    ops = [weighted_kernels(params, ds, rng.uniform(0.0, 2.0, ds.n_rows))[2] for _ in range(3)]
     H = Curvature(ds.X, np.column_stack([op.s for op in ops]),
                   np.array([op.c_wbar for op in ops]))
     V = rng.normal(size=(params.dim, 3))
@@ -423,8 +431,10 @@ def test_unpreconditioned_pcg_is_bit_identical_to_reference_cg():
         ds = random_ds(rng, n, d)
         w = rng.uniform(0.1, 3.0, n) if weighted else None
         params = ModelParams(rng.normal(0.0, 0.5, d), 0.05)
-        H = curvature(params, ds, w)
-        g = gradient(params, ds, w)
+        if weighted:
+            _, g, H = weighted_kernels(params, ds, w)
+        else:
+            g, H = gradient(params, ds), curvature(params, ds)
         for rel_tol in (min(0.5, np.sqrt(np.linalg.norm(g))), 1e-3, 1e-9):
             step, info = pcg(H, -g, rel_tol, 1000)
             assert info.converged and info.iters < 1000
@@ -528,13 +538,6 @@ def test_train_validation_errors():
         train(make_ds([[1.0], [2.0]], [1, 1]), 0.1)
     with pytest.raises(ModelError, match="empty"):
         train(make_ds(np.zeros((0, 1)), []), 0.1)
-    with pytest.raises(ModelError, match="sample_weight"):
-        train(ds, 0.1, sample_weight=np.array([1.0]))
-    with pytest.raises(ModelError, match="sample_weight"):
-        train(ds, 0.1, sample_weight=np.array([1.0, -1.0]))
-    # Weights that zero out one class leave a single-class problem.
-    with pytest.raises(ModelError, match="single class"):
-        train(ds, 0.1, sample_weight=np.array([1.0, 0.0]))
 
 
 def test_train_on_bundled_dataset_logloss_band():
@@ -653,7 +656,9 @@ def _newton_cases():
 @pytest.mark.parametrize("case", list(_newton_cases()))
 def test_train_is_bit_identical_to_reference_newton(case):
     ds, reg_c, kwargs = _newton_cases()[case]
-    got = train(ds, reg_c, **kwargs)
+    w = kwargs.get("sample_weight")
+    got = (train(ds, reg_c, **kwargs) if w is None
+           else model.fit_columns(ds, reg_c, w[:, None], np.zeros(ds.n_features))[0])
     want = reference_train(ds, reg_c, **kwargs)
     assert np.array_equal(got.theta, want.theta)
     assert (got.grad_norm, got.n_iter, got.converged) == (
@@ -664,10 +669,12 @@ def test_train_is_bit_identical_to_reference_newton(case):
 def test_public_kernels_match_reference_bit_for_bit():
     ds, _, kwargs = _newton_cases()["weighted-with-zeros"]
     params = ModelParams(np.random.default_rng(3).normal(0.0, 0.5, ds.n_features), 0.01)
-    for w in (None, kwargs["sample_weight"]):
-        assert model.risk(params, ds, w) == reference_risk(params, ds, w)
-        assert np.array_equal(gradient(params, ds, w), reference_gradient(params, ds, w))
-        H, ref = curvature(params, ds, w), reference_curvature(params, ds, w)
+    w = kwargs["sample_weight"]
+    unweighted = model.risk(params, ds), gradient(params, ds), curvature(params, ds)
+    for (f, g, H), w in ((unweighted, None), (weighted_kernels(params, ds, w), w)):
+        assert f == reference_risk(params, ds, w)
+        assert np.array_equal(g, reference_gradient(params, ds, w))
+        ref = reference_curvature(params, ds, w)
         assert np.array_equal(H.s, ref.s) and H.c_wbar == ref.c_wbar
 
 
