@@ -152,8 +152,7 @@ def _cmd_influence(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
+    sampling.check_seed(args.seed)
     sampling.check_ratio(args.ratio)
     if args.alpha is not None:
         sampling.check_alpha(args.alpha)
@@ -250,7 +249,7 @@ def main(argv: list[str] | None = None) -> int:
         # A fit or solve missed its tolerance: exit 1, as `train` does.
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, RuntimeError, ValueError) as exc:
+    except (MemoryError, OSError, RuntimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

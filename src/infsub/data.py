@@ -122,17 +122,6 @@ class SparseDataset:
     def n_features(self) -> int:
         return self.X.shape[1]
 
-    @property
-    def positive_fraction(self) -> float:
-        if self.n_rows == 0:
-            return float("nan")
-        return float(np.mean(self.y == 1))
-
-    def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Views of (indices, values) for row ``i``."""
-        lo, hi = self.X.indptr[i], self.X.indptr[i + 1]
-        return self.X.indices[lo:hi], self.X.data[lo:hi]
-
     def subset(self, rows: np.ndarray) -> "SparseDataset":
         """New dataset holding ``rows`` in the given order."""
         rows = np.asarray(rows, dtype=np.int64)
@@ -380,6 +369,14 @@ def _read_libsvm(fh: IO[str], n_features: int | None) -> SparseDataset:
     return SparseDataset(X, y.astype(np.int8))
 
 
+def check_n_features(n_features: int | None) -> None:
+    """Refuse a feature dimension below 0, or above 2**31 where no index reaches."""
+    if n_features is not None and n_features < 0:
+        raise DataError(f"n_features must be nonnegative, got {n_features}")
+    if n_features is not None and n_features > _INDEX_MAX + 1:
+        raise DataError(f"n_features must be at most {_INDEX_MAX + 1}, got {n_features}")
+
+
 def load_libsvm(path: str, n_features: int | None = None) -> SparseDataset:
     """Read an svmlight/libsvm file into a SparseDataset.
 
@@ -404,10 +401,7 @@ def load_libsvm(path: str, n_features: int | None = None) -> SparseDataset:
     any other number is read by float() itself. Blocks of lines are parsed
     on every CPU, and the result does not depend on how many there are.
     """
-    if n_features is not None and n_features < 0:
-        raise DataError(f"n_features must be nonnegative, got {n_features}")
-    if n_features is not None and n_features > _INDEX_MAX + 1:
-        raise DataError(f"n_features must be at most {_INDEX_MAX + 1}, got {n_features}")
+    check_n_features(n_features)
     opener = gzip.open if str(path).endswith(".gz") else open
     try:
         with opener(path, "rt", encoding="latin-1") as fh:  # type: ignore[operator]
@@ -495,14 +489,19 @@ def split(ds: SparseDataset, spec: SplitSpec) -> tuple[SparseDataset, SparseData
     return out  # type: ignore[return-value]
 
 
+def check_flip_fraction(fraction: float) -> None:
+    """Refuse a fraction of labels to flip outside [0, 1]."""
+    if not 0.0 <= fraction <= 1.0:
+        raise DataError(f"flip_fraction must be in [0, 1], got {fraction}")
+
+
 def flip_labels(ds: SparseDataset, fraction: float, seed: int) -> SparseDataset:
     """Toggle the labels of a seeded random subset of rows.
 
     Flips round_half_up(fraction * n) distinct rows. The same seed picks the
     same rows, so applying the operation twice restores the original labels.
     """
-    if not 0.0 <= fraction <= 1.0:
-        raise DataError(f"flip fraction must be in [0, 1], got {fraction}")
+    check_flip_fraction(fraction)
     k = round_half_up(fraction * ds.n_rows)
     rng = np.random.default_rng(seed)
     chosen = rng.choice(ds.n_rows, size=k, replace=False)

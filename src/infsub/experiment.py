@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import influence, model, parallel, risk, sampling
-from .data import (SparseDataset, SplitSpec, flip_labels, load_aligned, load_libsvm,
-                   split, write_table)
+from .data import (SparseDataset, SplitSpec, check_flip_fraction, check_n_features,
+                   flip_labels, load_aligned, load_libsvm, split, write_table)
 from .influence import ConvergenceError, PcgConfig
 from .model import ModelParams
 
@@ -40,9 +40,9 @@ class ExperimentConfig:
     Datasets come either as pre-split tr/va/te paths or as one dataset_path
     split here by (va_fraction, te_fraction, split_seed). Methods named
     "sigmoid" fan out into one cell per entry of sigmoid_alphas, each with its
-    own label (``expand_methods``). Every value is checked here, before any
-    data is read; ``pcg`` and ``split_spec`` keep the solver and split
-    settings built from them.
+    own label (``expand_methods``). Each value is checked before any data is
+    read, by its owning module's checker if it has one (re-raised here as
+    ConfigError); ``pcg`` and ``split_spec`` keep the settings built from them.
     """
 
     tr_path: str | None = None
@@ -83,18 +83,10 @@ class ExperimentConfig:
             raise ConfigError("need dataset_path or both tr_path and va_path")
         if self.dataset_path is not None and {self.tr_path, self.va_path, self.te_path} != {None}:
             raise ConfigError("dataset_path and tr_path/va_path/te_path are mutually exclusive")
-        if self.n_features is not None and self.n_features < 0:
-            raise ConfigError(f"n_features must be nonnegative, got {self.n_features}")
         if self.repeats < 1:
             raise ConfigError("repeats must be at least 1")
         if not 0 <= self.seed < 1 << 63:   # derive_seed keeps 63 bits
             raise ConfigError(f"seed must be in [0, 2**63), got {self.seed}")
-        if not 0.0 < self.reg_c < float("inf"):
-            raise ConfigError(f"reg_c must be finite and positive, got {self.reg_c}")
-        if not 0.0 < self.train_tol < float("inf"):
-            raise ConfigError(f"train_tol must be positive and finite, got {self.train_tol}")
-        if self.train_max_iter < 1:
-            raise ConfigError(f"train_max_iter must be at least 1, got {self.train_max_iter}")
         if not self.methods or not self.ratios:
             raise ConfigError("methods and ratios must both be nonempty")
         if "sigmoid" in self.methods and not self.sigmoid_alphas:
@@ -105,26 +97,26 @@ class ExperimentConfig:
         for name, values in vars(self).items():
             if isinstance(values, list) and len(set(values)) != len(values):
                 raise ConfigError(f"{name} has duplicate entries: {values}")
-        for r in self.ratios:
-            if not 0.0 < r <= 1.0:
-                raise ConfigError(f"ratio must be in (0, 1], got {r}")
-        for a in self.sigmoid_alphas:
-            if not 0.0 < a < float("inf"):
-                raise ConfigError(f"sigmoid alpha must be positive and finite, got {a}")
+        try:   # the owning modules' rules, each stated once there
+            check_n_features(self.n_features)
+            model.check_train_settings(self.reg_c, self.train_tol, self.train_max_iter)
+            for r in self.ratios:
+                sampling.check_ratio(r)
+            linear = [] if self.linear_alpha is None else [self.linear_alpha]
+            for a in self.sigmoid_alphas + linear:
+                sampling.check_alpha(a)
+            sampling.check_floor(self.optlr_floor)
+            if self.flip_fraction is not None:
+                check_flip_fraction(self.flip_fraction)
+            self.pcg = PcgConfig(self.pcg_tol, self.pcg_max_iter)
+            self.split_spec = (SplitSpec(self.va_fraction, self.te_fraction, self.split_seed)
+                               if self.dataset_path is not None else None)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         labels = [label for label, _, _ in expand_methods(self)]
         for label in labels:
             if labels.count(label) > 1:
                 raise ConfigError(f"sigmoid alphas alike to 6 digits share the label {label!r}")
-        if self.linear_alpha is not None and not 0.0 < self.linear_alpha < float("inf"):
-            raise ConfigError(
-                f"linear_alpha must be positive and finite, got {self.linear_alpha}")
-        if not 0.0 < self.optlr_floor <= 1.0:
-            raise ConfigError(f"optlr_floor must be in (0, 1], got {self.optlr_floor}")
-        if self.flip_fraction is not None and not 0.0 <= self.flip_fraction <= 1.0:
-            raise ConfigError(f"flip_fraction must be in [0, 1], got {self.flip_fraction}")
-        self.pcg = PcgConfig(self.pcg_tol, self.pcg_max_iter)
-        self.split_spec = (SplitSpec(self.va_fraction, self.te_fraction, self.split_seed)
-                           if self.dataset_path is not None else None)
 
 
 def _coerce(name: str, kind, raw: str):

@@ -50,6 +50,18 @@ def check_ratio(ratio: float) -> None:
         raise SamplingError(f"target_ratio must be in (0, 1], got {ratio}")
 
 
+def check_floor(floor: float) -> None:
+    """Refuse a least optlr acceptance probability outside (0, 1]."""
+    if not 0.0 < floor <= 1.0:
+        raise SamplingError(f"optlr_floor must be in (0, 1], got {floor}")
+
+
+def check_seed(seed: int) -> None:
+    """Refuse a negative draw seed."""
+    if seed < 0:
+        raise SamplingError(f"seed must be nonnegative, got {seed}")
+
+
 def dropout_probs(phi: np.ndarray) -> np.ndarray:
     """Keep-with-certainty for helpful or neutral samples: pi = 1 iff phi <= 0."""
     phi = _finite_vector(phi, "phi")
@@ -100,8 +112,7 @@ def optlr_probs(psi: np.ndarray, floor: float = OPTLR_FLOOR) -> np.ndarray:
     psi = _finite_vector(psi, "psi")
     if np.any(psi < 0):
         raise SamplingError("psi must be nonnegative")
-    if not 0.0 < floor <= 1.0:
-        raise SamplingError(f"floor must be in (0, 1], got {floor}")
+    check_floor(floor)
     top = float(np.max(psi))
     if top == 0.0:
         raise SamplingError("all-zero psi norms; optlr has no scale")
@@ -167,8 +178,7 @@ class SamplingPlan:
                               or selected[0] < 0 or selected[-1] >= probs.size):
             raise SamplingError("selected must be strictly increasing valid row indices")
         check_ratio(self.target_ratio)
-        if self.seed < 0:
-            raise SamplingError(f"seed must be nonnegative, got {self.seed}")
+        check_seed(self.seed)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "selected", selected)
 

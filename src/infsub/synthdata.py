@@ -128,7 +128,7 @@ def _main(argv: list[str] | None = None) -> int:
         path = os.path.join(args.outdir, name)
         write_libsvm(ds, path, label_style="pm1")
         print(f"wrote {path}: {ds.n_rows} rows, {ds.n_features} features, "
-              f"{ds.positive_fraction:.3f} positive")
+              f"{ds.y.mean():.3f} positive")
     return 0
 
 

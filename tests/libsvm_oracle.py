@@ -111,7 +111,8 @@ def write_libsvm(ds: SparseDataset, path: str, label_style: str = "01") -> None:
             lab = int(ds.y[i])
             if label_style == "pm1":
                 lab = 1 if lab == 1 else -1
-            idx, val = ds.row(i)
+            lo, hi = ds.X.indptr[i], ds.X.indptr[i + 1]
+            idx, val = ds.X.indices[lo:hi], ds.X.data[lo:hi]
             parts = [str(lab)]
             parts.extend(f"{j}:{v!r}" for j, v in zip(idx, (float(v) for v in val)))
             yield " ".join(parts)

@@ -422,8 +422,8 @@ def test_pipeline_rejects_negative_split_seed_before_loading(tmp_path, capsys):
 @pytest.mark.parametrize("flags, match", [
     (["--method", "random,random", "--ratio", "0.9,0.9", "--repeats", "2"],
      "methods has duplicate"),
-    (["--method", "sigmoid", "--alpha=-1"], "sigmoid alpha must be positive"),
-    (["--method", "sigmoid", "--alpha", "1,inf"], "sigmoid alpha must be positive and finite"),
+    (["--method", "sigmoid", "--alpha=-1"], "error: alpha must be positive"),
+    (["--method", "sigmoid", "--alpha", "1,inf"], "error: alpha must be positive and finite, got inf"),
 ], ids=["duplicate-grid", "negative-alpha", "infinite-alpha"])
 def test_pipeline_rejects_bad_grid_before_loading(tmp_path, capsys, flags, match):
     # The dataset does not exist: the grid must be refused before it is read.
@@ -460,7 +460,7 @@ def test_pipeline_rejects_zero_reg_c_before_loading(tmp_path, capsys):
     code = cli.main(["pipeline", "--dataset", str(tmp_path / "nonexistent.svm"),
                      "--method", "random", "--reg-c", "0", "--out", str(out)])
     assert code == 2
-    assert "reg_c must be finite and positive, got 0.0" in capsys.readouterr().err
+    assert "reg_c must be finite and positive for training, got 0.0" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -493,7 +493,7 @@ def test_sample_rejects_negative_seed(files, tmp_path, capsys):
     code = cli.main(["sample", "--influence", files["inf"], "--tr", files["tr"],
                      "--method", "random", "--ratio", "0.5", "--seed", "-3", "--out", str(out)])
     assert code == 2
-    assert "--seed must be nonnegative, got -3" in capsys.readouterr().err
+    assert "error: seed must be nonnegative, got -3" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -635,6 +635,19 @@ def test_main_exits_1_when_stdout_is_a_closed_pipe(files, tmp_path, monkeypatch)
     out = tmp_path / "m.txt"
     assert cli.main(["train", "--tr", files["tr"], "--out", str(out)]) == 1
     assert out.exists()
+
+
+def test_main_exits_2_when_an_allocation_does_not_fit(files, tmp_path, monkeypatch, capsys):
+    # As numpy raises for a d-sized array no memory can hold (--n-features
+    # 2147483648 asks for 16 GiB); raised here so the test asks for none.
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 16.0 GiB for an array with shape "
+                          "(2147483648,) and data type float64")
+    monkeypatch.setattr(model, "train", no_memory)
+    out = tmp_path / "m.txt"
+    assert cli.main(["train", "--tr", files["tr"], "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: Unable to allocate 16.0 GiB")
+    assert not out.exists()
 
 
 def test_unknown_command_rejected():

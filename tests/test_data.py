@@ -32,7 +32,8 @@ def test_parse_single_row(tmp_path):
     assert ds.n_rows == 1
     assert ds.n_features == 4
     assert ds.y.tolist() == [1]
-    idx, val = ds.row(0)
+    lo, hi = ds.X.indptr[0], ds.X.indptr[1]
+    idx, val = ds.X.indices[lo:hi], ds.X.data[lo:hi]
     assert idx.tolist() == [1, 3]
     assert val.tolist() == [0.5, 2.0]
 
@@ -95,7 +96,8 @@ def test_parse_bad_feature_tokens(tmp_path):
 
 def test_parse_sorts_indices_within_row(tmp_path):
     ds = load_libsvm(libsvm_file(tmp_path, ["1 3:1.0 1:2.0"]))
-    idx, val = ds.row(0)
+    lo, hi = ds.X.indptr[0], ds.X.indptr[1]
+    idx, val = ds.X.indices[lo:hi], ds.X.data[lo:hi]
     assert idx.tolist() == [1, 3]
     assert val.tolist() == [2.0, 1.0]
 
@@ -109,7 +111,6 @@ def test_parse_empty_input(tmp_path):
     ds = load_libsvm(libsvm_file(tmp_path, []))
     assert ds.n_rows == 0
     assert ds.n_features == 0
-    assert np.isnan(ds.positive_fraction)
 
 
 def test_parse_n_features_override(tmp_path):
@@ -299,10 +300,10 @@ def test_subset_and_row_views():
     assert sub.n_rows == 2
     assert sub.y.tolist() == [0, 0]
     assert np.array_equal(sub.X.toarray(), np.array([[3.0, 4.0], [1.0, 0.0]]))
-    idx, val = ds.row(1)
-    assert idx.tolist() == [1]
-    assert val.tolist() == [2.0]
-    assert ds.positive_fraction == pytest.approx(1.0 / 3.0)
+    lo, hi = ds.X.indptr[1], ds.X.indptr[2]
+    assert ds.X.indices[lo:hi].tolist() == [1]
+    assert ds.X.data[lo:hi].tolist() == [2.0]
+    assert ds.y.mean() == pytest.approx(1.0 / 3.0)
 
 
 # ---------------------------------------------------------------- splitting
@@ -415,7 +416,7 @@ def test_split_class_ratio_within_one_row(n_pos, n_neg, va_fraction, te_fraction
             continue
         # Quotas are rounded per class, so each split's class ratio sits
         # within one row of the parent's.
-        assert abs(part.positive_fraction - ds.positive_fraction) <= 1.0 / part.n_rows + 1e-12
+        assert abs(part.y.mean() - ds.y.mean()) <= 1.0 / part.n_rows + 1e-12
 
 
 # ---------------------------------------------------------------- label flips

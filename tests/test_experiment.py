@@ -7,13 +7,14 @@ import pytest
 
 from conftest import dataset_path, make_ds, random_ds
 from infsub import model
-from infsub.data import SplitSpec, load_libsvm, write_libsvm
+from infsub.data import DataError, SplitSpec, flip_labels, load_libsvm, write_libsvm
 from infsub.experiment import (AggregateRow, CellResult, ConfigError,
                                ExperimentConfig, ExperimentReport, best_sigmoid,
                                config_from_mapping, derive_seed, emit_report,
                                expand_methods, load_splits, read_config,
                                run_pipeline, _sibling)
 from infsub.influence import PcgConfig
+from infsub.sampling import SamplingError, optlr_probs
 
 
 @pytest.fixture(scope="module")
@@ -71,8 +72,8 @@ def test_config_validates_grid():
     (dict(ratios=[0.9, 0.9]), "ratios has duplicate"),
     (dict(sigmoid_alphas=[5.0, 5.0]), "sigmoid_alphas has duplicate"),
     (dict(methods=["sigmoid"], sigmoid_alphas=[]), "sigmoid_alphas is empty"),
-    (dict(sigmoid_alphas=[-1.0]), "sigmoid alpha must be positive"),
-    (dict(linear_alpha=0.0), "linear_alpha must be positive"),
+    (dict(sigmoid_alphas=[-1.0]), "^alpha must be positive"),
+    (dict(linear_alpha=0.0), "^alpha must be positive"),
     (dict(optlr_floor=0.0), "optlr_floor"),
     (dict(optlr_floor=1.5), "optlr_floor"),
     (dict(pcg_tol=0.0), "tol must be positive"),
@@ -82,14 +83,15 @@ def test_config_validates_grid():
     (dict(reg_c=0.0), "reg_c must be finite and positive"),
     (dict(reg_c=float("inf")), "reg_c must be finite and positive"),
     (dict(reg_c=float("nan")), "reg_c must be finite and positive"),
-    (dict(train_tol=0.0), "train_tol must be positive"),
-    (dict(train_max_iter=0), "train_max_iter must be at least 1"),
-    (dict(train_tol=float("inf")), "train_tol must be positive and finite, got inf"),
+    (dict(train_tol=0.0), "^tol must be positive"),
+    (dict(train_max_iter=0), "^max_iter must be at least 1"),
+    (dict(train_tol=float("inf")), "^tol must be positive and finite, got inf"),
     (dict(pcg_tol=float("inf")), "pcg_tol must be positive and finite, got inf"),
     (dict(pcg_tol=1.0), "pcg_tol must be below 1, got 1.0"),
-    (dict(sigmoid_alphas=[5.0, float("inf")]), "sigmoid alpha must be positive and finite, got inf"),
-    (dict(linear_alpha=float("inf")), "linear_alpha must be positive and finite, got inf"),
+    (dict(sigmoid_alphas=[5.0, float("inf")]), "^alpha must be positive and finite, got inf"),
+    (dict(linear_alpha=float("inf")), "^alpha must be positive and finite, got inf"),
     (dict(n_features=-1), "n_features must be nonnegative, got -1"),
+    (dict(n_features=2**31 + 1), "n_features must be at most 2147483648, got 2147483649"),
     (dict(sigmoid_alphas=[1.0000001, 1.0000002]), "alike to 6 digits share the label 'sigmoid@1'"),
     (dict(seed=-1), re.escape("seed must be in [0, 2**63), got -1")),
     (dict(seed=2**63), re.escape(f"seed must be in [0, 2**63), got {2**63}")),
@@ -98,11 +100,25 @@ def test_config_validates_grid():
         "va-fraction", "no-training-rows", "zero-reg-c", "infinite-reg-c", "nan-reg-c",
         "zero-train-tol", "zero-train-max-iter", "infinite-train-tol", "infinite-pcg-tol",
         "unit-pcg-tol", "infinite-alpha", "infinite-linear-alpha", "negative-n-features",
-        "alphas-labelled-alike", "negative-seed", "seed-past-63-bits"])
+        "n-features-past-2-31", "alphas-labelled-alike", "negative-seed", "seed-past-63-bits"])
 def test_config_rejects_bad_grid_before_reading_data(bad, match):
     # "a" does not exist: the error must come from the config itself.
-    with pytest.raises(ValueError, match=match):
+    with pytest.raises(ConfigError, match=match):
         ExperimentConfig(dataset_path="a", **bad)
+
+
+def test_config_refuses_floor_and_flip_fraction_as_their_owners_do():
+    # One statement of each rule: the config raises the owner's own text.
+    with pytest.raises(SamplingError) as owner:
+        optlr_probs(np.ones(3), floor=1.5)
+    with pytest.raises(ConfigError) as config:
+        ExperimentConfig(dataset_path="a", optlr_floor=1.5)
+    assert str(config.value) == str(owner.value) == "optlr_floor must be in (0, 1], got 1.5"
+    with pytest.raises(DataError) as owner:
+        flip_labels(make_ds([[1.0], [2.0]], [0, 1]), -0.5, seed=0)
+    with pytest.raises(ConfigError) as config:
+        ExperimentConfig(dataset_path="a", flip_fraction=-0.5)
+    assert str(config.value) == str(owner.value) == "flip_fraction must be in [0, 1], got -0.5"
 
 
 @pytest.mark.parametrize("key", ["tr_path", "va_path", "te_path", "dataset_path"])
