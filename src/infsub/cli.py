@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands mirror the library layers: ``train``, ``influence``, ``sample``,
-``evaluate``, and the experiment drivers ``pipeline`` and ``noise``. All
-outputs are plain CSV or the two-line-header model format, and identical
-invocations write identical bytes.
+``evaluate``, and the experiment driver ``pipeline``, whose ``--flip`` runs
+the label-noise experiment. All outputs are plain CSV or the two-line-header
+model format, and identical invocations write identical bytes.
 """
 
 from __future__ import annotations
@@ -21,9 +21,10 @@ from .influence import PcgConfig
 _C_HELP = ("regularization strength C; the objective is mean log loss "
            "plus (C/2)*||theta||^2")
 
-# The pipeline/noise flags, the ExperimentConfig field each one sets, and its
-# argparse settings. Values stay raw strings and are written over the config
-# file's mapping, so config_from_mapping coerces and validates both at once.
+# The pipeline flags, the ExperimentConfig field each one sets (its argparse
+# dest), and its argparse settings. Values stay raw strings and are written
+# over the config file's mapping, so config_from_mapping coerces and
+# validates both at once.
 _CONFIG_FLAGS = (
     ("--dataset", "dataset_path", {"help": "single libsvm file, split internally"}),
     ("--tr", "tr_path", {}),
@@ -42,8 +43,7 @@ _CONFIG_FLAGS = (
     ("--seed", "seed", {}),
     ("--gamma", "compute_gamma", {"action": "store_const", "const": "true",
                                   "help": "also write mean parameter shift per method/ratio"}),
-    ("--flip", "flip_fraction", {"required": True,
-                                 "help": "fraction of training labels to flip"}),
+    ("--flip", "flip_fraction", {"help": "fraction of training labels to flip"}),
 )
 
 
@@ -105,15 +105,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="where to write delta,worst_case,eta_star CSV")
     p.set_defaults(func=_cmd_evaluate)
 
-    for name, help_text in (("pipeline", "run the full sampling-method grid"),
-                            ("noise", "pipeline with flipped training labels")):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", default=None, help="key = value config file")
-        for flag, _, settings in _CONFIG_FLAGS:
-            if flag != "--flip" or name == "noise":
-                p.add_argument(flag, **settings)
-        p.add_argument("--out", required=True, help="where to write the report CSV")
-        p.set_defaults(func=_cmd_pipeline, noise=(name == "noise"))
+    p = sub.add_parser("pipeline", help="run the full sampling-method grid")
+    p.add_argument("--config", default=None, help="key = value config file")
+    for flag, key, settings in _CONFIG_FLAGS:
+        p.add_argument(flag, dest=key, **settings)
+    p.add_argument("--out", required=True, help="where to write the report CSV")
+    p.set_defaults(func=_cmd_pipeline)
 
     return parser
 
@@ -210,13 +207,11 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
     mapping = read_config(args.config) if args.config else {}
-    for flag, key, _ in _CONFIG_FLAGS:
-        raw = getattr(args, flag[2:].replace("-", "_"), None)
+    for _, key, _ in _CONFIG_FLAGS:
+        raw = getattr(args, key)
         if raw is not None:
             mapping[key] = raw
     config = config_from_mapping(mapping)
-    if args.noise and not config.flip_fraction:
-        raise ConfigError("noise experiment needs flip_fraction > 0")
     report = experiment.run_pipeline(config)
     written = experiment.emit_report(report, args.out)
     if report.with_gamma:

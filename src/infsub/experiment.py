@@ -26,7 +26,7 @@ from .influence import ConvergenceError, PcgConfig
 from .model import ModelParams
 
 # Grid keys read only by one method, and that method.
-_METHOD_KEYS = {"sigmoid_alphas": "sigmoid", "linear_alpha": "linear", "optlr_floor": "optlr"}
+_METHOD_KEYS = {"sigmoid_alphas": "sigmoid", "linear_alpha": "linear"}
 
 
 class ConfigError(ValueError):
@@ -64,7 +64,6 @@ class ExperimentConfig:
     seed: int = 0
     sigmoid_alphas: list[float] = field(default_factory=lambda: [0.1, 1.0, 5.0, 10.0, 50.0])
     linear_alpha: float | None = None
-    optlr_floor: float = sampling.OPTLR_FLOOR
 
     pcg_tol: float = PcgConfig.tol
     pcg_max_iter: int = PcgConfig.max_iter
@@ -105,7 +104,6 @@ class ExperimentConfig:
             linear = [] if self.linear_alpha is None else [self.linear_alpha]
             for a in self.sigmoid_alphas + linear:
                 sampling.check_alpha(a)
-            sampling.check_floor(self.optlr_floor)
             if self.flip_fraction is not None:
                 check_flip_fraction(self.flip_fraction)
             self.pcg = PcgConfig(self.pcg_tol, self.pcg_max_iter)
@@ -371,8 +369,7 @@ def run_pipeline(cfg: ExperimentConfig) -> ExperimentReport:
                                   seed=derive_seed(cfg.seed, label, ratio, repeat))
                 try:
                     if probs is None:
-                        probs = sampling.probs_for(base, ratio, phi, psi, alpha,
-                                                   floor=cfg.optlr_floor, n=tr.n_rows)
+                        probs = sampling.probs_for(base, ratio, phi, psi, alpha, n=tr.n_rows)
                     selected = _draw_cell(tr, probs, base, ratio, cell.seed, phi)
                     optlr = base == "optlr"
                     key = (selected.tobytes(), ratio if optlr else None)

@@ -126,23 +126,16 @@ def _dual_minima(losses: np.ndarray, deltas: np.ndarray) -> tuple[np.ndarray, np
     return np.ldexp(value, e), eta
 
 
-def worst_case_risk(losses: np.ndarray, delta: float) -> tuple[float, float]:
-    """Worst-case mean loss over a chi-square ball of radius delta.
-
-    Returns (value, eta_star), solving the convex dual exactly. At
-    delta = 0 the value is mean(l) and eta_star is -inf, where the dual's
-    infimum is approached. The value lies in [mean(l), max(l)].
-    """
-    value, eta = _dual_minima(_check_losses(losses), check_deltas([delta]))
-    return float(value[0]), float(eta[0])
-
-
 def worst_case_curve(losses: np.ndarray, deltas: Iterable[float]) -> list[tuple[float, float, float]]:
     """(delta, worst_case, eta_star) for each radius, in the order of ``deltas``.
 
-    The rows are nondecreasing in worst_case when the radii are sorted. All
-    radii share one sort of the losses and one set of prefix sums, and each
-    row equals ``worst_case_risk``.
+    worst_case is the worst-case mean loss over the chi-square ball of radius
+    delta, from the convex dual solved exactly, and lies in
+    [mean(l), max(l)]. At delta = 0 it is mean(l) and eta_star is -inf,
+    where the dual's infimum is approached. The rows are nondecreasing in
+    worst_case when the radii are sorted. All radii share one sort of the
+    losses and one set of prefix sums, and each row equals the curve for its
+    radius alone.
     """
     losses = _check_losses(losses)
     deltas = check_deltas(deltas)

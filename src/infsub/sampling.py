@@ -18,7 +18,7 @@ from .data import SparseDataset, read_table, round_half_up, write_table
 from .model import ModelParams
 
 METHODS = ("dropout", "linear", "sigmoid", "optlr", "random")
-# Least optlr acceptance probability unless a caller sets one.
+# Least optlr acceptance probability.
 OPTLR_FLOOR = 0.01
 
 
@@ -48,12 +48,6 @@ def check_ratio(ratio: float) -> None:
     """Refuse a target ratio |subset|/|Tr| outside (0, 1]."""
     if not 0.0 < ratio <= 1.0:
         raise SamplingError(f"target_ratio must be in (0, 1], got {ratio}")
-
-
-def check_floor(floor: float) -> None:
-    """Refuse a least optlr acceptance probability outside (0, 1]."""
-    if not 0.0 < floor <= 1.0:
-        raise SamplingError(f"optlr_floor must be in (0, 1], got {floor}")
 
 
 def check_seed(seed: int) -> None:
@@ -102,8 +96,8 @@ def sigmoid_probs(phi: np.ndarray, alpha: float) -> np.ndarray:
     return model._sigmoid(-alpha * phi / spread)
 
 
-def optlr_probs(psi: np.ndarray, floor: float = OPTLR_FLOOR) -> np.ndarray:
-    """pi = max(floor, min(1, ||psi|| / max||psi||)), from the norms ``psi``.
+def optlr_probs(psi: np.ndarray) -> np.ndarray:
+    """pi = max(OPTLR_FLOOR, min(1, ||psi|| / max||psi||)), from the norms ``psi``.
 
     The largest norm lands at pi = 1. The floor keeps every acceptance
     probability positive so the inverse weights 1/pi stay bounded. All-zero
@@ -112,11 +106,10 @@ def optlr_probs(psi: np.ndarray, floor: float = OPTLR_FLOOR) -> np.ndarray:
     psi = _finite_vector(psi, "psi")
     if np.any(psi < 0):
         raise SamplingError("psi must be nonnegative")
-    check_floor(floor)
     top = float(np.max(psi))
     if top == 0.0:
         raise SamplingError("all-zero psi norms; optlr has no scale")
-    return np.clip((1.0 / top) * psi, floor, 1.0)
+    return np.clip((1.0 / top) * psi, OPTLR_FLOOR, 1.0)
 
 
 def random_probs(n: int, target_ratio: float) -> np.ndarray:
@@ -129,11 +122,11 @@ def random_probs(n: int, target_ratio: float) -> np.ndarray:
 
 def probs_for(method: str, ratio: float, phi: np.ndarray | None = None,
               psi: np.ndarray | None = None, alpha: float | None = None,
-              floor: float = OPTLR_FLOOR, n: int | None = None) -> np.ndarray:
+              n: int | None = None) -> np.ndarray:
     """Acceptance probabilities for ``method``, the one map from a method name.
 
     dropout, linear and sigmoid read the influence scores ``phi``; optlr
-    reads the psi norms with ``floor``; random needs only the row count
+    reads the psi norms; random needs only the row count
     ``n`` (default: the length of ``phi``) and ``ratio``. ``alpha`` None
     means 1/max|phi| for linear and 1.0 for sigmoid; the other methods read
     no alpha and reject one rather than record a value the draw never used.
@@ -145,7 +138,7 @@ def probs_for(method: str, ratio: float, phi: np.ndarray | None = None,
     if method == "optlr":
         if psi is None:
             raise SamplingError("optlr needs psi norms; rerun `influence` with --psi")
-        return optlr_probs(psi, floor=floor)
+        return optlr_probs(psi)
     if method == "dropout":
         return dropout_probs(phi)
     if method == "linear":

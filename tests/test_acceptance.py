@@ -124,14 +124,14 @@ def test_05_worst_case_dual_matches_grid_search():
     # 10 random loss vectors x delta in {0, 0.5, 2, 10}: the exactly solved
     # dual must be within 1e-4 of a 1e-5-step grid oracle, and every value
     # must land between the mean and the max of the losses.
-    from infsub.risk import worst_case_risk
+    from infsub.risk import worst_case_curve
     rng = np.random.default_rng(42)
     worst_err, sandwiched = 0.0, True
     for k in range(10):
         losses = (rng.uniform(0.0, 2.0 + 0.1 * k, 50) if k % 2 == 0
                   else rng.exponential(0.7, 50))
         for delta in (0.0, 0.5, 2.0, 10.0):
-            value, _ = worst_case_risk(losses, delta)
+            [(_, value, _)] = worst_case_curve(losses, [delta])
             worst_err = max(worst_err, abs(value - grid_worst_case(losses, delta)))
             sandwiched &= (losses.mean() - 1e-9 <= value <= losses.max() + 1e-9)
     _verdict(5, "worst-case dual agrees with grid search in all 40 cells",

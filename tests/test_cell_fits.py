@@ -72,12 +72,12 @@ def config(reg_c, **overrides):
                             reg_c=reg_c, **overrides)
 
 
-def drawn_cells(tr, phi, psi, cells, floor=sampling.OPTLR_FLOOR):
+def drawn_cells(tr, phi, psi, cells):
     """Draw (base, ratio, alpha, seed) cells as ``run_pipeline`` does; a cell
     whose draw is refused (a single class) is left out."""
     out = []
     for base, ratio, alpha, seed in cells:
-        probs = sampling.probs_for(base, ratio, phi, psi, alpha, floor=floor, n=tr.n_rows)
+        probs = sampling.probs_for(base, ratio, phi, psi, alpha, n=tr.n_rows)
         try:
             selected = experiment._draw_cell(tr, probs, base, ratio, seed, phi)
         except ModelError:

@@ -533,8 +533,7 @@ def test_pipeline_config_rejects_pcg_alpha_key(files, tmp_path, capsys):
 @pytest.mark.parametrize("setting, key", [
     ("--alpha=5", "sigmoid_alphas"),
     ("linear_alpha = 2", "linear_alpha"),
-    ("optlr_floor = 0.5", "optlr_floor"),
-], ids=["sigmoid-alphas", "linear-alpha", "optlr-floor"])
+], ids=["sigmoid-alphas", "linear-alpha"])
 def test_pipeline_rejects_key_no_requested_method_reads(tmp_path, capsys, setting, key):
     # The dataset does not exist: the unused setting is refused before it is read.
     cfg = tmp_path / "run.cfg"
@@ -594,31 +593,21 @@ def test_pipeline_refuses_split_file_next_to_dataset(files, tmp_path, capsys, mo
     assert not out.exists()
 
 
-def test_noise_runs_and_reports_accuracy(files, tmp_path, capsys):
-    rep = tmp_path / "noise.csv"
-    code = cli.main(["noise", "--dataset", files["full"], "--flip", "0.3",
-                     "--va-fraction", "0.3", "--te-fraction", "0.2",
-                     "--method", "sigmoid", "--alpha", "1", "--ratio", "0.8",
-                     "--repeats", "2", "--out", str(rep)])
-    assert code == 0
-    assert "acc" in capsys.readouterr().out
-    header = rep.read_text().splitlines()[0]
-    assert header.endswith(",accuracy")
-
-
-def test_noise_requires_flip_flag(files, tmp_path):
-    with pytest.raises(SystemExit) as err:
-        cli.main(["noise", "--dataset", files["full"],
-                  "--out", str(tmp_path / "x.csv")])
-    assert err.value.code == 2
-
-
-def test_noise_rejects_zero_flip(files, tmp_path, capsys):
-    code = cli.main(["noise", "--dataset", files["full"], "--flip", "0",
-                     "--out", str(tmp_path / "x.csv")])
-    assert code == 2
-    assert "needs flip_fraction > 0" in capsys.readouterr().err
-    assert not (tmp_path / "x.csv").exists()
+def test_pipeline_flip_matches_config_flip_fraction(files, tmp_path, capsys):
+    # The label-noise run: --flip and the config key flip_fraction are one setting.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("flip_fraction = 0.3\n")
+    grid = ["--dataset", files["full"], "--va-fraction", "0.3", "--te-fraction", "0.2",
+            "--method", "sigmoid", "--alpha", "1", "--ratio", "0.8", "--repeats", "2"]
+    for name, setting in (("flag", ["--flip", "0.3"]), ("config", ["--config", str(cfg)])):
+        (tmp_path / name).mkdir()
+        assert cli.main(["pipeline", *grid, *setting,
+                         "--out", str(tmp_path / name / "report.csv")]) == 0
+        assert ", acc " in capsys.readouterr().out
+    for report in ("report.csv", "report_aggregate.csv"):
+        flag = (tmp_path / "flag" / report).read_bytes()
+        assert flag == (tmp_path / "config" / report).read_bytes()
+        assert b",accuracy" in flag.splitlines()[0]
 
 
 class _ClosedPipe(io.StringIO):

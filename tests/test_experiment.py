@@ -14,7 +14,6 @@ from infsub.experiment import (AggregateRow, CellResult, ConfigError,
                                expand_methods, load_splits, read_config,
                                run_pipeline, _sibling)
 from infsub.influence import PcgConfig
-from infsub.sampling import SamplingError, optlr_probs
 
 
 @pytest.fixture(scope="module")
@@ -74,8 +73,6 @@ def test_config_validates_grid():
     (dict(methods=["sigmoid"], sigmoid_alphas=[]), "sigmoid_alphas is empty"),
     (dict(sigmoid_alphas=[-1.0]), "^alpha must be positive"),
     (dict(linear_alpha=0.0), "^alpha must be positive"),
-    (dict(optlr_floor=0.0), "optlr_floor"),
-    (dict(optlr_floor=1.5), "optlr_floor"),
     (dict(pcg_tol=0.0), "tol must be positive"),
     (dict(pcg_max_iter=0), "max_iter"),
     (dict(va_fraction=1.5), "va_fraction"),
@@ -96,7 +93,7 @@ def test_config_validates_grid():
     (dict(seed=-1), re.escape("seed must be in [0, 2**63), got -1")),
     (dict(seed=2**63), re.escape(f"seed must be in [0, 2**63), got {2**63}")),
 ], ids=["no-ratios", "dup-methods", "dup-ratios", "dup-alphas", "no-alphas", "negative-alpha", "zero-linear-alpha",
-        "zero-floor", "floor-above-one", "pcg-tol", "pcg-max-iter",
+        "pcg-tol", "pcg-max-iter",
         "va-fraction", "no-training-rows", "zero-reg-c", "infinite-reg-c", "nan-reg-c",
         "zero-train-tol", "zero-train-max-iter", "infinite-train-tol", "infinite-pcg-tol",
         "unit-pcg-tol", "infinite-alpha", "infinite-linear-alpha", "negative-n-features",
@@ -107,13 +104,8 @@ def test_config_rejects_bad_grid_before_reading_data(bad, match):
         ExperimentConfig(dataset_path="a", **bad)
 
 
-def test_config_refuses_floor_and_flip_fraction_as_their_owners_do():
-    # One statement of each rule: the config raises the owner's own text.
-    with pytest.raises(SamplingError) as owner:
-        optlr_probs(np.ones(3), floor=1.5)
-    with pytest.raises(ConfigError) as config:
-        ExperimentConfig(dataset_path="a", optlr_floor=1.5)
-    assert str(config.value) == str(owner.value) == "optlr_floor must be in (0, 1], got 1.5"
+def test_config_refuses_flip_fraction_as_its_owner_does():
+    # One statement of the rule: the config raises the owner's own text.
     with pytest.raises(DataError) as owner:
         flip_labels(make_ds([[1.0], [2.0]], [0, 1]), -0.5, seed=0)
     with pytest.raises(ConfigError) as config:

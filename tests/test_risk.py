@@ -13,8 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infsub.model import ModelParams
-from infsub.risk import (cov_phi_eps, gamma_shift, worst_case_curve,
-                         worst_case_risk, write_worst_case_curve_csv)
+from infsub.risk import cov_phi_eps, gamma_shift, worst_case_curve, write_worst_case_curve_csv
 from infsub.sampling import dropout_probs, linear_probs, sigmoid_probs
 
 
@@ -84,9 +83,9 @@ def sweep_segments(losses, delta):
 
 
 def sweep_worst_case(losses, delta):
-    """Oracle for ``worst_case_risk``: the least segment minimum, with the
-    same two exact limits (the mean at 2 delta + 1 == 1, the largest loss
-    from delta = (n - 1) / 2 on)."""
+    """Oracle for one row of ``worst_case_curve``: the least segment minimum,
+    with the same two exact limits (the mean at 2 delta + 1 == 1, the
+    largest loss from delta = (n - 1) / 2 on)."""
     losses = np.asarray(losses, dtype=np.float64)
     if 2.0 * delta + 1.0 == 1.0:
         return float(np.mean(losses)), -np.inf
@@ -110,7 +109,7 @@ def dual(losses, delta, eta):
 def test_constant_losses_any_radius():
     losses = np.full(7, 0.42)
     for delta in (0.0, 1.0, 10.0):
-        value, eta = worst_case_risk(losses, delta)
+        [(_, value, _)] = worst_case_curve(losses, [delta])
         assert value == pytest.approx(0.42, abs=1e-6)
 
 
@@ -120,12 +119,12 @@ def test_zero_radius_equals_mean():
     rng = np.random.default_rng(50)
     for _ in range(5):
         losses = rng.exponential(size=30)
-        assert worst_case_risk(losses, 0.0) == (float(np.mean(losses)), -np.inf)
+        assert worst_case_curve(losses, [0.0]) == [(0.0, float(np.mean(losses)), -np.inf)]
 
 
 def test_single_loss_any_radius():
     for delta in (0.0, 3.0):
-        value, _ = worst_case_risk(np.array([1.3]), delta)
+        [(_, value, _)] = worst_case_curve(np.array([1.3]), [delta])
         assert value == pytest.approx(1.3, abs=1e-6)
 
 
@@ -134,7 +133,7 @@ def test_matches_grid_oracle():
     tied = np.array([0.2, 1.1, 0.2, 0.7, 1.1, 0.2, 0.0, 0.7, 1.1, 0.2])
     for losses in [rng.exponential(scale=0.7, size=25) for _ in range(4)] + [tied]:
         for delta in (0.5, 2.0, 10.0):
-            value, _ = worst_case_risk(losses, delta)
+            [(_, value, _)] = worst_case_curve(losses, [delta])
             assert abs(value - grid_worst_case(losses, delta)) <= 1e-4
 
 
@@ -142,7 +141,7 @@ def test_value_between_mean_and_max():
     rng = np.random.default_rng(52)
     losses = rng.uniform(0.0, 3.0, size=40)
     for delta in (0.0, 0.1, 1.0, 25.0):
-        value, _ = worst_case_risk(losses, delta)
+        [(_, value, _)] = worst_case_curve(losses, [delta])
         assert float(losses.mean()) - 1e-9 <= value <= float(losses.max()) + 1e-9
 
 
@@ -154,7 +153,8 @@ def test_curve_nondecreasing_and_limits():
     assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
     assert values[0] == pytest.approx(float(losses.mean()), abs=1e-6)
     assert values[-1] == pytest.approx(float(losses.max()), abs=1e-3)
-    assert curve == [(d, *worst_case_risk(losses, d)) for d in deltas]
+    # Each row is the curve for its radius alone: no row depends on the others.
+    assert curve == [row for d in deltas for row in worst_case_curve(losses, [d])]
 
 
 def test_radius_that_holds_the_point_mass_gives_the_largest_loss():
@@ -164,7 +164,7 @@ def test_radius_that_holds_the_point_mass_gives_the_largest_loss():
     losses = np.random.default_rng(54).uniform(0.1, 2.0, size=30)
     top = float(losses.max())
     for delta in (14.5, 15.0, 1e6, 1e308, float(np.finfo(np.float64).max)):
-        assert worst_case_risk(losses, delta) == (top, top)
+        assert worst_case_curve(losses, [delta]) == [(delta, top, top)]
     curve = worst_case_curve(losses, [0.0, 0.5, 2.0, 14.0, 14.5, 1e6, 1e308])
     values = [value for _, value, _ in curve]
     assert all(np.isfinite(values))
@@ -247,15 +247,15 @@ def test_curve_matches_the_sweep(case):
 
 def test_worst_case_input_validation():
     with pytest.raises(ValueError, match="nonempty"):
-        worst_case_risk(np.array([]), 1.0)
+        worst_case_curve(np.array([]), [1.0])
     with pytest.raises(ValueError, match="finite"):
-        worst_case_risk(np.array([np.inf]), 1.0)
+        worst_case_curve(np.array([np.inf]), [1.0])
     with pytest.raises(ValueError, match="nonnegative"):
-        worst_case_risk(np.array([-0.1]), 1.0)
+        worst_case_curve(np.array([-0.1]), [1.0])
     with pytest.raises(ValueError, match="delta"):
-        worst_case_risk(np.array([1.0]), -1.0)
+        worst_case_curve(np.array([1.0]), [-1.0])
     with pytest.raises(ValueError, match="delta"):
-        worst_case_risk(np.array([1.0]), np.inf)
+        worst_case_curve(np.array([1.0]), [np.inf])
     with pytest.raises(ValueError, match="got nan"):
         worst_case_curve(np.array([1.0]), [0.5, np.nan, -1.0])
 

@@ -70,7 +70,7 @@ def test_probs_for_dispatches_with_defaults():
     assert np.array_equal(probs_for("linear", 0.5, phi, alpha=3.0), linear_probs(phi, 3.0))
     assert np.array_equal(probs_for("sigmoid", 0.5, phi), sigmoid_probs(phi, 1.0))
     assert np.array_equal(probs_for("sigmoid", 0.5, phi, alpha=5.0), sigmoid_probs(phi, 5.0))
-    assert np.array_equal(probs_for("optlr", 0.5, psi=psi, floor=0.2), optlr_probs(psi, 0.2))
+    assert np.array_equal(probs_for("optlr", 0.5, psi=psi), optlr_probs(psi))
     assert np.array_equal(probs_for("random", 0.5, phi), random_probs(4, 0.5))
     assert np.array_equal(probs_for("random", 0.5, n=6), random_probs(6, 0.5))
     with pytest.raises(SamplingError, match="rerun `influence` with --psi"):
@@ -141,8 +141,6 @@ def test_optlr_scaling_and_floor():
 def test_optlr_validation():
     with pytest.raises(SamplingError, match="nonnegative"):
         optlr_probs(np.array([-1.0]))
-    with pytest.raises(SamplingError, match="floor"):
-        optlr_probs(np.array([1.0]), floor=0.0)
     with pytest.raises(SamplingError, match="all-zero"):
         optlr_probs(np.zeros(3))
 
