@@ -25,9 +25,6 @@ from .data import (SparseDataset, SplitSpec, check_flip_fraction, check_n_featur
 from .influence import ConvergenceError, PcgConfig
 from .model import ModelParams
 
-# Grid keys read only by one method, and that method.
-_METHOD_KEYS = {"sigmoid_alphas": "sigmoid", "linear_alpha": "linear"}
-
 
 class ConfigError(ValueError):
     """Bad experiment configuration (unknown key, unusable value, ...)."""
@@ -41,8 +38,8 @@ class ExperimentConfig:
     split here by (va_fraction, te_fraction, split_seed). Methods named
     "sigmoid" fan out into one cell per entry of sigmoid_alphas, each with its
     own label (``expand_methods``). Each value is checked before any data is
-    read, by its owning module's checker if it has one (re-raised here as
-    ConfigError); ``pcg`` and ``split_spec`` keep the settings built from them.
+    read, by its owning module's checker if it has one (``_by_owner`` names the
+    key); ``pcg`` and ``split_spec`` keep the settings built from them.
     """
 
     tr_path: str | None = None
@@ -63,7 +60,6 @@ class ExperimentConfig:
     repeats: int = 10
     seed: int = 0
     sigmoid_alphas: list[float] = field(default_factory=lambda: [0.1, 1.0, 5.0, 10.0, 50.0])
-    linear_alpha: float | None = None
 
     pcg_tol: float = PcgConfig.tol
     pcg_max_iter: int = PcgConfig.max_iter
@@ -96,25 +92,31 @@ class ExperimentConfig:
         for name, values in vars(self).items():
             if isinstance(values, list) and len(set(values)) != len(values):
                 raise ConfigError(f"{name} has duplicate entries: {values}")
-        try:   # the owning modules' rules, each stated once there
-            check_n_features(self.n_features)
-            model.check_train_settings(self.reg_c, self.train_tol, self.train_max_iter)
-            for r in self.ratios:
-                sampling.check_ratio(r)
-            linear = [] if self.linear_alpha is None else [self.linear_alpha]
-            for a in self.sigmoid_alphas + linear:
-                sampling.check_alpha(a)
-            if self.flip_fraction is not None:
-                check_flip_fraction(self.flip_fraction)
-            self.pcg = PcgConfig(self.pcg_tol, self.pcg_max_iter)
-            self.split_spec = (SplitSpec(self.va_fraction, self.te_fraction, self.split_seed)
-                               if self.dataset_path is not None else None)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        # The owning modules' rules, each stated once there (``_by_owner``).
+        self._by_owner(check_n_features, "n_features")
+        self._by_owner(model.check_train_settings, "reg_c", "train_tol", "train_max_iter")
+        self._by_owner(lambda ratios: [sampling.check_ratio(r) for r in ratios], "ratios")
+        self._by_owner(lambda alphas: [sampling.check_alpha(a) for a in alphas], "sigmoid_alphas")
+        if self.flip_fraction is not None:
+            self._by_owner(check_flip_fraction, "flip_fraction")
+        self.pcg = self._by_owner(PcgConfig, "pcg_tol", "pcg_max_iter")
+        self.split_spec = (self._by_owner(SplitSpec, "va_fraction", "te_fraction", "split_seed")
+                           if self.dataset_path is not None else None)
         labels = [label for label, _, _ in expand_methods(self)]
         for label in labels:
             if labels.count(label) > 1:
                 raise ConfigError(f"sigmoid alphas alike to 6 digits share the label {label!r}")
+
+    def _by_owner(self, owner, *keys):
+        """``owner`` called once per key on the values of ``keys`` so far, its
+        defaults standing in for the rest, so a refusal, re-raised as
+        ConfigError, names the key just added. Returns the last result."""
+        for j, key in enumerate(keys, start=1):
+            try:
+                result = owner(*(getattr(self, k) for k in keys[:j]))
+            except ValueError as exc:
+                raise ConfigError(f"{key}: {exc}") from None
+        return result
 
 
 def _coerce(name: str, kind, raw: str):
@@ -153,17 +155,16 @@ def _parse(key: str, raw: str):
 def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
     """Build a config from string key/value pairs, e.g. a parsed config file.
 
-    Each value is parsed by its key (``_parse``). A ``_METHOD_KEYS`` key
-    whose method is not requested, or a split setting (``va_fraction``,
+    Each value is parsed by its key (``_parse``). ``sigmoid_alphas``
+    without method sigmoid, or a split setting (``va_fraction``,
     ``te_fraction``, ``split_seed``) when the data comes pre-split, is
     rejected: its value would change nothing.
     """
     kwargs = {key: _parse(key, raw) for key, raw in mapping.items()}
     cfg = ExperimentConfig(**kwargs)
-    for key, method in _METHOD_KEYS.items():
-        if key in kwargs and method not in cfg.methods:
-            raise ConfigError(f"{key} is set but no requested method reads it; "
-                              f"it needs method {method}")
+    if "sigmoid_alphas" in kwargs and "sigmoid" not in cfg.methods:
+        raise ConfigError("sigmoid_alphas is set but no requested method reads it; "
+                          "it needs method sigmoid")
     for key in ("va_fraction", "te_fraction", "split_seed"):
         if key in kwargs and cfg.split_spec is None:
             raise ConfigError(f"{key} is set but the data comes pre-split as "
@@ -219,7 +220,6 @@ class CellResult:
     te_logloss: float = float("nan")
     te_accuracy: float = float("nan")
     gamma: float = float("nan")
-    n_selected: int = 0
     error: str | None = None
 
 
@@ -301,7 +301,7 @@ def load_splits(cfg: ExperimentConfig) -> tuple[SparseDataset, SparseDataset, Sp
 def expand_methods(cfg: ExperimentConfig) -> list[tuple[str, str, float | None]]:
     """(label, base_method, alpha) triples in deterministic config order.
 
-    alpha is the sigmoid alpha, ``linear_alpha`` for linear, else None.
+    alpha is the sigmoid alpha, else None (linear takes 1/max|phi|).
     """
     out = []
     for m in cfg.methods:
@@ -309,7 +309,7 @@ def expand_methods(cfg: ExperimentConfig) -> list[tuple[str, str, float | None]]
             for a in cfg.sigmoid_alphas:
                 out.append((f"sigmoid@{a:g}", "sigmoid", float(a)))
         else:
-            out.append((m, m, cfg.linear_alpha if m == "linear" else None))
+            out.append((m, m, None))
     return out
 
 
@@ -331,10 +331,11 @@ def run_pipeline(cfg: ExperimentConfig) -> ExperimentReport:
     recorded on that cell's result and does not abort the grid. With
     flip_fraction set, training labels are corrupted (seeded) before the
     full fit, while validation and test stay clean; test accuracy is then
-    also reported.
+    also reported, if a label was flipped.
     """
     t_start = time.perf_counter()
     tr, va, te = load_splits(cfg)
+    clean_y = tr.y
     if cfg.flip_fraction:
         tr = flip_labels(tr, cfg.flip_fraction, derive_seed(cfg.seed, "flip", cfg.flip_fraction))
 
@@ -358,7 +359,7 @@ def run_pipeline(cfg: ExperimentConfig) -> ExperimentReport:
     # nothing. One (method, ratio) shares its probabilities across repeats.
     # Each weight column maps to its cells, rows and optlr probabilities,
     # and is fitted as its first cell: dropout's repeats draw the same rows.
-    # A column is set by the rows and, for optlr, the probabilities of its ratio.
+    # A column is set by its rows and whether they carry optlr's ratio-free weights.
     cells: list[CellResult] = []
     columns: dict[tuple, tuple[list[int], np.ndarray, np.ndarray | None]] = {}
     for ratio in cfg.ratios:
@@ -372,7 +373,7 @@ def run_pipeline(cfg: ExperimentConfig) -> ExperimentReport:
                         probs = sampling.probs_for(base, ratio, phi, psi, alpha, n=tr.n_rows)
                     selected = _draw_cell(tr, probs, base, ratio, cell.seed, phi)
                     optlr = base == "optlr"
-                    key = (selected.tobytes(), ratio if optlr else None)
+                    key = (selected.tobytes(), optlr)
                     columns.setdefault(key, ([], selected, probs if optlr else None))
                     columns[key][0].append(len(cells))
                 except Exception as exc:
@@ -385,10 +386,9 @@ def run_pipeline(cfg: ExperimentConfig) -> ExperimentReport:
         except Exception as exc:
             return [_failed(cells[ids[0]], exc) for ids, _, _ in block]
         results = []
-        for (ids, selected, _), fitted in zip(block, fits):
+        for (ids, _, _), fitted in zip(block, fits):
             try:
-                results.append(_evaluate_cell(cfg, cells[ids[0]], full, fitted, va, te,
-                                              int(np.count_nonzero(selected))))
+                results.append(_evaluate_cell(cells[ids[0]], full, fitted, va, te))
             except Exception as exc:
                 results.append(_failed(cells[ids[0]], exc))
         return results
@@ -409,7 +409,7 @@ def run_pipeline(cfg: ExperimentConfig) -> ExperimentReport:
         full_te_accuracy=full_acc,
         methods=[label for label, _, _ in labels],
         ratios=[float(r) for r in cfg.ratios],
-        with_accuracy=bool(cfg.flip_fraction),
+        with_accuracy=bool(np.any(tr.y != clean_y)),
         with_gamma=cfg.compute_gamma,
         influence_seconds=influence_seconds,
         total_seconds=time.perf_counter() - t_start,
@@ -460,9 +460,8 @@ def _fit_cells(cfg: ExperimentConfig, tr: SparseDataset, full: ModelParams,
     return model.fit_columns(tr, cfg.reg_c, W, full.theta, cfg.train_tol, cfg.train_max_iter)
 
 
-def _evaluate_cell(cfg: ExperimentConfig, cell: CellResult, full: ModelParams,
-                   fitted: ModelParams, va: SparseDataset, te: SparseDataset,
-                   n_selected: int) -> CellResult:
+def _evaluate_cell(cell: CellResult, full: ModelParams, fitted: ModelParams,
+                   va: SparseDataset, te: SparseDataset) -> CellResult:
     """A fitted cell's held-out metrics; a non-converged fit raises."""
     _require_converged(fitted, "cell fit")
     has_te = te.n_rows > 0
@@ -471,8 +470,7 @@ def _evaluate_cell(cfg: ExperimentConfig, cell: CellResult, full: ModelParams,
         va_logloss=model.mean_logloss(fitted, va),
         te_logloss=model.mean_logloss(fitted, te) if has_te else float("nan"),
         te_accuracy=model.accuracy(fitted, te) if has_te else float("nan"),
-        gamma=risk.gamma_shift(full, fitted) if cfg.compute_gamma else float("nan"),
-        n_selected=n_selected,
+        gamma=risk.gamma_shift(full, fitted),
     )
 
 
@@ -492,8 +490,8 @@ def emit_report(report: ExperimentReport, path: str) -> list[str]:
     """Write the per-repeat CSV to ``path`` and the other tables beside it.
 
     The aggregate file replaces the extension with ``_aggregate.csv`` and
-    carries the full-set baseline as a ``full`` row; a run that computed
-    gamma adds ``_gamma.csv``, the mean parameter shift per ratio and method.
+    carries the full-set baseline as a ``full`` row; ``with_gamma`` adds
+    ``_gamma.csv``, the mean parameter shift per ratio and method.
     Returns the paths written; the same report always gives the same bytes.
     """
     width = None if report.with_accuracy else -1

@@ -374,7 +374,8 @@ def pcg(H: Curvature, b: np.ndarray, tol: float | np.ndarray, max_iter: int,
     return sol, PcgInfo(n_iter, residual, converged)
 
 
-def check_train_settings(reg_c: float, tol: float, max_iter: int) -> None:
+def check_train_settings(reg_c: float, tol: float = TRAIN_TOL,
+                         max_iter: int = TRAIN_MAX_ITER) -> None:
     """Refuse the ``train`` settings no fit can run with, before any data is read."""
     if not 0.0 < reg_c < np.inf:
         raise ModelError(f"reg_c must be finite and positive for training, got {reg_c}")

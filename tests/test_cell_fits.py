@@ -292,8 +292,34 @@ def test_equal_columns_are_fitted_once_and_copied_to_each_twin(data_file, monkey
         column = np.zeros(tr.n_rows)
         column[rows] = experiment._cell_weights(tr.n_rows, rows, None)
         fit, = model.fit_columns(tr, cfg.reg_c, column[:, None], full.theta)
-        want = experiment._evaluate_cell(cfg, cell, full, fit, va, te, rows.size)
+        want = experiment._evaluate_cell(cell, full, fit, va, te)
         assert repr(cell) == repr(want)
+
+
+def test_optlr_columns_are_keyed_by_rows_and_weighting_not_ratio(data_file, monkeypatch):
+    # At ratios 0.999 and 1 every class quota rounds to the whole class, so
+    # all four cells select every row. optlr's probabilities are the same at
+    # both ratios, so its two cells share one column; random's rows are
+    # unweighted, so it gets a column of its own.
+    cfg = grid_config(data_file, methods=["random", "optlr"], ratios=[0.999, 1.0], repeats=1)
+    widths = []
+    real_fit = model.fit_columns
+
+    def fit(ds, reg_c, W, theta0, tol, max_iter):
+        widths.append(W.shape[1])
+        return real_fit(ds, reg_c, W, theta0, tol, max_iter)
+
+    monkeypatch.setattr(model, "fit_columns", fit)
+    report = run_pipeline(cfg)
+    assert not report.failures() and sum(widths[1:]) == 2
+    cells = {(c.method, c.ratio): c for c in report.cells}
+    for method in ("random", "optlr"):
+        assert cells[method, 0.999].va_logloss == cells[method, 1.0].va_logloss
+    assert cells["random", 1.0].va_logloss == report.full_va_logloss
+    assert cells["optlr", 1.0].va_logloss != report.full_va_logloss
+    # Each optlr cell is the one it is in a grid of optlr alone.
+    alone = run_pipeline(grid_config(data_file, methods=["optlr"], ratios=[1.0], repeats=1))
+    assert repr(alone.cells[0]) == repr(cells["optlr", 1.0])
 
 
 def plan_input(n_rows, n_features, nnz):

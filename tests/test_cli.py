@@ -11,7 +11,7 @@ import pytest
 
 from conftest import dataset_path, random_ds
 from infsub import cli, experiment, influence, model, sampling
-from infsub.data import load_libsvm, round_half_up, write_libsvm
+from infsub.data import SplitSpec, load_libsvm, round_half_up, split, write_libsvm
 
 
 @pytest.fixture(scope="module")
@@ -206,10 +206,11 @@ def test_negative_n_features_is_refused_before_any_file_is_opened(tmp_path, caps
     # Indices stop at 2**31 - 1, so no index reaches a dimension above 2**31.
     out = tmp_path / "out"
     names = {"MISSING": str(tmp_path / "missing.svm"), "OUT": str(out)}
+    key = "n_features: " if args[0] == "pipeline" else ""   # a config refusal names its key
     for value, rule in (("-1", "be nonnegative"), ("2147483649", "be at most 2147483648")):
         code = cli.main([names.get(a, a) for a in args] + ["--n-features", value])
         assert code == 2
-        assert capsys.readouterr().err == f"error: n_features must {rule}, got {value}\n"
+        assert capsys.readouterr().err == f"error: {key}n_features must {rule}, got {value}\n"
         assert not out.exists()
 
 
@@ -391,7 +392,9 @@ def test_pipeline_config_rejects_duplicate_key(files, tmp_path, capsys):
     ("repeats = x", "repeats: cannot parse 'x'"),
     ("bogus = 1", "unknown config key 'bogus'"),
     ("compute_gamma = maybe", "compute_gamma: expected a boolean, got 'maybe'"),
-], ids=["unparsable", "unknown-key", "not-a-boolean"])
+    # A linear cell takes 1/max|phi|; no key sets its alpha.
+    ("linear_alpha = 2", "unknown config key 'linear_alpha'"),
+], ids=["unparsable", "unknown-key", "not-a-boolean", "linear-alpha"])
 def test_pipeline_config_errors_name_the_file_and_line(files, tmp_path, capsys, line, message):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(f"# grid\nmethods = random\n{line}\n")
@@ -415,23 +418,27 @@ def test_pipeline_rejects_negative_split_seed_before_loading(tmp_path, capsys):
     code = cli.main(["pipeline", "--dataset", str(tmp_path / "nonexistent.svm"),
                      "--split-seed", "-1", "--method", "random", "--out", str(out)])
     assert code == 2
-    assert capsys.readouterr().err == "error: split seed must be nonnegative, got -1\n"
+    assert capsys.readouterr().err == "error: split_seed: split seed must be nonnegative, got -1\n"
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flags, match", [
+@pytest.mark.parametrize("flags, message", [
     (["--method", "random,random", "--ratio", "0.9,0.9", "--repeats", "2"],
-     "methods has duplicate"),
-    (["--method", "sigmoid", "--alpha=-1"], "error: alpha must be positive"),
-    (["--method", "sigmoid", "--alpha", "1,inf"], "error: alpha must be positive and finite, got inf"),
-], ids=["duplicate-grid", "negative-alpha", "infinite-alpha"])
-def test_pipeline_rejects_bad_grid_before_loading(tmp_path, capsys, flags, match):
-    # The dataset does not exist: the grid must be refused before it is read.
+     "error: methods has duplicate entries: ['random', 'random']\n"),
+    (["--method", "sigmoid", "--alpha=-1"],
+     "error: sigmoid_alphas: alpha must be positive and finite, got -1.0\n"),
+    (["--method", "sigmoid", "--alpha", "1,inf"],
+     "error: sigmoid_alphas: alpha must be positive and finite, got inf\n"),
+    (["--ratio", "1.5"], "error: ratios: target_ratio must be in (0, 1], got 1.5\n"),
+], ids=["duplicate-grid", "negative-alpha", "infinite-alpha", "ratio-past-one"])
+def test_pipeline_rejects_bad_grid_before_loading(tmp_path, capsys, flags, message):
+    # The dataset does not exist: the grid must be refused before it is read,
+    # and an owning module's refusal names the config key it came from.
     out = tmp_path / "report.csv"
     code = cli.main(["pipeline", "--dataset", str(tmp_path / "missing.svm"), *flags,
                      "--out", str(out)])
     assert code == 2
-    assert match in capsys.readouterr().err
+    assert capsys.readouterr().err == message
     assert not out.exists()
 
 
@@ -532,17 +539,12 @@ def test_pipeline_config_rejects_pcg_alpha_key(files, tmp_path, capsys):
 
 @pytest.mark.parametrize("setting, key", [
     ("--alpha=5", "sigmoid_alphas"),
-    ("linear_alpha = 2", "linear_alpha"),
-], ids=["sigmoid-alphas", "linear-alpha"])
+], ids=["sigmoid-alphas"])
 def test_pipeline_rejects_key_no_requested_method_reads(tmp_path, capsys, setting, key):
     # The dataset does not exist: the unused setting is refused before it is read.
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("" if setting.startswith("--") else setting + "\n")
-    flags = [setting] if setting.startswith("--") else []
     out = tmp_path / "report.csv"
-    code = cli.main(["pipeline", "--config", str(cfg), "--dataset",
-                     str(tmp_path / "missing.svm"), "--method", "random,dropout", *flags,
-                     "--out", str(out)])
+    code = cli.main(["pipeline", "--dataset", str(tmp_path / "missing.svm"),
+                     "--method", "random,dropout", setting, "--out", str(out)])
     assert code == 2
     assert f"{key} is set but no requested method reads it" in capsys.readouterr().err
     assert not out.exists()
@@ -608,6 +610,80 @@ def test_pipeline_flip_matches_config_flip_fraction(files, tmp_path, capsys):
         flag = (tmp_path / "flag" / report).read_bytes()
         assert flag == (tmp_path / "config" / report).read_bytes()
         assert b",accuracy" in flag.splitlines()[0]
+
+
+def test_pipeline_flip_of_no_label_writes_the_unflipped_bytes(tmp_path, capsys):
+    # 0.0001 of pima_like's 384 training rows rounds to no label flipped: the
+    # run is the unflipped run, with no accuracy column, byte for byte.
+    grid = ["--dataset", dataset_path("pima_like.svm"), "--method", "random,linear",
+            "--ratio", "0.8", "--repeats", "2", "--gamma"]
+    for name, setting in (("plain", []), ("flip", ["--flip", "0.0001"])):
+        (tmp_path / name).mkdir()
+        assert cli.main(["pipeline", *grid, *setting,
+                         "--out", str(tmp_path / name / "report.csv")]) == 0
+        assert ", acc " not in capsys.readouterr().out
+    written = sorted(os.listdir(tmp_path / "plain"))
+    assert written == ["report.csv", "report_aggregate.csv", "report_gamma.csv"]
+    assert sorted(os.listdir(tmp_path / "flip")) == written
+    for name in written:
+        assert (tmp_path / "flip" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+
+def test_piecemeal_flow_reproduces_pipeline_cells(tmp_path, monkeypatch):
+    # The README's piecemeal flow is a second route to a pipeline cell. With
+    # breast_cancer_like split as the README splits it, `sample` at a cell's
+    # seed selects the cell's rows, and `train` from zero on those rows gives
+    # the cell's held-out loglosses within the fit tolerance.
+    ds = load_libsvm(dataset_path("breast_cancer_like.svm"))
+    paths = {name: str(tmp_path / f"{name}.svm") for name in ("tr", "va", "te")}
+    for name, part in zip(paths, split(ds, SplitSpec(0.3, 0.2, seed=0))):
+        write_libsvm(part, paths[name])
+    d, reg_c, seed, ratio = "10", 0.1, 11, 0.9
+    masks = {}
+    real_draw = experiment._draw_cell
+
+    def draw(tr, probs, base, ratio, seed, phi):
+        masks[seed] = real_draw(tr, probs, base, ratio, seed, phi)
+        return masks[seed]
+
+    monkeypatch.setattr(experiment, "_draw_cell", draw)
+    report = tmp_path / "report.csv"
+    assert cli.main(["pipeline", "--tr", paths["tr"], "--va", paths["va"], "--te", paths["te"],
+                     "--n-features", d, "--reg-c", str(reg_c), "--method", "sigmoid,random",
+                     "--alpha", "5", "--ratio", str(ratio), "--repeats", "1",
+                     "--seed", str(seed), "--out", str(report)]) == 0
+    losses = {line.split(",")[0]: [float(v) for v in line.split(",")[3:5]]
+              for line in report.read_text().splitlines()[1:]}
+
+    full, influence_csv = str(tmp_path / "model.txt"), str(tmp_path / "influence.csv")
+    assert cli.main(["train", "--tr", paths["tr"], "--n-features", d, "--reg-c", str(reg_c),
+                     "--out", full]) == 0
+    assert cli.main(["influence", "--model", full, "--tr", paths["tr"], "--va", paths["va"],
+                     "--n-features", d, "--out", influence_csv]) == 0
+    tr, va, te = (load_libsvm(paths[name], int(d)) for name in ("tr", "va", "te"))
+    for label, method, alpha in (("sigmoid@5", "sigmoid", ["--alpha", "5"]),
+                                 ("random", "random", [])):
+        cell_seed = experiment.derive_seed(seed, label, ratio, 0)
+        plan = str(tmp_path / f"{method}-plan.csv")
+        assert cli.main(["sample", "--influence", influence_csv, "--tr", paths["tr"],
+                         "--n-features", d, "--method", method, *alpha, "--ratio", str(ratio),
+                         "--seed", str(cell_seed), "--out", plan]) == 0
+        selected = sampling.read_plan_csv(plan).selected
+        assert np.array_equal(selected, np.flatnonzero(masks[cell_seed]))
+        subset, fitted = str(tmp_path / f"{method}.svm"), str(tmp_path / f"{method}.model")
+        write_libsvm(tr.subset(selected), subset)
+        assert cli.main(["train", "--tr", subset, "--n-features", d, "--reg-c", str(reg_c),
+                         "--out", fitted]) == 0
+        fit = model.load_params(fitted)
+        # The cell's column weighs its rows n / n_sub, so both fits minimize
+        # the subset's mean log loss plus (C/2)||theta||^2, which is
+        # C-strongly convex: each stops within ||g|| / C <= tol / C of the
+        # optimum, so the two thetas lie within 2 tol / C of each other. A
+        # row's log loss changes by at most |x . dtheta| (its slope in the
+        # margin is below 1), so a mean loss by at most max ||x|| 2 tol / C.
+        for data, want in zip((va, te), losses[label]):
+            bound = max(np.sqrt(data.X.multiply(data.X).sum(axis=1))) * 2 * model.TRAIN_TOL / reg_c
+            assert abs(model.mean_logloss(fit, data) - want) <= bound
 
 
 class _ClosedPipe(io.StringIO):

@@ -220,10 +220,10 @@ def test_pipeline_files_do_not_depend_on_the_worker_count(data_file, tmp_path, m
     real_evaluate = experiment._evaluate_cell
     bad_seed = experiment.derive_seed(cfg.seed, "optlr", 0.9, 1)
 
-    def evaluate(cfg, cell, *args):
+    def evaluate(cell, *args):
         if cell.seed == bad_seed:
             raise ModelError("refused cell")
-        return real_evaluate(cfg, cell, *args)
+        return real_evaluate(cell, *args)
 
     monkeypatch.setattr(experiment, "_evaluate_cell", evaluate)
     written = {}
