@@ -15,16 +15,15 @@ import numpy as np
 
 from . import experiment, influence, model, risk, sampling
 from .data import load_aligned, load_libsvm
-from .experiment import ConfigError, ExperimentConfig, config_from_mapping, read_config
+from .experiment import ConfigError, ExperimentConfig, config_from_mapping
 from .influence import PcgConfig
 
 _C_HELP = ("regularization strength C; the objective is mean log loss "
            "plus (C/2)*||theta||^2")
 
-# The pipeline flags, the ExperimentConfig field each one sets (its argparse
-# dest), and its argparse settings. Values stay raw strings and are written
-# over the config file's mapping, so config_from_mapping coerces and
-# validates both at once.
+# The pipeline flags, one per ExperimentConfig init field: the field each one
+# sets (its argparse dest), and its argparse settings. Values stay raw
+# strings, so config_from_mapping coerces and validates them all at once.
 _CONFIG_FLAGS = (
     ("--dataset", "dataset_path", {"help": "single libsvm file, split internally"}),
     ("--tr", "tr_path", {}),
@@ -35,10 +34,14 @@ _CONFIG_FLAGS = (
     ("--te-fraction", "te_fraction", {}),
     ("--split-seed", "split_seed", {}),
     ("--reg-c", "reg_c", {"help": _C_HELP}),
+    ("--tol", "train_tol", {"help": "gradient-norm stopping tolerance of every fit"}),
+    ("--max-iter", "train_max_iter", {"help": "Newton iteration cap of every fit"}),
     ("--method", "methods",
      {"help": "comma-separated subset of " + ",".join(sampling.METHODS)}),
     ("--ratio", "ratios", {"help": "comma-separated sampling ratios"}),
     ("--alpha", "sigmoid_alphas", {"help": "comma-separated sigmoid alphas"}),
+    ("--pcg-tol", "pcg_tol", {"help": "relative residual tolerance of the influence solves"}),
+    ("--pcg-max-iter", "pcg_max_iter", {"help": "iteration cap of the influence solves"}),
     ("--repeats", "repeats", {}),
     ("--seed", "seed", {}),
     ("--gamma", "compute_gamma", {"action": "store_const", "const": "true",
@@ -106,7 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("pipeline", help="run the full sampling-method grid")
-    p.add_argument("--config", default=None, help="key = value config file")
     for flag, key, settings in _CONFIG_FLAGS:
         p.add_argument(flag, dest=key, **settings)
     p.add_argument("--out", required=True, help="where to write the report CSV")
@@ -206,12 +208,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
-    mapping = read_config(args.config) if args.config else {}
-    for _, key, _ in _CONFIG_FLAGS:
-        raw = getattr(args, key)
-        if raw is not None:
-            mapping[key] = raw
-    config = config_from_mapping(mapping)
+    config = config_from_mapping({key: raw for _, key, _ in _CONFIG_FLAGS
+                                  if (raw := getattr(args, key)) is not None})
     report = experiment.run_pipeline(config)
     written = experiment.emit_report(report, args.out)
     if report.with_gamma:

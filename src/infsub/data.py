@@ -222,8 +222,6 @@ def _parse_block(block: bytes, line0: int) -> tuple[np.ndarray, ...]:
     blank = (a == ord(" ")) | (a - 9 <= 4) | (a - 28 <= 3)   # " ", "\t" to "\r", "\x1c" to "\x1f"
     edges = np.flatnonzero(np.diff(~blank, prepend=False, append=False))
     start, end = edges[0::2], edges[1::2]
-    if not start.size:
-        return np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32), np.empty(0)
     line = np.searchsorted(np.flatnonzero(a == ord("\n")), start)
     is_label = np.ones(start.size, dtype=bool)
     is_label[1:] = line[1:] != line[:-1]
@@ -328,8 +326,8 @@ def _parse_block(block: bytes, line0: int) -> tuple[np.ndarray, ...]:
             t = faulty[0]
             raise _token_error(int(fault[t]), block[start[t]:end[t]], line0 + int(line[t]) + 1)
         raise DataError(f"line {line0 + int(row_line[dup_rows[0]]) + 1}: duplicate feature index")
-    n_rows = int(row[-1]) + 1
-    return num[is_label], np.bincount(frow, minlength=n_rows), index.astype(np.int32), value
+    return (num[is_label], np.bincount(frow, minlength=int(is_label.sum())),
+            index.astype(np.int32), value)
 
 
 def _read_libsvm(fh: IO[str], n_features: int | None) -> SparseDataset:

@@ -64,7 +64,7 @@ class ExperimentConfig:
     pcg_tol: float = PcgConfig.tol
     pcg_max_iter: int = PcgConfig.max_iter
 
-    flip_fraction: float | None = None
+    flip_fraction: float = 0.0
     compute_gamma: bool = False
 
     pcg: PcgConfig = field(init=False, repr=False)
@@ -97,8 +97,7 @@ class ExperimentConfig:
         self._by_owner(model.check_train_settings, "reg_c", "train_tol", "train_max_iter")
         self._by_owner(lambda ratios: [sampling.check_ratio(r) for r in ratios], "ratios")
         self._by_owner(lambda alphas: [sampling.check_alpha(a) for a in alphas], "sigmoid_alphas")
-        if self.flip_fraction is not None:
-            self._by_owner(check_flip_fraction, "flip_fraction")
+        self._by_owner(check_flip_fraction, "flip_fraction")
         self.pcg = self._by_owner(PcgConfig, "pcg_tol", "pcg_max_iter")
         self.split_spec = (self._by_owner(SplitSpec, "va_fraction", "te_fraction", "split_seed")
                            if self.dataset_path is not None else None)
@@ -153,7 +152,7 @@ def _parse(key: str, raw: str):
 
 
 def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
-    """Build a config from string key/value pairs, e.g. a parsed config file.
+    """Build a config from string key/value pairs, e.g. the pipeline's flags.
 
     Each value is parsed by its key (``_parse``). ``sigmoid_alphas``
     without method sigmoid, or a split setting (``va_fraction``,
@@ -170,31 +169,6 @@ def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
             raise ConfigError(f"{key} is set but the data comes pre-split as "
                               "tr_path/va_path; only dataset_path is split")
     return cfg
-
-
-def read_config(path: str) -> dict[str, str]:
-    """Parse a ``key = value`` config file into raw strings; '#' starts a comment.
-    A bad line, key or value (``_parse``) raises ConfigError naming its line."""
-    mapping: dict[str, str] = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_no, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                key, sep, val = (part.strip() for part in line.partition("="))
-                if not sep:
-                    raise ConfigError(f"{path}:{line_no}: expected key = value")
-                if key in mapping:
-                    raise ConfigError(f"{path}:{line_no}: duplicate key {key!r}")
-                try:
-                    _parse(key, val)
-                except ConfigError as exc:
-                    raise ConfigError(f"{path}:{line_no}: {exc}") from None
-                mapping[key] = val
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
-    return mapping
 
 
 def derive_seed(base: int, *parts) -> int:
@@ -329,7 +303,7 @@ def run_pipeline(cfg: ExperimentConfig) -> ExperimentReport:
     own fit, neither the plan nor the shared fits change any digit of the
     report. A failure inside one cell, a non-converged cell fit included, is
     recorded on that cell's result and does not abort the grid. With
-    flip_fraction set, training labels are corrupted (seeded) before the
+    flip_fraction above 0, training labels are corrupted (seeded) before the
     full fit, while validation and test stay clean; test accuracy is then
     also reported, if a label was flipped.
     """

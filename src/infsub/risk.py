@@ -84,8 +84,6 @@ def _dual_minima(losses: np.ndarray, deltas: np.ndarray) -> tuple[np.ndarray, np
     mass = wide & (deltas >= (n - 1) / 2)
     value[mass] = eta[mass] = top[0]
     live = np.flatnonzero(wide & ~mass)
-    if not live.size:
-        return np.ldexp(value, e), np.ldexp(eta, e)
 
     k = np.arange(1, n + 1)
     q = k / n

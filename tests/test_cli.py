@@ -1,5 +1,6 @@
 """End-to-end command-line coverage: every subcommand plus exit codes."""
 
+import dataclasses
 import io
 import os
 import subprocess
@@ -296,6 +297,14 @@ def test_influence_names_the_malformed_file(files, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_pipeline_has_one_flag_per_config_field():
+    # Flags are the pipeline's one front end, so every setting has one.
+    keys = [key for _, key, _ in cli._CONFIG_FLAGS]
+    flags = [flag for flag, _, _ in cli._CONFIG_FLAGS]
+    assert len(set(keys)) == len(keys) and len(set(flags)) == len(flags)
+    assert set(keys) == {f.name for f in dataclasses.fields(experiment.ExperimentConfig) if f.init}
+
+
 def test_pipeline_writes_report_aggregate_and_gamma(files, tmp_path):
     rep = tmp_path / "report.csv"
     code = cli.main(["pipeline", "--dataset", files["full"],
@@ -311,35 +320,6 @@ def test_pipeline_writes_report_aggregate_and_gamma(files, tmp_path):
     assert len(rep.read_text().splitlines()) == 1 + 2 * 2  # two methods x two repeats
 
 
-def test_pipeline_config_file_with_cli_override(files, tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"dataset_path = {files['full']}\n"
-                   "va_fraction = 0.3\n"
-                   "te_fraction = 0.2\n"
-                   "methods = random\n"
-                   "ratios = 0.9\n"
-                   "repeats = 1\n")
-    rep = tmp_path / "report.csv"
-    code = cli.main(["pipeline", "--config", str(cfg), "--repeats", "3",
-                     "--out", str(rep)])
-    assert code == 0
-    assert len(rep.read_text().splitlines()) == 1 + 3
-
-
-def test_pipeline_config_file_leaves_data_source_to_flags(files, tmp_path):
-    # The file alone is not a complete config; the flags complete it.
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("va_fraction = 0.3\n"
-                   "te_fraction = 0.2\n"
-                   "methods = random\n"
-                   "ratios = 0.9\n")
-    rep = tmp_path / "report.csv"
-    code = cli.main(["pipeline", "--config", str(cfg), "--dataset", files["full"],
-                     "--repeats", "2", "--out", str(rep)])
-    assert code == 0
-    assert len(rep.read_text().splitlines()) == 1 + 2
-
-
 def test_pipeline_failing_cells_exit_nonzero(files, tmp_path, capsys):
     rep = tmp_path / "report.csv"
     code = cli.main(["pipeline", "--dataset", files["full"],
@@ -353,64 +333,22 @@ def test_pipeline_failing_cells_exit_nonzero(files, tmp_path, capsys):
 def test_pipeline_nonconverged_full_fit_exits_1_without_report(tmp_path, capsys):
     # One Newton step leaves the pima_like full fit far from its optimum,
     # where influence scores mean nothing.
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"dataset_path = {dataset_path('pima_like.svm')}\n"
-                   "train_max_iter = 1\n"
-                   "methods = random\n"
-                   "repeats = 1\n")
     rep = tmp_path / "report.csv"
-    code = cli.main(["pipeline", "--config", str(cfg), "--out", str(rep)])
+    code = cli.main(["pipeline", "--dataset", dataset_path("pima_like.svm"), "--max-iter", "1",
+                     "--method", "random", "--repeats", "1", "--out", str(rep)])
     assert code == 1
     assert "full-set fit stopped" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == [cfg]
-
-
-def test_pipeline_config_rejects_deltas_key(files, tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"dataset_path = {files['full']}\n"
-                   "deltas = 0,0.5,2\n")
-    code = cli.main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "report.csv")])
-    assert code == 2
-    assert "unknown config key 'deltas'" in capsys.readouterr().err
-
-
-def test_pipeline_config_rejects_duplicate_key(files, tmp_path, capsys):
-    # A later line must not silently override an earlier one.
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"dataset_path = {files['full']}\n"
-                   "methods = random\n"
-                   "repeats = 2\n"
-                   "repeats = 5\n")
-    rep = tmp_path / "report.csv"
-    code = cli.main(["pipeline", "--config", str(cfg), "--out", str(rep)])
-    assert code == 2
-    assert f"{cfg}:4: duplicate key 'repeats'" in capsys.readouterr().err
-    assert not rep.exists()
-
-
-@pytest.mark.parametrize("line, message", [
-    ("repeats = x", "repeats: cannot parse 'x'"),
-    ("bogus = 1", "unknown config key 'bogus'"),
-    ("compute_gamma = maybe", "compute_gamma: expected a boolean, got 'maybe'"),
-    # A linear cell takes 1/max|phi|; no key sets its alpha.
-    ("linear_alpha = 2", "unknown config key 'linear_alpha'"),
-], ids=["unparsable", "unknown-key", "not-a-boolean", "linear-alpha"])
-def test_pipeline_config_errors_name_the_file_and_line(files, tmp_path, capsys, line, message):
-    cfg = tmp_path / "c.cfg"
-    cfg.write_text(f"# grid\nmethods = random\n{line}\n")
-    out = tmp_path / "r.csv"
-    code = cli.main(["pipeline", "--config", str(cfg), "--dataset", files["full"],
-                     "--out", str(out)])
-    assert code == 2
-    assert capsys.readouterr().err == f"error: {cfg}:3: {message}\n"
-    assert not out.exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_pipeline_flag_errors_keep_their_message(files, tmp_path, capsys):
-    code = cli.main(["pipeline", "--dataset", files["full"], "--method", "random",
-                     "--repeats", "x", "--out", str(tmp_path / "r.csv")])
-    assert code == 2
-    assert capsys.readouterr().err == "error: repeats: cannot parse 'x'\n"
+    # A flag's value is parsed as its config field's annotation says.
+    for flag, value, key in (("--repeats", "x", "repeats"), ("--max-iter", "1.5", "train_max_iter"),
+                             ("--pcg-tol", "x", "pcg_tol")):
+        code = cli.main(["pipeline", "--dataset", files["full"], "--method", "random",
+                         flag, value, "--out", str(tmp_path / "r.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {key}: cannot parse '{value}'\n"
 
 
 def test_pipeline_rejects_negative_split_seed_before_loading(tmp_path, capsys):
@@ -430,7 +368,11 @@ def test_pipeline_rejects_negative_split_seed_before_loading(tmp_path, capsys):
     (["--method", "sigmoid", "--alpha", "1,inf"],
      "error: sigmoid_alphas: alpha must be positive and finite, got inf\n"),
     (["--ratio", "1.5"], "error: ratios: target_ratio must be in (0, 1], got 1.5\n"),
-], ids=["duplicate-grid", "negative-alpha", "infinite-alpha", "ratio-past-one"])
+    (["--tol", "0"], "error: train_tol: tol must be positive and finite, got 0.0\n"),
+    (["--max-iter", "0"], "error: train_max_iter: max_iter must be at least 1, got 0\n"),
+    (["--pcg-max-iter", "0"], "error: pcg_max_iter: pcg_max_iter must be at least 1, got 0\n"),
+], ids=["duplicate-grid", "negative-alpha", "infinite-alpha", "ratio-past-one", "zero-tol",
+        "zero-max-iter", "zero-pcg-max-iter"])
 def test_pipeline_rejects_bad_grid_before_loading(tmp_path, capsys, flags, message):
     # The dataset does not exist: the grid must be refused before it is read,
     # and an owning module's refusal names the config key it came from.
@@ -442,19 +384,13 @@ def test_pipeline_rejects_bad_grid_before_loading(tmp_path, capsys, flags, messa
     assert not out.exists()
 
 
-@pytest.mark.parametrize("from_file", [False, True], ids=["flag", "config-file"])
-def test_pipeline_rejects_an_empty_te_path_before_loading(tmp_path, capsys, from_file):
+@pytest.mark.parametrize("empty", [["--te", ""], ["--te="]], ids=["flag", "flag-equals"])
+def test_pipeline_rejects_an_empty_te_path_before_loading(tmp_path, capsys, empty):
     # tr and va do not exist: the empty te_path must be refused before they are read.
-    flags = ["--tr", str(tmp_path / "missing-tr.svm"), "--va", str(tmp_path / "missing-va.svm")]
-    if from_file:
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("te_path =\n")
-        flags += ["--config", str(cfg)]
-    else:
-        flags += ["--te", ""]
     out = tmp_path / "report.csv"
-    code = cli.main(["pipeline", *flags, "--method", "random", "--repeats", "1",
-                     "--out", str(out)])
+    code = cli.main(["pipeline", "--tr", str(tmp_path / "missing-tr.svm"),
+                     "--va", str(tmp_path / "missing-va.svm"), *empty,
+                     "--method", "random", "--repeats", "1", "--out", str(out)])
     assert code == 2
     assert capsys.readouterr().err == (
         "error: te_path is empty; give a file or leave the key out\n")
@@ -505,10 +441,8 @@ def test_sample_rejects_negative_seed(files, tmp_path, capsys):
 
 
 def test_pipeline_rejects_bad_pcg_setting_before_fitting(files, tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("pcg_tol = 0\n")
     out = tmp_path / "report.csv"
-    code = cli.main(["pipeline", "--config", str(cfg), "--dataset", files["full"],
+    code = cli.main(["pipeline", "--dataset", files["full"], "--pcg-tol", "0",
                      "--method", "random", "--repeats", "1", "--out", str(out)])
     assert code == 2
     assert "tol must be positive" in capsys.readouterr().err
@@ -517,24 +451,12 @@ def test_pipeline_rejects_bad_pcg_setting_before_fitting(files, tmp_path, capsys
 
 def test_pipeline_config_refuses_pcg_tol_of_one_before_reading(tmp_path, capsys):
     # The dataset does not exist: the tolerance must be refused first.
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"dataset_path = {tmp_path / 'missing.svm'}\n"
-                   "pcg_tol = 1\n")
     out = tmp_path / "report.csv"
-    code = cli.main(["pipeline", "--config", str(cfg), "--out", str(out)])
+    code = cli.main(["pipeline", "--dataset", str(tmp_path / "missing.svm"), "--pcg-tol", "1",
+                     "--out", str(out)])
     assert code == 2
     assert "pcg_tol must be below 1, got 1.0" in capsys.readouterr().err
     assert not out.exists()
-
-
-def test_pipeline_config_rejects_pcg_alpha_key(files, tmp_path, capsys):
-    # Influence solves always use the Jacobi preconditioner; there is no mix to set.
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"dataset_path = {files['full']}\n"
-                   "pcg_alpha = 1\n")
-    code = cli.main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "report.csv")])
-    assert code == 2
-    assert "unknown config key 'pcg_alpha'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("setting, key", [
@@ -568,13 +490,11 @@ def test_pipeline_rejects_split_setting_for_pre_split_data(tmp_path, capsys, fla
 
 def test_pipeline_config_split_setting_for_pre_split_data_exits_2(files, tmp_path, capsys):
     # With readable files the run would otherwise go ahead with the setting ignored.
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"tr_path = {files['tr']}\nva_path = {files['va']}\nsplit_seed = 5\n")
     out = tmp_path / "report.csv"
-    code = cli.main(["pipeline", "--config", str(cfg), "--method", "random",
-                     "--repeats", "1", "--out", str(out)])
+    code = cli.main(["pipeline", "--tr", files["tr"], "--va", files["va"], "--va-fraction", "0.4",
+                     "--method", "random", "--repeats", "1", "--out", str(out)])
     assert code == 2
-    assert "split_seed is set but the data comes pre-split" in capsys.readouterr().err
+    assert "va_fraction is set but the data comes pre-split" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -593,23 +513,6 @@ def test_pipeline_refuses_split_file_next_to_dataset(files, tmp_path, capsys, mo
     assert capsys.readouterr().err == (
         "error: dataset_path and tr_path/va_path/te_path are mutually exclusive\n")
     assert not out.exists()
-
-
-def test_pipeline_flip_matches_config_flip_fraction(files, tmp_path, capsys):
-    # The label-noise run: --flip and the config key flip_fraction are one setting.
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("flip_fraction = 0.3\n")
-    grid = ["--dataset", files["full"], "--va-fraction", "0.3", "--te-fraction", "0.2",
-            "--method", "sigmoid", "--alpha", "1", "--ratio", "0.8", "--repeats", "2"]
-    for name, setting in (("flag", ["--flip", "0.3"]), ("config", ["--config", str(cfg)])):
-        (tmp_path / name).mkdir()
-        assert cli.main(["pipeline", *grid, *setting,
-                         "--out", str(tmp_path / name / "report.csv")]) == 0
-        assert ", acc " in capsys.readouterr().out
-    for report in ("report.csv", "report_aggregate.csv"):
-        flag = (tmp_path / "flag" / report).read_bytes()
-        assert flag == (tmp_path / "config" / report).read_bytes()
-        assert b",accuracy" in flag.splitlines()[0]
 
 
 def test_pipeline_flip_of_no_label_writes_the_unflipped_bytes(tmp_path, capsys):

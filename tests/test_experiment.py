@@ -9,8 +9,7 @@ from infsub.data import DataError, SplitSpec, flip_labels, round_half_up, write_
 from infsub.experiment import (AggregateRow, CellResult, ConfigError,
                                ExperimentConfig, ExperimentReport, best_sigmoid,
                                config_from_mapping, derive_seed, emit_report,
-                               expand_methods, load_splits, read_config,
-                               run_pipeline, _sibling)
+                               expand_methods, load_splits, run_pipeline, _sibling)
 from infsub.influence import PcgConfig
 
 
@@ -165,38 +164,6 @@ def test_config_from_mapping_errors():
 @pytest.mark.parametrize("raw", ["0", "false", "No", " FALSE "])
 def test_config_from_mapping_reads_false_words(raw):
     assert config_from_mapping({"dataset_path": "x", "compute_gamma": raw}).compute_gamma is False
-
-
-def test_config_from_file(tmp_path):
-    path = tmp_path / "run.cfg"
-    path.write_text(
-        "# comment line\n"
-        "dataset_path = toy.svm\n"
-        "ratios = 0.95,0.8   # trailing comment\n"
-        "repeats = 2\n"
-        "\n")
-    cfg = config_from_mapping(read_config(str(path)))
-    assert cfg.dataset_path == "toy.svm"
-    assert cfg.ratios == [0.95, 0.8]
-    assert cfg.repeats == 2
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("no equals sign\n")
-    with pytest.raises(ConfigError, match="key = value"):
-        read_config(str(bad))
-    with pytest.raises(ConfigError, match="cannot read"):
-        read_config(str(tmp_path / "missing.cfg"))
-    # A value is parsed, and its key checked, where the file is read.
-    bad.write_text("repeats = 2\nratios = 0.9,x\n")
-    with pytest.raises(ConfigError) as err:
-        read_config(str(bad))
-    assert str(err.value) == f"{bad}:2: ratios: cannot parse 'x'"
-    bad.write_text("\nspam = 1\n")
-    with pytest.raises(ConfigError) as err:
-        read_config(str(bad))
-    assert str(err.value) == f"{bad}:2: unknown config key 'spam'"
-    # A range is checked once the whole config is built, as for a flag.
-    bad.write_text("reg_c = 0\n")
-    assert read_config(str(bad)) == {"reg_c": "0"}
 
 
 def test_expand_methods_fans_out_sigmoid():
