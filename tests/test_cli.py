@@ -341,14 +341,27 @@ def test_pipeline_nonconverged_full_fit_exits_1_without_report(tmp_path, capsys)
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("flag, value, key", [
+    ("--repeats", "x", "repeats"),
+    ("--max-iter", "1.5", "train_max_iter"),
+    ("--pcg-tol", "x", "pcg_tol"),
+], ids=["unparsable", "non-integer-max-iter", "unparsable-pcg-tol"])
+def test_pipeline_config_errors_name_the_file_and_line(files, tmp_path, capsys, flag, value, key):
+    # Flags are the one front end, so an unparsable value is named by its
+    # config key alone; the value is parsed as that field's annotation says.
+    out = tmp_path / "r.csv"
+    code = cli.main(["pipeline", "--dataset", files["full"], "--method", "random",
+                     flag, value, "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {key}: cannot parse '{value}'\n"
+    assert not out.exists()
+
+
 def test_pipeline_flag_errors_keep_their_message(files, tmp_path, capsys):
-    # A flag's value is parsed as its config field's annotation says.
-    for flag, value, key in (("--repeats", "x", "repeats"), ("--max-iter", "1.5", "train_max_iter"),
-                             ("--pcg-tol", "x", "pcg_tol")):
-        code = cli.main(["pipeline", "--dataset", files["full"], "--method", "random",
-                         flag, value, "--out", str(tmp_path / "r.csv")])
-        assert code == 2
-        assert capsys.readouterr().err == f"error: {key}: cannot parse '{value}'\n"
+    code = cli.main(["pipeline", "--dataset", files["full"], "--method", "random",
+                     "--repeats", "x", "--out", str(tmp_path / "r.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: repeats: cannot parse 'x'\n"
 
 
 def test_pipeline_rejects_negative_split_seed_before_loading(tmp_path, capsys):
