@@ -15,38 +15,59 @@ import numpy as np
 
 from . import experiment, influence, model, risk, sampling
 from .data import load_aligned, load_libsvm
-from .experiment import ConfigError, ExperimentConfig, config_from_mapping
+from .experiment import ConfigError, ExperimentConfig
 from .influence import PcgConfig
 
 _C_HELP = ("regularization strength C; the objective is mean log loss "
            "plus (C/2)*||theta||^2")
 
+
+def _items(kind):
+    """An argparse type: the comma-separated items of a value, blank ones
+    skipped, each parsed as ``kind``; an item that does not parse is named."""
+    def parse(raw: str) -> list:
+        items = []
+        for tok in filter(None, map(str.strip, raw.split(","))):
+            try:
+                items.append(kind(tok))
+            except ValueError:
+                raise argparse.ArgumentTypeError(f"cannot parse {tok!r}") from None
+        return items
+    return parse
+
+
 # The pipeline flags, one per ExperimentConfig init field: the field each one
-# sets (its argparse dest), and its argparse settings. Values stay raw
-# strings, so config_from_mapping coerces and validates them all at once.
+# sets (its argparse dest), and its argparse settings. A flag left out stays
+# None and its field keeps its default. Paths are stripped, so a blank one is
+# refused as empty before any file is read.
 _CONFIG_FLAGS = (
-    ("--dataset", "dataset_path", {"help": "single libsvm file, split internally"}),
-    ("--tr", "tr_path", {}),
-    ("--va", "va_path", {}),
-    ("--te", "te_path", {}),
-    ("--n-features", "n_features", {}),
-    ("--va-fraction", "va_fraction", {}),
-    ("--te-fraction", "te_fraction", {}),
-    ("--split-seed", "split_seed", {}),
-    ("--reg-c", "reg_c", {"help": _C_HELP}),
-    ("--tol", "train_tol", {"help": "gradient-norm stopping tolerance of every fit"}),
-    ("--max-iter", "train_max_iter", {"help": "Newton iteration cap of every fit"}),
+    ("--dataset", "dataset_path", {"type": str.strip,
+                                   "help": "single libsvm file, split internally"}),
+    ("--tr", "tr_path", {"type": str.strip}),
+    ("--va", "va_path", {"type": str.strip}),
+    ("--te", "te_path", {"type": str.strip}),
+    ("--n-features", "n_features", {"type": int}),
+    ("--va-fraction", "va_fraction", {"type": float}),
+    ("--te-fraction", "te_fraction", {"type": float}),
+    ("--split-seed", "split_seed", {"type": int}),
+    ("--reg-c", "reg_c", {"type": float, "help": _C_HELP}),
+    ("--tol", "train_tol",
+     {"type": float, "help": "gradient-norm stopping tolerance of every fit"}),
+    ("--max-iter", "train_max_iter", {"type": int, "help": "Newton iteration cap of every fit"}),
     ("--method", "methods",
-     {"help": "comma-separated subset of " + ",".join(sampling.METHODS)}),
-    ("--ratio", "ratios", {"help": "comma-separated sampling ratios"}),
-    ("--alpha", "sigmoid_alphas", {"help": "comma-separated sigmoid alphas"}),
-    ("--pcg-tol", "pcg_tol", {"help": "relative residual tolerance of the influence solves"}),
-    ("--pcg-max-iter", "pcg_max_iter", {"help": "iteration cap of the influence solves"}),
-    ("--repeats", "repeats", {}),
-    ("--seed", "seed", {}),
-    ("--gamma", "compute_gamma", {"action": "store_const", "const": "true",
+     {"type": _items(str), "help": "comma-separated subset of " + ",".join(sampling.METHODS)}),
+    ("--ratio", "ratios", {"type": _items(float), "help": "comma-separated sampling ratios"}),
+    ("--alpha", "sigmoid_alphas",
+     {"type": _items(float), "help": "comma-separated sigmoid alphas"}),
+    ("--pcg-tol", "pcg_tol",
+     {"type": float, "help": "relative residual tolerance of the influence solves"}),
+    ("--pcg-max-iter", "pcg_max_iter",
+     {"type": int, "help": "iteration cap of the influence solves"}),
+    ("--repeats", "repeats", {"type": int}),
+    ("--seed", "seed", {"type": int}),
+    ("--gamma", "compute_gamma", {"action": "store_true", "default": None,
                                   "help": "also write mean parameter shift per method/ratio"}),
-    ("--flip", "flip_fraction", {"help": "fraction of training labels to flip"}),
+    ("--flip", "flip_fraction", {"type": float, "help": "fraction of training labels to flip"}),
 )
 
 
@@ -99,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True, help="evaluation data (libsvm text)")
     p.add_argument("--n-features", type=int, default=None)
-    p.add_argument("--deltas", default=None,
+    p.add_argument("--deltas", type=_items(float), default=None,
                    help="comma-separated chi-square radii for the worst-case curve")
     p.add_argument("--baseline-model", default=None,
                    help="second model file; prints the squared parameter shift")
@@ -171,9 +192,9 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    deltas = experiment.parse_items("--deltas", float, args.deltas or "")
-    if args.deltas is not None and not deltas:
-        raise ConfigError(f"--deltas {args.deltas!r} names no radius")
+    deltas = args.deltas or []
+    if args.deltas == []:
+        raise ConfigError("--deltas names no radius")
     risk.check_deltas(deltas)
     if args.out and not deltas:
         raise ConfigError("--out writes the worst-case curve; it needs --deltas")
@@ -207,9 +228,27 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _refuse_unread(given: dict, cfg: ExperimentConfig) -> None:
+    """Refuse a setting given as a flag that nothing would read: one that no
+    requested method reads, or a split setting for data that comes pre-split.
+    Its value would change nothing. Defaults never trip this."""
+    reads_influence = set(sampling.METHODS) - {"random"}
+    for key, readers, need in (("sigmoid_alphas", {"sigmoid"}, "method sigmoid"),
+                               ("pcg_tol", reads_influence, "a method other than random"),
+                               ("pcg_max_iter", reads_influence, "a method other than random")):
+        if key in given and not readers & set(cfg.methods):
+            raise ConfigError(f"{key} is set but no requested method reads it; it needs {need}")
+    for key in ("va_fraction", "te_fraction", "split_seed"):
+        if key in given and cfg.split_spec is None:
+            raise ConfigError(f"{key} is set but the data comes pre-split as "
+                              "tr_path/va_path; only dataset_path is split")
+
+
 def _cmd_pipeline(args: argparse.Namespace) -> int:
-    config = config_from_mapping({key: raw for _, key, _ in _CONFIG_FLAGS
-                                  if (raw := getattr(args, key)) is not None})
+    given = {key: value for _, key, _ in _CONFIG_FLAGS
+             if (value := getattr(args, key)) is not None}
+    config = ExperimentConfig(**given)
+    _refuse_unread(given, config)
     report = experiment.run_pipeline(config)
     written = experiment.emit_report(report, args.out)
     if report.with_gamma:

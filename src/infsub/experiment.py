@@ -14,7 +14,6 @@ import dataclasses
 import hashlib
 import os
 import time
-import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +26,7 @@ from .model import ModelParams
 
 
 class ConfigError(ValueError):
-    """Bad experiment configuration (unknown key, unusable value, ...)."""
+    """Bad experiment configuration (unusable value, conflicting settings, ...)."""
 
 
 @dataclass
@@ -116,59 +115,6 @@ class ExperimentConfig:
             except ValueError as exc:
                 raise ConfigError(f"{key}: {exc}") from None
         return result
-
-
-def _coerce(name: str, kind, raw: str):
-    raw = raw.strip()
-    if kind is bool:
-        if raw.lower() in ("1", "true", "yes"):
-            return True
-        if raw.lower() in ("0", "false", "no"):
-            return False
-        raise ConfigError(f"{name}: expected a boolean, got {raw!r}")
-    try:
-        return kind(raw)
-    except ValueError:
-        raise ConfigError(f"{name}: cannot parse {raw!r}") from None
-
-
-def parse_items(name: str, kind, raw: str) -> list:
-    """The comma-separated items of ``raw``, blank ones skipped, each parsed
-    as ``kind``; one that does not parse raises ConfigError naming ``name``."""
-    return [_coerce(name, kind, tok) for tok in raw.split(",") if tok.strip()]
-
-
-def _parse(key: str, raw: str):
-    """The value of config key ``key``, an ``ExperimentConfig`` init field,
-    parsed as its annotation says (a ``list[...]`` from comma-separated
-    items); an unknown key or an unparsable value raises ConfigError."""
-    if key not in {f.name for f in dataclasses.fields(ExperimentConfig) if f.init}:
-        raise ConfigError(f"unknown config key {key!r}")
-    hint = typing.get_type_hints(ExperimentConfig)[key]
-    kind = next((a for a in typing.get_args(hint) if a is not type(None)), hint)
-    if typing.get_origin(hint) is list:
-        return parse_items(key, kind, raw)
-    return _coerce(key, kind, raw)
-
-
-def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
-    """Build a config from string key/value pairs, e.g. the pipeline's flags.
-
-    Each value is parsed by its key (``_parse``). ``sigmoid_alphas``
-    without method sigmoid, or a split setting (``va_fraction``,
-    ``te_fraction``, ``split_seed``) when the data comes pre-split, is
-    rejected: its value would change nothing.
-    """
-    kwargs = {key: _parse(key, raw) for key, raw in mapping.items()}
-    cfg = ExperimentConfig(**kwargs)
-    if "sigmoid_alphas" in kwargs and "sigmoid" not in cfg.methods:
-        raise ConfigError("sigmoid_alphas is set but no requested method reads it; "
-                          "it needs method sigmoid")
-    for key in ("va_fraction", "te_fraction", "split_seed"):
-        if key in kwargs and cfg.split_spec is None:
-            raise ConfigError(f"{key} is set but the data comes pre-split as "
-                              "tr_path/va_path; only dataset_path is split")
-    return cfg
 
 
 def derive_seed(base: int, *parts) -> int:
@@ -414,9 +360,11 @@ def _cell_weights(n: int, rows: np.ndarray, probs: np.ndarray | None) -> float |
     """The weights of a cell's selected rows in its column of the fit block.
 
     Each is n / n_sub, times optlr's inverse-probability weight
-    n_sub / (n pi_i) when ``probs`` is given, normalized to mean about 1 on
-    the subset. The column's weighted mean loss over all n rows is then the
-    subset's, and the column mean is the subset's mean weight.
+    n_sub / (n pi_i) when ``probs`` is given. The column's weighted mean
+    loss over all n rows is then the subset's mean loss under those weights,
+    and the column mean is the subset's mean weight. The fit scales its
+    penalty by that mean, so scaling every weight of a column does not move
+    its minimizer: optlr's weights need not, and do not, average 1.
     """
     scale = n / rows.size
     if probs is None:

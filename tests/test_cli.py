@@ -194,22 +194,27 @@ def test_sample_rejects_ratio_outside_unit_interval_before_loading(tmp_path, cap
     assert not plan_path.exists()
 
 
-@pytest.mark.parametrize("args", [
-    ["train", "--tr", "MISSING", "--out", "OUT"],
-    ["influence", "--model", "MISSING", "--tr", "MISSING", "--va", "MISSING", "--out", "OUT"],
-    ["sample", "--influence", "MISSING", "--tr", "MISSING", "--method", "random",
-     "--ratio", "0.5", "--out", "OUT"],
-    ["evaluate", "--model", "MISSING", "--data", "MISSING"],
-    ["pipeline", "--dataset", "MISSING", "--out", "OUT"],
-], ids=["train", "influence", "sample", "evaluate", "pipeline"])
-def test_negative_n_features_is_refused_before_any_file_is_opened(tmp_path, capsys, args):
+# For each subcommand, its required flags, every file missing.
+_REQUIRED = {
+    "train": ["--tr", "MISSING", "--out", "OUT"],
+    "influence": ["--model", "MISSING", "--tr", "MISSING", "--va", "MISSING", "--out", "OUT"],
+    "sample": ["--influence", "MISSING", "--tr", "MISSING", "--method", "random",
+               "--ratio", "0.5", "--out", "OUT"],
+    "evaluate": ["--model", "MISSING", "--data", "MISSING"],
+    "pipeline": ["--dataset", "MISSING", "--out", "OUT"],
+}
+
+
+@pytest.mark.parametrize("command", list(_REQUIRED))
+def test_negative_n_features_is_refused_before_any_file_is_opened(tmp_path, capsys, command):
     # No file exists: the setting, not a missing file, must be the error.
     # Indices stop at 2**31 - 1, so no index reaches a dimension above 2**31.
     out = tmp_path / "out"
     names = {"MISSING": str(tmp_path / "missing.svm"), "OUT": str(out)}
-    key = "n_features: " if args[0] == "pipeline" else ""   # a config refusal names its key
+    key = "n_features: " if command == "pipeline" else ""   # a config refusal names its key
     for value, rule in (("-1", "be nonnegative"), ("2147483649", "be at most 2147483648")):
-        code = cli.main([names.get(a, a) for a in args] + ["--n-features", value])
+        code = cli.main([command, *(names.get(a, a) for a in _REQUIRED[command]),
+                         "--n-features", value])
         assert code == 2
         assert capsys.readouterr().err == f"error: {key}n_features must {rule}, got {value}\n"
         assert not out.exists()
@@ -231,11 +236,12 @@ def test_evaluate_rejects_bad_radius_before_loading(tmp_path, capsys, radius):
 
 def test_evaluate_names_an_unparsable_radius_before_loading(tmp_path, capsys):
     missing = str(tmp_path / "missing")
-    code = cli.main(["evaluate", "--model", missing, "--data", missing, "--deltas", "0.5,x"])
-    assert code == 2
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["evaluate", "--model", missing, "--data", missing, "--deltas", "0.5,x"])
+    assert exit_info.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "error: --deltas: cannot parse 'x'\n"
+    assert err.endswith("infsub evaluate: error: argument --deltas: cannot parse 'x'\n")
 
 
 def test_evaluate_out_needs_deltas(files, tmp_path, capsys):
@@ -341,27 +347,67 @@ def test_pipeline_nonconverged_full_fit_exits_1_without_report(tmp_path, capsys)
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("flag, value, key", [
-    ("--repeats", "x", "repeats"),
-    ("--max-iter", "1.5", "train_max_iter"),
-    ("--pcg-tol", "x", "pcg_tol"),
+@pytest.mark.parametrize("flag, value, kind", [
+    ("--repeats", "x", "int"),
+    ("--max-iter", "1.5", "int"),
+    ("--pcg-tol", "x", "float"),
 ], ids=["unparsable", "non-integer-max-iter", "unparsable-pcg-tol"])
-def test_pipeline_config_errors_name_the_file_and_line(files, tmp_path, capsys, flag, value, key):
-    # Flags are the one front end, so an unparsable value is named by its
-    # config key alone; the value is parsed as that field's annotation says.
+def test_pipeline_config_errors_name_the_file_and_line(files, tmp_path, capsys, flag, value, kind):
+    # argparse types every flag, so an unparsable value is named by its flag
+    # and refused before anything runs.
     out = tmp_path / "r.csv"
-    code = cli.main(["pipeline", "--dataset", files["full"], "--method", "random",
-                     flag, value, "--out", str(out)])
-    assert code == 2
-    assert capsys.readouterr().err == f"error: {key}: cannot parse '{value}'\n"
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["pipeline", "--dataset", files["full"], "--method", "random",
+                  flag, value, "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"infsub pipeline: error: argument {flag}: invalid {kind} value: '{value}'\n")
     assert not out.exists()
 
 
 def test_pipeline_flag_errors_keep_their_message(files, tmp_path, capsys):
-    code = cli.main(["pipeline", "--dataset", files["full"], "--method", "random",
-                     "--repeats", "x", "--out", str(tmp_path / "r.csv")])
-    assert code == 2
-    assert capsys.readouterr().err == "error: repeats: cannot parse 'x'\n"
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["pipeline", "--dataset", files["full"], "--method", "random",
+                  "--repeats", "x", "--out", str(tmp_path / "r.csv")])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "infsub pipeline: error: argument --repeats: invalid int value: 'x'\n")
+
+
+@pytest.mark.parametrize("flag, value, command", [
+    ("--tol", "x", "train"),
+    ("--max-iter", "1.5", "train"),
+    ("--reg-c", "x", "train"),
+    ("--n-features", "1.5", "train"),
+    ("--pcg-tol", "x", "influence"),
+    ("--pcg-max-iter", "1.5", "influence"),
+])
+def test_a_flag_is_refused_alike_in_every_subcommand(tmp_path, capsys, flag, value, command):
+    # A flag that `pipeline` shares with another subcommand is typed by the
+    # same parser, so an unparsable value exits 2 with the same line.
+    names = {"MISSING": str(tmp_path / "missing"), "OUT": str(tmp_path / "out")}
+    lines = []
+    for name in (command, "pipeline"):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([name, *(names.get(a, a) for a in _REQUIRED[name]), flag, value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith(f"infsub {name}: error: argument {flag}: ")
+        lines.append(err.splitlines()[-1].split(": error: ", 1)[1])
+    assert lines[0] == lines[1]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", list(_REQUIRED))
+def test_every_subcommand_help_exits_0(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([command, "--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: infsub {command} ")
+    if command == "pipeline":
+        listed = {line.split()[0] for line in out.splitlines() if line.startswith("  --")}
+        assert {flag for flag, _, _ in cli._CONFIG_FLAGS} <= listed
 
 
 def test_pipeline_rejects_negative_split_seed_before_loading(tmp_path, capsys):
@@ -472,14 +518,17 @@ def test_pipeline_config_refuses_pcg_tol_of_one_before_reading(tmp_path, capsys)
     assert not out.exists()
 
 
-@pytest.mark.parametrize("setting, key", [
-    ("--alpha=5", "sigmoid_alphas"),
-], ids=["sigmoid-alphas"])
-def test_pipeline_rejects_key_no_requested_method_reads(tmp_path, capsys, setting, key):
-    # The dataset does not exist: the unused setting is refused before it is read.
+@pytest.mark.parametrize("methods, setting, key", [
+    ("random,dropout", "--alpha=5", "sigmoid_alphas"),
+    ("random", "--pcg-tol=0.5", "pcg_tol"),
+    ("random", "--pcg-max-iter=5", "pcg_max_iter"),
+], ids=["sigmoid-alphas", "pcg-tol", "pcg-max-iter"])
+def test_pipeline_rejects_key_no_requested_method_reads(tmp_path, capsys, methods, setting, key):
+    # The dataset does not exist: the unused setting is refused before it is
+    # read. random reads no influence, so neither solver setting is read.
     out = tmp_path / "report.csv"
     code = cli.main(["pipeline", "--dataset", str(tmp_path / "missing.svm"),
-                     "--method", "random,dropout", setting, "--out", str(out)])
+                     "--method", methods, setting, "--out", str(out)])
     assert code == 2
     assert f"{key} is set but no requested method reads it" in capsys.readouterr().err
     assert not out.exists()

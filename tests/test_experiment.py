@@ -8,7 +8,7 @@ from infsub import experiment, model
 from infsub.data import DataError, SplitSpec, flip_labels, round_half_up, write_libsvm
 from infsub.experiment import (AggregateRow, CellResult, ConfigError,
                                ExperimentConfig, ExperimentReport, best_sigmoid,
-                               config_from_mapping, derive_seed, emit_report,
+                               derive_seed, emit_report,
                                expand_methods, load_splits, run_pipeline, _sibling)
 from infsub.influence import PcgConfig
 
@@ -132,38 +132,6 @@ def test_config_builds_solver_and_split_settings():
     assert cfg.split_spec == SplitSpec(0.25, 0.1, seed=3)
     # Pre-split files ignore the split fractions.
     assert ExperimentConfig(tr_path="t", va_path="v", va_fraction=2.0).split_spec is None
-
-
-def test_config_from_mapping_parses_types():
-    cfg = config_from_mapping({
-        "dataset_path": "toy.svm",
-        "ratios": "0.95, 0.9",
-        "methods": "random,sigmoid",
-        "sigmoid_alphas": "1, 5",
-        "repeats": "4",
-        "compute_gamma": "yes",
-        "n_features": "12",
-    })
-    assert cfg.ratios == [0.95, 0.9]
-    assert cfg.methods == ["random", "sigmoid"]
-    assert cfg.sigmoid_alphas == [1.0, 5.0]
-    assert cfg.repeats == 4
-    assert cfg.compute_gamma is True
-    assert cfg.n_features == 12
-
-
-def test_config_from_mapping_errors():
-    with pytest.raises(ConfigError, match="unknown config key"):
-        config_from_mapping({"dataset_path": "x", "spam": "1"})
-    with pytest.raises(ConfigError, match="cannot parse"):
-        config_from_mapping({"dataset_path": "x", "repeats": "three"})
-    with pytest.raises(ConfigError, match="boolean"):
-        config_from_mapping({"dataset_path": "x", "compute_gamma": "maybe"})
-
-
-@pytest.mark.parametrize("raw", ["0", "false", "No", " FALSE "])
-def test_config_from_mapping_reads_false_words(raw):
-    assert config_from_mapping({"dataset_path": "x", "compute_gamma": raw}).compute_gamma is False
 
 
 def test_expand_methods_fans_out_sigmoid():
