@@ -232,7 +232,7 @@ def _refuse_unread(given: dict, cfg: ExperimentConfig) -> None:
     """Refuse a setting given as a flag that nothing would read: one that no
     requested method reads, or a split setting for data that comes pre-split.
     Its value would change nothing. Defaults never trip this."""
-    reads_influence = set(sampling.METHODS) - {"random"}
+    reads_influence = {m for m, score in sampling.METHODS.items() if score}
     for key, readers, need in (("sigmoid_alphas", {"sigmoid"}, "method sigmoid"),
                                ("pcg_tol", reads_influence, "a method other than random"),
                                ("pcg_max_iter", reads_influence, "a method other than random")):

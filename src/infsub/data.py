@@ -410,14 +410,12 @@ def load_libsvm(path: str, n_features: int | None = None) -> SparseDataset:
         raise DataError(f"{path}: {exc}") from None
 
 
-def write_libsvm(ds: SparseDataset, path: str, label_style: str = "01") -> None:
+def write_libsvm(ds: SparseDataset, path: str) -> None:
     """Write a dataset back out as libsvm text.
 
-    ``label_style`` is "01" or "pm1"; indices are written exactly as stored,
-    and values by ``repr``, the shortest text that reads back as the same float.
+    Labels are written 0/1; indices exactly as stored, and values by
+    ``repr``, the shortest text that reads back as the same float.
     """
-    if label_style not in ("01", "pm1"):
-        raise DataError(f"unknown label_style {label_style!r}")
     X = ds.X
     nnz = int(X.indptr[-1])
     # One string per index used and per distinct value; values are told
@@ -426,7 +424,7 @@ def write_libsvm(ds: SparseDataset, path: str, label_style: str = "01") -> None:
     bits, val_of = np.unique(X.data[:nnz].view(np.uint64), return_inverse=True)
     idx_s = np.array([f"{j}:" for j in used.tolist()], dtype=object)
     val_s = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
-    labels = np.array(["-1" if label_style == "pm1" else "0", "1"], dtype=object)[ds.y]
+    labels = np.array(["0", "1"], dtype=object)[ds.y]
 
     def lines() -> Iterator[str]:
         # Rows go out in batches of about WRITE_ENTRIES entries, which bounds

@@ -267,11 +267,10 @@ def run_pipeline(cfg: ExperimentConfig) -> ExperimentReport:
     full_acc = model.accuracy(full, te) if has_te else float("nan")
 
     labels = expand_methods(cfg)
-    need_phi = any(base in ("dropout", "linear", "sigmoid") for _, base, _ in labels)
-    need_psi = any(base == "optlr" for _, base, _ in labels)
+    scores = {sampling.METHODS[base] for _, base, _ in labels}
     t_inf = time.perf_counter()
-    phi = influence.compute_phi(full, tr, va, cfg.pcg).phi if need_phi else None
-    psi = influence.compute_psi_norms(full, tr, cfg.pcg) if need_psi else None
+    phi = influence.compute_phi(full, tr, va, cfg.pcg).phi if "phi" in scores else None
+    psi = influence.compute_psi_norms(full, tr, cfg.pcg) if "psi" in scores else None
     influence_seconds = time.perf_counter() - t_inf
 
     # Draw every plan first; draws are seeded per cell, so their order

@@ -17,7 +17,9 @@ from . import model
 from .data import SparseDataset, read_table, round_half_up, write_table
 from .model import ModelParams
 
-METHODS = ("dropout", "linear", "sigmoid", "optlr", "random")
+# Each method, and the score its probabilities read (``probs_for``):
+# the influence scores phi, the psi norms, or none.
+METHODS = {"dropout": "phi", "linear": "phi", "sigmoid": "phi", "optlr": "psi", "random": None}
 # Least optlr acceptance probability.
 OPTLR_FLOOR = 0.01
 
@@ -125,11 +127,11 @@ def probs_for(method: str, ratio: float, phi: np.ndarray | None = None,
               n: int | None = None) -> np.ndarray:
     """Acceptance probabilities for ``method``, the one map from a method name.
 
-    dropout, linear and sigmoid read the influence scores ``phi``; optlr
-    reads the psi norms; random needs only the row count
-    ``n`` (default: the length of ``phi``) and ``ratio``. ``alpha`` None
-    means 1/max|phi| for linear and 1.0 for sigmoid; the other methods read
-    no alpha and reject one rather than record a value the draw never used.
+    ``METHODS`` names the score each method reads; random needs only the
+    row count ``n`` (default: the length of ``phi``) and ``ratio``.
+    ``alpha`` None means 1/max|phi| for linear and 1.0 for sigmoid; the
+    other methods read no alpha and reject one rather than record a value
+    the draw never used.
     """
     if alpha is not None and method not in ("linear", "sigmoid"):
         raise SamplingError(f"{method} reads no alpha; only linear and sigmoid do")

@@ -1,6 +1,7 @@
 """Ingestion, validation, splitting, and label-noise behavior of the data layer."""
 
 import gzip
+import hashlib
 import re
 
 import numpy as np
@@ -206,18 +207,11 @@ def test_write_parse_round_trip_exact(tmp_path):
     dense[rng.random(size=dense.shape) < 0.4] = 0.0
     dense[0, 0] = 1.0 / 3.0  # not exactly representable in decimal
     ds = make_ds(dense, rng.integers(0, 2, size=9))
-    for style in ("01", "pm1"):
-        path = tmp_path / f"rt_{style}.svm"
-        write_libsvm(ds, str(path), label_style=style)
-        back = load_libsvm(str(path), n_features=ds.n_features)
-        assert np.array_equal(back.y, ds.y)
-        assert np.array_equal(back.X.toarray(), ds.X.toarray())
-
-
-def test_write_rejects_unknown_style(tmp_path):
-    ds = make_ds([[1.0]], [1])
-    with pytest.raises(DataError, match="label_style"):
-        write_libsvm(ds, str(tmp_path / "x.svm"), label_style="binary")
+    path = tmp_path / "rt.svm"
+    write_libsvm(ds, str(path))
+    back = load_libsvm(str(path), n_features=ds.n_features)
+    assert np.array_equal(back.y, ds.y)
+    assert np.array_equal(back.X.toarray(), ds.X.toarray())
 
 
 # ---------------------------------------------------------------- CSV tables
@@ -469,9 +463,33 @@ def test_flip_is_an_involution(n, fraction, seed):
 
 # ------------------------------------------------------------ bundled data
 
-def test_synthdata_regenerates_bundled_files_byte_for_byte(tmp_path, capsys):
-    assert synthdata._main([str(tmp_path)]) == 0
-    for name in ("breast_cancer_like.svm", "pima_like.svm"):
+# The bundled files are the demo data; these digests pin their bytes.
+BUNDLED_SHA256 = {
+    "breast_cancer_like.svm": "d5a4b62a43657f845748883e8fec7d03a38796441809232e4c73abb98ebcc022",
+    "pima_like.svm": "e3534d19ed812fac7cbf78d68f4fadaf681b344a35b494e670a57908b0e1bd5d",
+}
+
+
+def test_synthdata_copies_the_pinned_bundled_files(tmp_path, capsys):
+    for name, digest in BUNDLED_SHA256.items():
         with open(dataset_path(name), "rb") as fh:
-            assert (tmp_path / name).read_bytes() == fh.read(), name
-    assert capsys.readouterr().out.count("wrote ") == 2
+            assert hashlib.sha256(fh.read()).hexdigest() == digest, name
+    out = tmp_path / "data"
+    assert synthdata._main([str(out)]) == 0
+    for name, digest in BUNDLED_SHA256.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+    assert capsys.readouterr().out == (
+        f"wrote {out / 'breast_cancer_like.svm'}: 683 rows, 10 features, 0.350 positive\n"
+        f"wrote {out / 'pima_like.svm'}: 768 rows, 9 features, 0.367 positive\n")
+
+
+def test_synthdata_reports_an_unwritable_target_with_exit_2(tmp_path, capsys):
+    # A file where the directory should go, a directory under that file, and
+    # a directory where a data file should go: each ends in one error line.
+    (tmp_path / "afile").write_bytes(b"")
+    (tmp_path / "out" / "pima_like.svm").mkdir(parents=True)
+    for target in ("afile", "afile/sub", "out"):
+        assert synthdata._main([str(tmp_path / target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert str(tmp_path / target) in err

@@ -211,8 +211,8 @@ rows_strategy = st.lists(
 
 @settings(max_examples=100, deadline=None)
 @given(rows=rows_strategy, labels=st.lists(st.integers(0, 1), min_size=8, max_size=8),
-       style=st.sampled_from(["01", "pm1"]), batch=st.sampled_from([1, 3, 1 << 15]))
-def test_writer_bytes_match_oracle(tmp_path_factory, rows, labels, style, batch):
+       batch=st.sampled_from([1, 3, 1 << 15]))
+def test_writer_bytes_match_oracle(tmp_path_factory, rows, labels, batch):
     n = len(rows)
     indptr = np.cumsum([0] + [len(r) for r in rows])
     idx = np.array([j for r in rows for j in sorted(r)], dtype=np.int32)
@@ -221,8 +221,8 @@ def test_writer_bytes_match_oracle(tmp_path_factory, rows, labels, style, batch)
                        np.array(labels[:n], dtype=np.int8))
     root = tmp_path_factory.getbasetemp()
     with mock.patch.object(data, "WRITE_ENTRIES", batch):
-        write_libsvm(ds, str(root / "new.svm"), label_style=style)
-    oracle.write_libsvm(ds, str(root / "old.svm"), label_style=style)
+        write_libsvm(ds, str(root / "new.svm"))
+    oracle.write_libsvm(ds, str(root / "old.svm"))
     assert (root / "new.svm").read_bytes() == (root / "old.svm").read_bytes()
 
 
