@@ -3,9 +3,11 @@
 A pipeline run fits the full-set model, scores training samples against the
 validation split, then for every (method, ratio, repeat) cell draws a subset,
 refits, and records held-out metrics. The refits run as the columns of
-lockstep blocks, planned like psi's row solves by ``parallel.column_blocks``.
-All randomness flows from one base seed through a keyed hash, so a config
-reproduces its report byte for byte, whatever the CPU count.
+lockstep blocks, planned like psi's row solves by ``parallel.column_blocks``,
+and each block scores all its fits at once (``_score_cells``): one product
+with each held-out X per block, not one per cell. All randomness flows from
+one base seed through a keyed hash, so a config reproduces its report byte
+for byte, whatever the CPU count.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import influence, model, parallel, risk, sampling
+from . import influence, model, parallel, sampling
 from .data import (SparseDataset, SplitSpec, check_flip_fraction, check_n_features,
                    flip_labels, load_aligned, load_libsvm, split, write_table)
 from .influence import ConvergenceError, PcgConfig
@@ -245,10 +247,13 @@ def run_pipeline(cfg: ExperimentConfig) -> ExperimentReport:
     columns are refitted warm from the full-set theta as lockstep columns of
     ``model.fit_columns``, in blocks of near-equal width, the same number
     per CPU (``parallel.column_blocks``), run side by side
-    (``parallel.map_blocks``). Since each column's fit is bit for bit its
-    own fit, neither the plan nor the shared fits change any digit of the
-    report. A failure inside one cell, a non-converged cell fit included, is
-    recorded on that cell's result and does not abort the grid. With
+    (``parallel.map_blocks``). Each block then scores its converged fits
+    together, from one (d, k) block of thetas (``_score_cells``). Since
+    each column's fit, and each column's metrics, are bit for bit those of
+    the cell alone, neither the plan nor the shared fits change any digit
+    of the report. A cell whose draw fails or whose fit misses its
+    tolerance records that on its own result; a block whose fit or scoring
+    raises fails each of its cells; neither aborts the grid. With
     flip_fraction above 0, training labels are corrupted (seeded) before the
     full fit, while validation and test stay clean; test accuracy is then
     also reported, if a label was flipped.
@@ -300,17 +305,11 @@ def run_pipeline(cfg: ExperimentConfig) -> ExperimentReport:
                 cells.append(cell)
 
     def fit_block(block: list[tuple[list[int], np.ndarray, np.ndarray | None]]) -> list[CellResult]:
+        firsts = [cells[ids[0]] for ids, _, _ in block]
         try:
-            fits = _fit_cells(cfg, tr, full, block)
+            return _score_cells(firsts, full, _fit_cells(cfg, tr, full, block), va, te)
         except Exception as exc:
-            return [_failed(cells[ids[0]], exc) for ids, _, _ in block]
-        results = []
-        for (ids, _, _), fitted in zip(block, fits):
-            try:
-                results.append(_evaluate_cell(cells[ids[0]], full, fitted, va, te))
-            except Exception as exc:
-                results.append(_failed(cells[ids[0]], exc))
-        return results
+            return [_failed(cell, exc) for cell in firsts]
 
     drawn = list(columns.values())
     blocks = [drawn[cols] for cols in parallel.column_blocks(len(drawn), tr.X)]
@@ -381,18 +380,43 @@ def _fit_cells(cfg: ExperimentConfig, tr: SparseDataset, full: ModelParams,
     return model.fit_columns(tr, cfg.reg_c, W, full.theta, cfg.train_tol, cfg.train_max_iter)
 
 
-def _evaluate_cell(cell: CellResult, full: ModelParams, fitted: ModelParams,
-                   va: SparseDataset, te: SparseDataset) -> CellResult:
-    """A fitted cell's held-out metrics; a non-converged fit raises."""
-    _require_converged(fitted, "cell fit")
-    has_te = te.n_rows > 0
-    return dataclasses.replace(
-        cell,
-        va_logloss=model.mean_logloss(fitted, va),
-        te_logloss=model.mean_logloss(fitted, te) if has_te else float("nan"),
-        te_accuracy=model.accuracy(fitted, te) if has_te else float("nan"),
-        gamma=risk.gamma_shift(full, fitted),
-    )
+def _score_cells(cells: list[CellResult], full: ModelParams, fits: list[ModelParams],
+                 va: SparseDataset, te: SparseDataset) -> list[CellResult]:
+    """The held-out metrics of a block's fitted cells, scored in one pass.
+
+    The converged fits are the columns of one order-F (d, k) Theta. One
+    product with each held-out X gives every column's margins, kept column
+    by column (order F), so each column's mean loss sums pairwise as a
+    vector's does; accuracy reads the same test margins, and gamma is
+    ``model._dot`` of each column's shift from the full-set theta. Each
+    metric is then bit for bit ``model.mean_logloss``, ``model.accuracy``
+    or ``risk.gamma_shift`` of that fit alone. A non-converged fit fails
+    only its own cell.
+    """
+    results, scored = list(cells), []
+    for j, fit in enumerate(fits):
+        try:
+            _require_converged(fit, "cell fit")
+            scored.append(j)
+        except ConvergenceError as exc:
+            results[j] = _failed(cells[j], exc)
+    if not scored:
+        return results
+    Theta = np.array([fits[j].theta for j in scored]).T
+    shift = np.subtract(Theta, full.theta[:, None], order="F")
+    gamma = model._dot(shift, shift)
+    z = np.asfortranarray(va.X @ Theta)
+    va_loss = np.mean(model._log_loss(z, va.y[:, None]), axis=0)
+    te_loss = te_acc = np.full(len(scored), np.nan)
+    if te.n_rows > 0:
+        z = np.asfortranarray(te.X @ Theta)
+        te_loss = np.mean(model._log_loss(z, te.y[:, None]), axis=0)
+        te_acc = np.mean((model._sigmoid(z) >= 0.5) == (te.y[:, None] == 1), axis=0)
+    for j, va_j, te_j, acc_j, gamma_j in zip(scored, va_loss.tolist(), te_loss.tolist(),
+                                             te_acc.tolist(), gamma.tolist()):
+        results[j] = dataclasses.replace(results[j], va_logloss=va_j, te_logloss=te_j,
+                                         te_accuracy=acc_j, gamma=gamma_j)
+    return results
 
 
 # Report columns as (header, record attribute, type); accuracy comes last.

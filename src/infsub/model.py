@@ -145,9 +145,17 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def _log_loss(z: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-row log loss at margins z, with probabilities clipped to [1e-12, 1 - 1e-12]."""
+    """Per-row log loss at margins z, with probabilities clipped to [1e-12, 1 - 1e-12].
+
+    Each entry takes the one log its 0/1 label picks, -log(p) or
+    -log1p(-p): bit for bit -(y log(p) + (1 - y) log1p(-p)), whose other
+    term is always 0 times a finite log. The result has the layout of z.
+    """
     p = np.clip(_sigmoid(z), PROB_CLIP, 1.0 - PROB_CLIP)
-    return -(y * np.log(p) + (1 - y) * np.log1p(-p))
+    pos = y == 1
+    loss = np.log(p, out=np.empty_like(p), where=pos)
+    np.log1p(-p, out=loss, where=~pos)
+    return np.negative(loss, out=loss)
 
 
 # The loss and derivative kernels below take one fit (theta (d,), margins (n,),
@@ -175,7 +183,8 @@ def _derivatives(theta: np.ndarray, z: np.ndarray, w: float | np.ndarray,
                  XT: sp.csc_array) -> tuple[np.ndarray, Curvature]:
     """Gradient and Hessian operator of ``_objective`` at margins z; one sigmoid."""
     p = _sigmoid(z)
-    g = _over_n(XT @ (w * (p - y)), X.shape[0])
+    # Row by row (order C), the layout scipy's sparse product reads without a copy.
+    g = _over_n(XT @ np.multiply(w, p - y, order="C"), X.shape[0])
     g += reg_c * wbar * theta
     return g, Curvature(X, w * (p * (1.0 - p)), reg_c * wbar, XT)
 
@@ -556,9 +565,13 @@ def load_params(path: str) -> ModelParams:
         theta = np.zeros(d)
     except (ValueError, MemoryError):
         raise ModelError(f"{path}:{no}: dimension {d} too large") from None
-    # Lines 1..end-1 have finite values and in-range indices (Python ints, of any size).
-    value = np.array(floats)
-    good = np.isfinite(value[1:]) & np.array([0 <= k < d for k in ints[1:]], dtype=bool)
+    # Lines 1..end-1 have finite values and in-range indices (Python ints, of
+    # any size). min and max clear a whole file's indices at once; only a
+    # file that fails them is scanned index by index for its first fault.
+    value, keys = np.array(floats), ints[1:]
+    good = np.isfinite(value[1:])
+    if keys and not (min(keys) >= 0 and max(keys) < d):
+        good &= np.array([0 <= k < d for k in keys], dtype=bool)
     end = 1 + (good.size if good.all() else int(np.argmin(good)))
     index = np.array(ints[1:end], dtype=np.int64)
     _, first_seen = np.unique(index, return_index=True)

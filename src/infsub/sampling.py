@@ -9,7 +9,7 @@ sample untouched, pi = 0 removes it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -190,7 +190,8 @@ def draw_subset(probs: np.ndarray, target_ratio: float, labels: np.ndarray,
     rows at pi = 0 become eligible, uniformly, only once every
     positive-probability row of the class is in.
     """
-    # The plan checks the method, probabilities and ratio; the draw fills its selection.
+    # The plan checks the method, probabilities and ratio once; the draw then
+    # fills in its selection, valid by construction (sorted, distinct rows).
     plan = SamplingPlan(method=method, probs=probs, selected=np.empty(0, dtype=np.int64),
                         target_ratio=target_ratio, seed=seed, alpha=alpha)
     probs = plan.probs
@@ -230,8 +231,9 @@ def draw_subset(probs: np.ndarray, target_ratio: float, labels: np.ndarray,
             fill = rng.permutation(zero.size)[:quota - pos.size]
             picked.append(np.concatenate([cls[pos], cls[zero[fill]]]))
 
-    selected = np.sort(np.concatenate(picked)) if picked else np.empty(0, dtype=np.int64)
-    return replace(plan, selected=selected)
+    if picked:
+        object.__setattr__(plan, "selected", np.sort(np.concatenate(picked)))
+    return plan
 
 
 def subset_risk_weighted(params: ModelParams, ds: SparseDataset,

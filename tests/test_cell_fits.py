@@ -9,6 +9,7 @@ scores, probabilities and the drawn rows), so a near-tie upstream cannot
 make it flaky.
 """
 
+import dataclasses
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -20,11 +21,12 @@ from scipy.optimize import minimize
 from scipy.special import expit
 
 from conftest import blocks_of, dataset_path, make_ds, random_ds, record_plans
-from infsub import experiment, model, parallel, sampling
+from infsub import experiment, model, parallel, risk, sampling
 from infsub.data import write_libsvm
 from infsub.experiment import ExperimentConfig, emit_report, run_pipeline
 from infsub.influence import compute_phi, compute_psi_norms
 from infsub.model import ModelError
+from infsub.synthdata import ill_conditioned
 
 # Double precision resolves a gradient whose terms are of order one only to
 # about this norm; it is the floor under every gradient-based bound below.
@@ -258,21 +260,51 @@ def test_cell_alone_matches_cell_in_block(data_file, monkeypatch):
     assert repr(alone.cells) == repr(wide.cells)
 
 
+def record_draws(monkeypatch):
+    """Record each cell's draw by its seed: the selected-row mask, and
+    optlr's probabilities (None for the other methods)."""
+    draws = {}
+    real_draw = experiment._draw_cell
+
+    def draw(tr, probs, base, ratio, seed, phi):
+        selected = real_draw(tr, probs, base, ratio, seed, phi)
+        draws[seed] = selected, probs if base == "optlr" else None
+        return selected
+
+    monkeypatch.setattr(experiment, "_draw_cell", draw)
+    return draws
+
+
+def assert_rows_are_lone_fits(cfg, report, draws):
+    """Each row of ``report``, twins included, is its cell's own fit made
+    alone, scored by the public one-model metrics, repr for repr."""
+    tr, va, te = experiment.load_splits(cfg)
+    full = model.train(tr, cfg.reg_c)
+    for cell in report.cells:
+        selected, probs = draws[cell.seed]
+        rows = np.flatnonzero(selected)
+        column = np.zeros(tr.n_rows)
+        column[rows] = experiment._cell_weights(tr.n_rows, rows, probs)
+        fit, = model.fit_columns(tr, cfg.reg_c, column[:, None], full.theta)
+        assert fit.converged
+        want = dataclasses.replace(cell, va_logloss=model.mean_logloss(fit, va),
+                                   te_logloss=model.mean_logloss(fit, te),
+                                   te_accuracy=model.accuracy(fit, te),
+                                   gamma=risk.gamma_shift(full, fit))
+        assert repr(cell) == repr(want)
+
+
 def test_equal_columns_are_fitted_once_and_copied_to_each_twin(data_file, monkeypatch):
     # dropout draws deterministically, so its three repeats share one column.
     cfg = grid_config(data_file, methods=["dropout", "random"], repeats=3)
-    masks, columns = {}, []
-    real_draw, real_fit = experiment._draw_cell, model.fit_columns
-
-    def draw(tr, probs, base, ratio, seed, phi):
-        masks[seed] = real_draw(tr, probs, base, ratio, seed, phi)
-        return masks[seed]
+    columns = []
+    real_fit = model.fit_columns
 
     def fit(ds, reg_c, W, theta0, tol, max_iter):
         columns.extend(W.T.copy())
         return real_fit(ds, reg_c, W, theta0, tol, max_iter)
 
-    monkeypatch.setattr(experiment, "_draw_cell", draw)
+    draws = record_draws(monkeypatch)
     monkeypatch.setattr(model, "fit_columns", fit)
     report = run_pipeline(cfg)
     assert len(report.cells) == 12 and not report.failures()
@@ -281,19 +313,23 @@ def test_equal_columns_are_fitted_once_and_copied_to_each_twin(data_file, monkey
     assert len(cell_columns) == 8 == len({c.tobytes() for c in cell_columns})
     dropout = [c for c in report.cells if c.method == "dropout"]
     assert len({c.seed for c in dropout}) == 6
-    assert len({masks[c.seed].tobytes() for c in dropout}) == 2
+    assert len({draws[c.seed][0].tobytes() for c in dropout}) == 2
 
-    # Each row, twins included, is the cell's own fit made alone.
     monkeypatch.setattr(model, "fit_columns", real_fit)
-    tr, va, te = experiment.load_splits(cfg)
-    full = model.train(tr, cfg.reg_c)
-    for cell in report.cells:
-        rows = np.flatnonzero(masks[cell.seed])
-        column = np.zeros(tr.n_rows)
-        column[rows] = experiment._cell_weights(tr.n_rows, rows, None)
-        fit, = model.fit_columns(tr, cfg.reg_c, column[:, None], full.theta)
-        want = experiment._evaluate_cell(cell, full, fit, va, te)
-        assert repr(cell) == repr(want)
+    assert_rows_are_lone_fits(cfg, report, draws)
+
+
+def test_wide_block_scores_each_cell_as_its_lone_fit(tmp_path, monkeypatch):
+    # 60 features: a margin or shift column read from the block with a
+    # stride would round differently from the same column alone. optlr's
+    # inverse-probability columns are scored beside random's.
+    path = str(tmp_path / "wide.svm")
+    write_libsvm(ill_conditioned(n=300, d=60, scale_span=10.0), path)
+    cfg = grid_config(path, methods=["optlr", "random"], ratios=[0.9, 0.6], repeats=4)
+    draws = record_draws(monkeypatch)
+    report = run_pipeline(cfg)
+    assert len(report.cells) == 16 and not report.failures()
+    assert_rows_are_lone_fits(cfg, report, draws)
 
 
 def test_optlr_columns_are_keyed_by_rows_and_weighting_not_ratio(data_file, monkeypatch):

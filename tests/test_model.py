@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.special import expit
 
 from conftest import dataset_path, dense_hessian, make_ds, random_ds
@@ -146,6 +147,34 @@ def test_predict_proba_dimension_error():
 
 
 # ------------------------------------------------------------------ losses
+
+# The margins where the clipped sigmoid meets PROB_CLIP and 1 - PROB_CLIP.
+_CLIP_EDGE = float(np.log((1.0 - PROB_CLIP) / PROB_CLIP))
+_MARGINS = st.one_of(
+    st.sampled_from([0.0, -0.0, 40.0, -40.0, 800.0, -800.0]
+                    + [s * e for s in (1.0, -1.0)
+                       for e in (_CLIP_EDGE, np.nextafter(_CLIP_EDGE, 0.0),
+                                 np.nextafter(_CLIP_EDGE, np.inf))]),
+    st.floats(-60.0, 60.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 20), k=st.integers(0, 4), data=st.data())
+def test_log_loss_takes_one_log_bit_for_bit(n, k, data):
+    # k = 0 draws a vector, k >= 1 an order-F (n, k) block with (n, 1) labels.
+    y = data.draw(hnp.arrays(np.int8, n, elements=st.integers(0, 1)))
+    if k:
+        z = np.asfortranarray(data.draw(hnp.arrays(np.float64, (n, k), elements=_MARGINS)))
+        y = y[:, None]
+    else:
+        z = data.draw(hnp.arrays(np.float64, n, elements=_MARGINS))
+    p = np.clip(model._sigmoid(z), PROB_CLIP, 1.0 - PROB_CLIP)
+    want = -(y * np.log(p) + (1 - y) * np.log1p(-p))
+    got = model._log_loss(z, y)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # A block's losses keep its column layout, so a column mean sums pairwise.
+    assert got.flags.f_contiguous
+
 
 def test_risk_zero_theta_is_ln2():
     ds = make_ds([[1.0], [2.0], [-1.0]], [1, 0, 1])

@@ -4,6 +4,7 @@
 forces the pool's width on any machine.
 """
 
+import dataclasses
 import gzip
 import sys
 import threading
@@ -216,16 +217,17 @@ PLANS = {1: [6, 5, 5, 5, 5], 2: [5, 5, 4, 4, 4, 4], 3: [5, 5, 4, 4, 4, 4]}
 def test_pipeline_files_do_not_depend_on_the_worker_count(data_file, tmp_path, monkeypatch):
     cfg = grid_config(data_file)
     plans, widths = blocks_from_x_bytes(monkeypatch, cfg)
-    # One cell fails inside its block, after its fit.
-    real_evaluate = experiment._evaluate_cell
+    # One cell fails inside its block, after its fit: the block scorer gets
+    # its fit flagged as having missed its tolerance.
+    real_score = experiment._score_cells
     bad_seed = experiment.derive_seed(cfg.seed, "optlr", 0.9, 1)
 
-    def evaluate(cell, *args):
-        if cell.seed == bad_seed:
-            raise ModelError("refused cell")
-        return real_evaluate(cell, *args)
+    def score(cells, full, fits, va, te):
+        fits = [dataclasses.replace(fit, converged=False) if cell.seed == bad_seed else fit
+                for cell, fit in zip(cells, fits)]
+        return real_score(cells, full, fits, va, te)
 
-    monkeypatch.setattr(experiment, "_evaluate_cell", evaluate)
+    monkeypatch.setattr(experiment, "_score_cells", score)
     written = {}
     for n, plan in PLANS.items():
         use_workers(monkeypatch, n)
@@ -233,6 +235,7 @@ def test_pipeline_files_do_not_depend_on_the_worker_count(data_file, tmp_path, m
         widths.clear()
         report = run_pipeline(cfg)
         assert [(c.method, c.ratio, c.repeat) for c in report.failures()] == [("optlr", 0.9, 1)]
+        assert report.failures()[0].error.startswith("ConvergenceError: cell fit stopped")
         # The full fit, then the blocks of the plan, run in any order.
         assert plans == [PSI_PLAN, plan]
         assert widths[0] == 1 and sorted(widths[1:]) == sorted(plan)
