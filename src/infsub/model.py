@@ -420,11 +420,15 @@ def fit_columns(ds: SparseDataset, reg_c: float, W: np.ndarray, theta0: np.ndarr
     Objective j is ``_objective`` under the weights W[:, j] (shape (n, k)). Each
     column runs its own damped Newton iteration: a step from an
     unpreconditioned ``pcg`` solve with forcing tolerance
-    min(0.5, sqrt(||g_j||)), then its own ``_backtrack``. The columns step
-    in lockstep: one block ``pcg`` solve per iterate, and one X @ Theta per
-    line-search trial for the columns still searching. A column leaves the
-    block once its gradient norm is <= tol or after max_iter steps; a
-    non-converged column is returned flagged, not raised. Returns one
+    min(0.5, max(sqrt(||g_j||), 0.5 tol / ||g_j||)), then its own
+    ``_backtrack``. The floor 0.5 tol / ||g_j|| makes the last step aim at
+    half the stopping tolerance instead of far below it (Kelley, "Iterative
+    Methods for Linear and Nonlinear Equations", 1995, sec. 6.3). The
+    columns step in lockstep: one block ``pcg`` solve per iterate, and one
+    X @ Theta per line-search trial for the columns still searching. A
+    column leaves the block once its gradient norm is <= tol or after
+    max_iter steps; a non-converged column is returned flagged, not raised.
+    Each column's forcing tolerance reads only its own gradient. Returns one
     ``ModelParams`` per column, in order. The (d, k) state is kept
     column-contiguous (``_dot``), so each column's steps, line search and
     result are bit for bit those of its own k = 1 fit, whatever its
@@ -473,7 +477,8 @@ def fit_columns(ds: SparseDataset, reg_c: float, W: np.ndarray, theta0: np.ndarr
             g = g[:, keep]
             H = H.columns(keep)
         # Solving H x = g and negating gives the iterates of H x = -g bit for bit.
-        step = -pcg(H, g, np.minimum(0.5, np.sqrt(gnorm)), inner_cap)[0]
+        forcing = np.minimum(0.5, np.maximum(np.sqrt(gnorm), 0.5 * tol / gnorm))
+        step = -pcg(H, g, forcing, inner_cap)[0]
         slope = _dot(g, step)
         # Only theta, z and f carry over to the next iterate; freeing the
         # rest before the line search and the next solve lowers the peak.

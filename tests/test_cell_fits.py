@@ -90,6 +90,24 @@ def drawn_cells(tr, phi, psi, cells):
 
 METHODS = [("random", None), ("optlr", None), ("dropout", None),
            ("linear", None), ("sigmoid", 5.0)]
+BLIND_STEP_EXAMPLE = dict(n=193, d=4, seed=61279, reg_c=0.01,
+                          picks=[(("random", None), 0.5, 0), (("optlr", None), 1.0, 0)])
+
+
+def example_block(n, d, seed, reg_c, picks):
+    """A random training set, its full fit, and the drawn block of a ratio-1
+    random cell followed by ``picks``; None where phi is constant."""
+    rng = np.random.default_rng(seed)
+    tr, va = random_ds(rng, n, d), random_ds(rng, 40, d)
+    full = model.train(tr, reg_c)
+    phi = compute_phi(full, tr, va).phi
+    psi = compute_psi_norms(full, tr)
+    if float(np.ptp(phi)) == 0.0:
+        return None
+    # A ratio-1 random cell is the full objective itself, so a warm start
+    # from the full fit has nothing left to do.
+    cells = [("random", 1.0, None, 0)] + [(m, r, a, s) for (m, a), r, s in picks]
+    return tr, full, drawn_cells(tr, phi, psi, cells)
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -98,22 +116,15 @@ METHODS = [("random", None), ("optlr", None), ("dropout", None),
        picks=st.lists(st.tuples(st.sampled_from(METHODS),
                                 st.sampled_from([0.5, 0.7, 0.9, 1.0]),
                                 st.integers(0, 2**16)), min_size=2, max_size=8))
-# An optlr cell with weights up to 100 (mean 25) whose inexact Newton step
-# left its gradient at 2.4e-8: the next step's predicted decrease, 5e-16, lay
-# below the rounding of f, so the line search rejected it on noise for good.
-@example(n=144, d=4, seed=17223, reg_c=0.01,
-         picks=[(("random", None), 0.5, 0), (("optlr", None), 1.0, 0)])
+# An optlr cell with weights up to 100 (mean 21) whose third Newton step left
+# its gradient at 1.2e-8: the next step's predicted decrease, 1.8e-16, lay
+# below the rounding of f, so a line search that tested it rejected it on
+# noise for good. The test below checks that the example still gets there.
+@example(**BLIND_STEP_EXAMPLE)
 def test_block_fit_matches_dense_subset_optimum(n, d, seed, reg_c, picks):
-    rng = np.random.default_rng(seed)
-    tr, va = random_ds(rng, n, d), random_ds(rng, 40, d)
-    full = model.train(tr, reg_c)
-    phi = compute_phi(full, tr, va).phi
-    psi = compute_psi_norms(full, tr)
-    assume(float(np.ptp(phi)) > 0.0)
-    # A ratio-1 random cell is the full objective itself, so a warm start
-    # from the full fit has nothing left to do.
-    cells = [("random", 1.0, None, 0)] + [(m, r, a, s) for (m, a), r, s in picks]
-    block = drawn_cells(tr, phi, psi, cells)
+    drawn = example_block(n, d, seed, reg_c, picks)
+    assume(drawn is not None)
+    tr, full, block = drawn
     cfg = config(reg_c)
     fits = experiment._fit_cells(cfg, tr, full, block)
     assert len(fits) == len(block)
@@ -161,6 +172,30 @@ def test_block_fit_matches_dense_subset_optimum(n, d, seed, reg_c, picks):
     for cell, fit in zip(block, experiment._fit_cells(one_step, tr, full, block)):
         alone = experiment._fit_cells(one_step, tr, full, [cell])[0]
         assert np.array_equal(alone.theta, fit.theta) and alone.n_iter == fit.n_iter
+
+
+def test_blind_step_example_takes_an_untested_full_step(monkeypatch):
+    """The example above reaches ``_backtrack``'s untested full step: some
+    column's full step fails the Armijo test and is taken anyway. A change to
+    where Newton steps land (the forcing term, say) must keep that branch
+    covered, or pick another example."""
+    untested = []
+    real_backtrack = model._backtrack
+
+    def watched(X, y, W, wbar, reg_c, theta, z, f, step, slope):
+        # The line search's own first trial: the full step of every column.
+        full_step = theta + step
+        f_full = model._objective(full_step, X @ full_step, W, wbar, y, reg_c)
+        rejected = ~(f_full <= f + 1e-4 * slope)
+        real_backtrack(X, y, W, wbar, reg_c, theta, z, f, step, slope)
+        untested.append(int(np.sum(rejected & np.all(theta == full_step, axis=0))))
+
+    monkeypatch.setattr(model, "_backtrack", watched)
+    reg_c = BLIND_STEP_EXAMPLE["reg_c"]
+    tr, full, block = example_block(**BLIND_STEP_EXAMPLE)
+    fits = experiment._fit_cells(config(reg_c), tr, full, block)
+    assert all(fit.converged for fit in fits)
+    assert sum(untested) >= 1
 
 
 def subset_column(rng, n, ratio, spread=1.0):

@@ -7,6 +7,8 @@ three report files. Neither needs an oracle for the numbers themselves.
 """
 
 import csv
+import gzip
+from pathlib import Path
 
 from conftest import dataset_path
 from infsub import cli
@@ -39,6 +41,14 @@ def test_labels_rewritten_as_01_change_no_report_byte(tmp_path, capsys):
     assert _labels(relabelled) == {b"0", b"1"}
     assert (_reports(tmp_path / "pm1", pima)
             == _reports(tmp_path / "01", str(relabelled)))
+
+
+def test_gzipped_input_changes_no_report_byte(tmp_path, capsys):
+    pima = dataset_path("pima_like.svm")
+    zipped = tmp_path / "pima_like.svm.gz"
+    zipped.write_bytes(gzip.compress(Path(pima).read_bytes()))
+    assert (_reports(tmp_path / "plain", pima)
+            == _reports(tmp_path / "gz", str(zipped)))
 
 
 # ``--n-features 20`` gives pima's 9 columns 11 more that are all zero. They

@@ -640,9 +640,12 @@ def reference_curvature(params, ds, sample_weight=None):
 
 
 def reference_train(ds, reg_c, tol=model.TRAIN_TOL, max_iter=model.TRAIN_MAX_ITER,
-                    sample_weight=None):
+                    sample_weight=None, floored=True):
     """Newton as it ran when every step recomputed X theta for each of
-    ``gradient``, ``curvature`` and ``risk``; ``train`` must match it bit for bit."""
+    ``gradient``, ``curvature`` and ``risk``; ``train`` must match it bit for bit.
+
+    Each step's forcing tolerance is min(0.5, max(sqrt(||g||), 0.5 tol / ||g||)),
+    or min(0.5, sqrt(||g||)) without the floor when ``floored`` is False."""
     w = _reference_weights(ds, sample_weight)
     d = ds.n_features
     theta = np.zeros(d)
@@ -654,7 +657,8 @@ def reference_train(ds, reg_c, tol=model.TRAIN_TOL, max_iter=model.TRAIN_MAX_ITE
         gnorm = float(np.linalg.norm(g))
         if gnorm <= tol:
             return ModelParams(theta, reg_c, gnorm, n_iter - 1, True)
-        step, _ = pcg(reference_curvature(params, ds, w), -g, min(0.5, np.sqrt(gnorm)), inner_cap)
+        forcing = min(0.5, max(np.sqrt(gnorm), 0.5 * tol / gnorm) if floored else np.sqrt(gnorm))
+        step, _ = model.pcg(reference_curvature(params, ds, w), -g, forcing, inner_cap)
         f0 = reference_risk(params, ds, w)
         slope = float(g @ step)
         t = 1.0
@@ -693,6 +697,28 @@ def test_train_is_bit_identical_to_reference_newton(case):
     assert (got.grad_norm, got.n_iter, got.converged) == (
         want.grad_norm, want.n_iter, want.converged)
     assert got.converged == (case != "one-step")
+
+
+def test_forcing_floor_saves_cg_iterations_and_keeps_the_tolerance(monkeypatch):
+    """Without the floor, the last Newton step's solve runs on to a gradient
+    far below tol; with it, that solve aims at tol / 2 and stops sooner."""
+    ds, reg_c = ill_conditioned(n=600, d=60, scale_span=10.0), 0.1
+    iters = []
+    real_pcg = model.pcg
+
+    def counted_pcg(*args, **kwargs):
+        x, info = real_pcg(*args, **kwargs)
+        iters.append(info.iters)
+        return x, info
+
+    monkeypatch.setattr(model, "pcg", counted_pcg)
+    fit = train(ds, reg_c)
+    floored_iters = sum(iters)
+    iters.clear()
+    unfloored = reference_train(ds, reg_c, floored=False)
+    assert fit.converged and fit.grad_norm <= model.TRAIN_TOL
+    assert unfloored.converged and unfloored.grad_norm <= model.TRAIN_TOL
+    assert floored_iters < sum(iters)
 
 
 def test_public_kernels_match_reference_bit_for_bit():
