@@ -266,10 +266,8 @@ def run_pipeline(cfg: ExperimentConfig) -> ExperimentReport:
 
     full = model.train(tr, cfg.reg_c, tol=cfg.train_tol, max_iter=cfg.train_max_iter)
     _require_converged(full, "full-set fit")
-    has_te = te.n_rows > 0
     full_va = model.mean_logloss(full, va)
-    full_te = model.mean_logloss(full, te) if has_te else float("nan")
-    full_acc = model.accuracy(full, te) if has_te else float("nan")
+    [full_te], [full_acc] = model.score_columns(full.theta[:, None], te)
 
     labels = expand_methods(cfg)
     scores = {sampling.METHODS[base] for _, base, _ in labels}
@@ -384,14 +382,12 @@ def _score_cells(cells: list[CellResult], full: ModelParams, fits: list[ModelPar
                  va: SparseDataset, te: SparseDataset) -> list[CellResult]:
     """The held-out metrics of a block's fitted cells, scored in one pass.
 
-    The converged fits are the columns of one order-F (d, k) Theta. One
-    product with each held-out X gives every column's margins, kept column
-    by column (order F), so each column's mean loss sums pairwise as a
-    vector's does; accuracy reads the same test margins, and gamma is
-    ``model._dot`` of each column's shift from the full-set theta. Each
-    metric is then bit for bit ``model.mean_logloss``, ``model.accuracy``
-    or ``risk.gamma_shift`` of that fit alone. A non-converged fit fails
-    only its own cell.
+    The converged fits are the columns of one order-F (d, k) Theta, which
+    ``model.score_columns`` scores on each held-out set with one product;
+    gamma is ``model._dot`` of each column's shift from the full-set theta.
+    Each metric is then bit for bit ``model.mean_logloss``,
+    ``model.accuracy`` or ``risk.gamma_shift`` of that fit alone. A
+    non-converged fit fails only its own cell.
     """
     results, scored = list(cells), []
     for j, fit in enumerate(fits):
@@ -405,15 +401,9 @@ def _score_cells(cells: list[CellResult], full: ModelParams, fits: list[ModelPar
     Theta = np.array([fits[j].theta for j in scored]).T
     shift = np.subtract(Theta, full.theta[:, None], order="F")
     gamma = model._dot(shift, shift)
-    z = np.asfortranarray(va.X @ Theta)
-    va_loss = np.mean(model._log_loss(z, va.y[:, None]), axis=0)
-    te_loss = te_acc = np.full(len(scored), np.nan)
-    if te.n_rows > 0:
-        z = np.asfortranarray(te.X @ Theta)
-        te_loss = np.mean(model._log_loss(z, te.y[:, None]), axis=0)
-        te_acc = np.mean((model._sigmoid(z) >= 0.5) == (te.y[:, None] == 1), axis=0)
-    for j, va_j, te_j, acc_j, gamma_j in zip(scored, va_loss.tolist(), te_loss.tolist(),
-                                             te_acc.tolist(), gamma.tolist()):
+    va_loss, _ = model.score_columns(Theta, va)
+    te_loss, te_acc = model.score_columns(Theta, te)
+    for j, va_j, te_j, acc_j, gamma_j in zip(scored, va_loss, te_loss, te_acc, gamma.tolist()):
         results[j] = dataclasses.replace(results[j], va_logloss=va_j, te_logloss=te_j,
                                          te_accuracy=acc_j, gamma=gamma_j)
     return results

@@ -228,6 +228,23 @@ def accuracy(params: ModelParams, ds: SparseDataset) -> float:
     return float(np.mean((p >= 0.5) == (ds.y == 1)))
 
 
+def score_columns(Theta: np.ndarray, ds: SparseDataset) -> tuple[list[float], list[float]]:
+    """Mean log loss and accuracy of each column of Theta (d, k) on ``ds``, as floats.
+
+    One product X @ Theta gives every column's margins, kept column by column
+    (order F), so each column's mean sums pairwise as a vector's does, and
+    accuracy reads the same margins; each entry is then bit for bit
+    ``mean_logloss`` or ``accuracy`` of that column alone. An empty ``ds``
+    scores NaN.
+    """
+    if ds.n_rows == 0:
+        return [float("nan")] * Theta.shape[1], [float("nan")] * Theta.shape[1]
+    z = np.asfortranarray(ds.X @ Theta)
+    y = ds.y[:, None]
+    return (np.mean(_log_loss(z, y), axis=0).tolist(),
+            np.mean((_sigmoid(z) >= 0.5) == (y == 1), axis=0).tolist())
+
+
 def gradient(params: ModelParams, ds: SparseDataset) -> np.ndarray:
     """Gradient of ``risk`` at ``params``: (1/n) X^T (p - y) + C theta."""
     return _derivatives(*_at(params, ds), ds.X, ds.X.T)[0]
@@ -304,16 +321,22 @@ def pcg(H: Curvature, b: np.ndarray, tol: float | np.ndarray, max_iter: int,
     on its own, whatever the other columns are and whenever they stop.
     ``mdiag``, the preconditioner's diagonal, has shape (d,) and serves
     every column.
-    ``tol`` is one relative tolerance or one per column. A column stops
-    once its recursively updated residual r (the residual CG carries along,
-    not a fresh b - H x) has ||r|| <= tol ||b||, and then leaves the block,
-    so later products cover only the columns still running, through their
-    own operators where H is a block of them. On hitting max_iter, or on a
-    direction with p.Hp <= 0 (H not positive definite), a column stops with
-    its last iterate and that iterate's residual, flagged not converged,
-    after the iterations it actually did; callers decide whether that is
+    ``tol`` is one relative tolerance or one per column. The loop has one
+    stop step, at the top of each of its max_iter + 1 passes, as
+    ``fit_columns`` has. After k iterations it retires each column whose
+    recursively updated residual r (the residual CG carries along, not a
+    fresh b - H x) has ||r|| <= tol ||b||, converged (a zero b at k = 0);
+    flagged not converged, each column whose last direction had p.Hp <= 0
+    (H not positive definite), which took no step and so counts k - 1
+    iterations; and at k = max_iter every column left, flagged too. Each
+    keeps its last iterate and that iterate's residual, and later products
+    cover only the columns still running, through their own operators
+    where H is a block of them. Callers decide whether a flagged column is
     fatal. CG's last iterate already has the least H-norm error over the
-    Krylov space it searched. Every product goes through ``hvp``.
+    Krylov space it searched. A tol of 1 or more is met by the zero start,
+    so such a column returns x = 0, converged, after 0 iterations; no
+    caller passes one (Newton's forcing term is at most 0.5, and
+    ``influence.PcgConfig`` refuses it). Every product goes through ``hvp``.
     """
     vector = b.ndim == 1
     # Column-contiguous blocks (``_dot``); a vector becomes a block of one.
@@ -322,62 +345,49 @@ def pcg(H: Curvature, b: np.ndarray, tol: float | np.ndarray, max_iter: int,
         mdiag = mdiag[:, None]
     tol = np.broadcast_to(np.asarray(tol, dtype=np.float64), b.shape[1:])
     bnorm = np.sqrt(_dot(b, b))
-    # Each column's outcome, filled in as it stops; zero columns stop at once.
+    # Each column's outcome, filled in as it stops.
     sol = np.zeros_like(b)
     residual = np.zeros_like(bnorm)
-    converged = bnorm == 0.0
+    converged = np.zeros(bnorm.shape, dtype=bool)
+    # The state of the columns still running, which ``cols`` names.
     cols = np.arange(b.shape[1])
-    n_iter = 0
-
-    def narrow(keep):
-        nonlocal H
-        H = H.columns(keep)
-        return bnorm[keep], tol[keep], cols[keep]
-
-    if np.any(converged):
-        b = b[:, ~converged]
-        bnorm, tol, cols = narrow(~converged)
     x = np.zeros_like(b)
     r = np.copy(b)
     z = r / mdiag if mdiag is not None else r
     p = np.copy(z)
     rz = _dot(r, z)
     res = bnorm
-
-    k = 0
-    while cols.size and k < max_iter:
-        k += 1
+    broke = np.zeros_like(converged)
+    n_iter = 0
+    for k in range(max_iter + 1):
+        done = res <= tol * bnorm
+        if np.any(stop := done | broke | (k == max_iter)):
+            j = cols[stop]
+            sol[:, j], residual[j], converged[j] = x[:, stop], res[stop], done[stop]
+            n_iter = max(n_iter, k - 1 if np.all(broke[stop]) else k)
+            keep = ~stop
+            cols, rz, res, bnorm, tol = cols[keep], rz[keep], res[keep], bnorm[keep], tol[keep]
+            # One block at a time, so each old copy is freed before the next is made.
+            x = x[:, keep]
+            r = r[:, keep]
+            p = p[:, keep]
+            H = H.columns(keep)
+        if cols.size == 0:
+            break
         q = hvp(H, p)
         pq = _dot(p, q)
-        # A column whose direction breaks down takes no step and stops below.
+        # A column whose direction breaks down takes no step and stops at the next pass.
         broke = pq <= 0.0
         a = np.divide(rz, pq, out=np.zeros_like(pq), where=~broke)
         x += a * p
         r -= a * q
         res = np.sqrt(_dot(r, r))
-        done = res <= tol * bnorm
-        if np.any(stop := done | broke):
-            j = cols[stop]
-            sol[:, j], residual[j], converged[j] = x[:, stop], res[stop], done[stop]
-            n_iter = max(n_iter, k if np.any(done) else k - 1)
-            keep = ~stop
-            # One array at a time, so each old copy is freed before the next is made.
-            x = x[:, keep]
-            r = r[:, keep]
-            p = p[:, keep]
-            rz, res = rz[keep], res[keep]
-            bnorm, tol, cols = narrow(keep)
-            if cols.size == 0:
-                break
-
         z = r / mdiag if mdiag is not None else r
         rz_new = _dot(r, z)
         p *= rz_new / rz
         p += z
         rz = rz_new
 
-    if cols.size:
-        sol[:, cols], residual[cols], n_iter = x, res, max_iter
     if vector:
         return sol[:, 0], PcgInfo(n_iter, float(residual[0]), bool(converged[0]))
     return sol, PcgInfo(n_iter, residual, converged)

@@ -456,6 +456,19 @@ def test_pipeline_rejects_an_empty_te_path_before_loading(tmp_path, capsys, empt
     assert not out.exists()
 
 
+def test_pipeline_refuses_a_va_file_without_rows(files, tmp_path, capsys):
+    # A missing te file leaves the test metrics NaN; a va file without rows
+    # has nothing to score influence or the full-set fit against.
+    empty = tmp_path / "empty.svm"
+    empty.write_bytes(b"")
+    out = tmp_path / "report.csv"
+    code = cli.main(["pipeline", "--tr", files["tr"], "--va", str(empty), "--method", "random",
+                     "--repeats", "1", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: empty dataset\n"
+    assert not out.exists()
+
+
 def test_pipeline_rejects_zero_reg_c_before_loading(tmp_path, capsys):
     # The dataset does not exist: reg_c must be refused before it is read.
     out = tmp_path / "report.csv"

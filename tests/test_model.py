@@ -224,6 +224,20 @@ def test_accuracy_simple():
     assert accuracy(params, ds) == pytest.approx(0.5)
 
 
+def test_score_columns_is_each_columns_metrics_bit_for_bit():
+    # 60 features give long enough columns that a strided read would round
+    # apart from the column alone.
+    ds = ill_conditioned(n=300, d=60, scale_span=10.0, seed=3)
+    Theta = np.random.default_rng(3).normal(0.0, 0.1, (ds.n_features, 5))
+    losses, accs = model.score_columns(Theta, ds)
+    for j, theta in enumerate(Theta.T):
+        params = ModelParams(theta, 0.1)
+        assert repr(losses[j]) == repr(mean_logloss(params, ds))
+        assert repr(accs[j]) == repr(accuracy(params, ds))
+    empty = ds.subset(np.empty(0, dtype=np.int64))
+    assert np.isnan(model.score_columns(Theta, empty)).all()
+
+
 def test_empty_dataset_errors():
     empty = make_ds(np.zeros((0, 2)), [])
     params = ModelParams(np.zeros(2), 0.1)
@@ -504,6 +518,33 @@ def test_capped_pcg_h_norm_error_never_grows(seed):
     errs = [h_err(pcg(H, b, 1e-14, m)[0]) for m in range(35)]
     for cap in (3, 5, 8, 13, 21, 34):
         assert errs[cap] <= min(errs[:cap])
+
+
+def test_pcg_tolerance_of_one_is_met_by_the_zero_start():
+    # ||b - H 0|| = ||b|| <= tol ||b|| once tol >= 1, so the stop step retires
+    # such a column before any iteration, and its block-mate runs as alone.
+    ds = ill_conditioned(n=200, d=40, seed=5)
+    H = curvature(ModelParams(np.zeros(ds.n_features), 1e-2), ds)
+    b = np.random.default_rng(5).normal(size=ds.n_features)
+    x, info = pcg(H, b, 1.0, 100, H.diag)
+    assert np.array_equal(x, np.zeros_like(b))
+    assert info.converged and info.iters == 0
+    alone, alone_info = pcg(H, b, 1e-8, 100, H.diag)
+    assert alone_info.converged and alone_info.iters > 0
+    X, info = pcg(H, np.column_stack([b, b]), np.array([1.5, 1e-8]), 100, H.diag)
+    assert np.array_equal(X[:, 0], np.zeros_like(b)) and np.array_equal(X[:, 1], alone)
+    assert info.converged.tolist() == [True, True] and info.iters == alone_info.iters
+    assert info.residual[1] == alone_info.residual
+
+
+def test_pcg_empty_block_runs_no_product(monkeypatch):
+    ds = ill_conditioned(n=200, d=40, seed=5)
+    H = curvature(ModelParams(np.zeros(ds.n_features), 1e-2), ds)
+    calls = []
+    monkeypatch.setattr(model, "hvp", lambda *args: calls.append(args) or hvp(*args))
+    x, info = pcg(H, np.zeros((ds.n_features, 0)), 1e-8, 50)
+    assert x.shape == (ds.n_features, 0) and calls == []
+    assert info.iters == 0 and info.residual.shape == info.converged.shape == (0,)
 
 
 def test_risk_is_convex_along_segments(small_fit):
