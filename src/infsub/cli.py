@@ -208,6 +208,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
                                          f"but {args.plan} holds {plan.probs.size} plan rows")
     ds = load_libsvm(args.data, args.n_features)
     params = _load_model_for(args.model, ds.n_features)
+    shift = (risk.gamma_shift(_load_model_for(args.baseline_model, ds.n_features), params)
+             if args.baseline_model else None)   # before anything is printed or written
     losses = model.per_sample_loss(params, ds, regularized=False)
     print(f"mean logloss {np.mean(losses):.6f}, accuracy {model.accuracy(params, ds):.4f} "
           f"on {ds.n_rows} rows")
@@ -218,9 +220,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         if args.out:
             risk.write_worst_case_curve_csv(curve, args.out)
             print(f"worst-case curve -> {args.out}")
-    if args.baseline_model:
-        base = _load_model_for(args.baseline_model, ds.n_features)
-        print(f"squared parameter shift vs baseline: {risk.gamma_shift(base, params):.6e}")
+    if shift is not None:
+        print(f"squared parameter shift vs baseline: {shift:.6e}")
     if args.influence:
         cov = risk.cov_phi_eps(phi, plan.probs)
         print(f"cov(influence, weight shift): {cov:.6e} "

@@ -22,14 +22,25 @@ class DataError(ValueError):
     """Malformed input data or an invalid dataset operation."""
 
 
+def read_lines(path: str) -> list[tuple[int, str]]:
+    """The nonblank lines of a UTF-8 text file (universal newlines), stripped,
+    each with its 1-based number; OSError becomes DataError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    return [(no, s) for no, ln in enumerate(text.split("\n"), 1) if (s := ln.strip())]
+
+
 def write_lines(path: str, lines: Iterable[str]) -> None:
-    """Stream each string out as one line of UTF-8 text; OSError becomes RuntimeError."""
+    """Stream each string out as one line of UTF-8 text; OSError becomes DataError."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
             for line in lines:
                 fh.write(line + "\n")
     except OSError as exc:
-        raise RuntimeError(f"cannot write {path}: {exc}") from exc
+        raise DataError(f"cannot write {path}: {exc}") from exc
 
 
 def write_table(path: str, header: Sequence[str], columns: Sequence,
@@ -55,14 +66,10 @@ def read_table(path: str) -> tuple[str | None, list[str], list[list[str]]]:
 
     Blank lines are skipped and cells stay text. Every row must be as wide
     as the header, and a leading ``index`` column must count 0..n-1 in
-    order; either failure raises ValueError naming the file. OSError
-    becomes RuntimeError.
+    order; either failure raises ValueError naming the file. An unreadable
+    file raises DataError.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln for ln in map(str.strip, fh.read().split("\n")) if ln]
-    except OSError as exc:
-        raise RuntimeError(f"cannot read {path}: {exc}") from exc
+    lines = [ln for _, ln in read_lines(path)]
     comment = lines.pop(0).lstrip("#").strip() if lines and lines[0].startswith("#") else None
     if not lines:
         raise ValueError(f"{path}: empty table, no header")

@@ -344,7 +344,7 @@ def _failed(cell: CellResult, exc: Exception) -> CellResult:
 
 def _draw_cell(tr: SparseDataset, probs: np.ndarray, base: str, ratio: float, seed: int,
                phi: np.ndarray | None) -> np.ndarray:
-    """A cell's draw, as a mask over the training rows; a single-class draw raises."""
+    """A cell's draw, as a mask over the training rows; a draw of one class or none raises."""
     rows = sampling.draw_subset(probs, ratio, tr.y, base, seed, phi=phi).selected
     model.check_two_classes(tr.y[rows])
     selected = np.zeros(tr.n_rows, dtype=bool)

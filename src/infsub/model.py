@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .data import SparseDataset
+from .data import SparseDataset, read_lines, write_lines
 
 PROB_CLIP = 1e-12
 # Newton stops at this gradient norm, or after this many steps.
@@ -406,7 +406,9 @@ def check_train_settings(reg_c: float, tol: float = TRAIN_TOL,
 
 def check_two_classes(y: np.ndarray) -> None:
     """Refuse training labels (those of the rows with positive weight) of one class or none."""
-    if y.size == 0 or np.all(y == y[0]):
+    if y.size == 0:
+        raise ModelError("training data has no rows")
+    if np.all(y == y[0]):
         raise ModelError("training data carries a single class")
 
 
@@ -534,15 +536,10 @@ def _backtrack(X: sp.csr_array, y: np.ndarray, W: np.ndarray, wbar: np.ndarray, 
 
 
 def save_params(params: ModelParams, path: str) -> None:
-    """Write ``d C`` then one ``index value`` line per nonzero weight, in one write."""
+    """Write ``d C``, then ``index value`` per nonzero weight; a bad path raises DataError."""
     nonzero = np.flatnonzero(params.theta != 0.0)
-    text = f"{params.dim} {params.reg_c!r}\n" + "".join(
-        [f"{k} {v!r}\n" for k, v in zip(nonzero.tolist(), params.theta[nonzero].tolist())])
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise ModelError(f"cannot write {path}: {exc}") from exc
+    write_lines(path, [f"{params.dim} {params.reg_c!r}"] + [
+        f"{k} {v!r}" for k, v in zip(nonzero.tolist(), params.theta[nonzero].tolist())])
 
 
 def load_params(path: str) -> ModelParams:
@@ -553,13 +550,9 @@ def load_params(path: str) -> ModelParams:
     the file and its first faulty line, 1-based: a bad header (C not finite
     and nonnegative), a negative dimension, a dimension too large for one
     array, a bad weight line (value not finite), an index out of range (not
-    0 <= index < d) or a duplicate index.
+    0 <= index < d) or a duplicate index. An unreadable file raises DataError.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [(no, s) for no, ln in enumerate(fh.read().split("\n"), 1) if (s := ln.strip())]
-    except OSError as exc:
-        raise ModelError(f"cannot read {path}: {exc}") from exc
+    lines = read_lines(path)
     if not lines:
         raise ModelError(f"{path}: empty model file")
     ints, floats = [], []

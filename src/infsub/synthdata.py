@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .data import SparseDataset, load_libsvm
+from .data import DataError, SparseDataset, load_libsvm, write_lines
 
 def ill_conditioned(n: int = 400, d: int = 30, scale_span: float = 1e4,
                     seed: int = 5) -> SparseDataset:
@@ -51,12 +51,12 @@ def _main(argv: list[str] | None = None) -> int:
         os.makedirs(args.outdir, exist_ok=True)
         for name in ("breast_cancer_like.svm", "pima_like.svm"):
             path = os.path.join(args.outdir, name)
-            with open(path, "wb") as fh:
-                fh.write((resources.files(__package__) / "datasets" / name).read_bytes())
+            resource = resources.files(__package__) / "datasets" / name
+            write_lines(path, resource.read_text(encoding="utf-8").splitlines())
             ds = load_libsvm(path)
             print(f"wrote {path}: {ds.n_rows} rows, {ds.n_features} features, "
                   f"{ds.y.mean():.3f} positive")
-    except OSError as exc:
+    except (OSError, DataError) as exc:   # OSError: an outdir makedirs cannot make
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

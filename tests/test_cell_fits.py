@@ -427,7 +427,8 @@ def test_fit_block_widths_follow_x_bytes_and_the_cpu_count(monkeypatch, shape, c
 
 def test_single_class_draw_fails_only_its_cell(tmp_path):
     # 3 positives in 60 rows: at ratio 0.1 the positive quota rounds to 0,
-    # so those draws hold one class and fail; ratio 0.9 cells still fit.
+    # so those draws hold one class and fail; ratio 0.9 cells still fit. At
+    # ratio 0.001 both quotas round to 0, and the empty draw says so.
     rng = np.random.default_rng(5)
     X = rng.normal(size=(60, 3))
     y = np.zeros(60, dtype=np.int8)
@@ -436,10 +437,11 @@ def test_single_class_draw_fails_only_its_cell(tmp_path):
     write_libsvm(make_ds(X, y), str(tr_path))
     write_libsvm(random_ds(rng, 30, 3), str(va_path))
     cfg = ExperimentConfig(tr_path=str(tr_path), va_path=str(va_path), methods=["random"],
-                           ratios=[0.1, 0.9], repeats=2)
+                           ratios=[0.001, 0.1, 0.9], repeats=2)
     report = run_pipeline(cfg)
     assert [c.error for c in report.cells] == (
-        ["ModelError: training data carries a single class"] * 2 + [None] * 2)
+        ["ModelError: training data has no rows"] * 2
+        + ["ModelError: training data carries a single class"] * 2 + [None] * 2)
 
 
 def test_capped_column_fails_while_its_block_succeeds(monkeypatch):
@@ -538,5 +540,8 @@ def test_fit_columns_validation_errors():
     with pytest.raises(ModelError, match="single class"):
         # The second column weighs out the one negative row.
         model.fit_columns(ds, 0.1, np.array([[1.0, 1.0], [1.0, 0.0], [1.0, 1.0]]), np.zeros(1))
+    with pytest.raises(ModelError, match="has no rows"):
+        # The second column weighs out every row.
+        model.fit_columns(ds, 0.1, np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]]), np.zeros(1))
     with pytest.raises(ModelError, match="empty"):
         model.fit_columns(make_ds(np.zeros((0, 1)), []), 0.1, np.ones((0, 1)), np.zeros(1))

@@ -163,6 +163,27 @@ def test_evaluate_refuses_influence_and_plan_of_different_lengths(files, tmp_pat
                    "holds 80 plan rows\n")
 
 
+@pytest.mark.parametrize("baseline", ["missing", "other-reg-c"])
+def test_evaluate_refuses_a_baseline_before_printing_or_writing(files, tmp_path, capsys,
+                                                                 baseline):
+    # The baseline model is loaded and compared with the model before the
+    # logloss is printed or the curve written: a missing file, or a model
+    # fitted at another reg_c, exits 2 with nothing on stdout and no curve.
+    base = tmp_path / "baseline.txt"
+    if baseline == "other-reg-c":
+        assert cli.main(["train", "--tr", files["tr"], "--reg-c", "0.2", "--out", str(base)]) == 0
+    capsys.readouterr()
+    curve_path = tmp_path / "curve.csv"
+    code = cli.main(["evaluate", "--model", files["model"], "--data", files["va"],
+                     "--deltas", "0.1", "--out", str(curve_path), "--baseline-model", str(base)])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: cannot read {base}: " if baseline == "missing"
+                          else "error: models fitted with different reg_c: 0.2 vs 0.1\n")
+    assert not curve_path.exists()
+
+
 def test_evaluate_huge_radius_gives_the_largest_loss(files, tmp_path):
     # 2 delta + 1 overflows to inf at delta = 1e308; the curve must still
     # end at the largest loss, not NaN.

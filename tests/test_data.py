@@ -1,8 +1,10 @@
 """Ingestion, validation, splitting, and label-noise behavior of the data layer."""
 
+import ast
 import gzip
 import hashlib
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -197,8 +199,25 @@ def test_load_aligned_widens_every_file_to_the_widest(tmp_path):
 
 def test_write_libsvm_unwritable_path(tmp_path):
     ds = make_ds([[1.0, 0.0]], [1])
-    with pytest.raises(RuntimeError, match="cannot write"):
+    with pytest.raises(DataError, match="cannot write"):
         write_libsvm(ds, str(tmp_path / "missing_dir" / "out.svm"))
+
+
+def test_only_data_opens_text_files():
+    # read_lines, write_lines and load_libsvm are the one text-file layer: no
+    # other module of the package calls the builtin open or imports gzip.
+    modules = sorted(Path(data.__file__).parent.glob("*.py"))
+    assert "data.py" in [path.name for path in modules]
+    found = []
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            opens = (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                     and node.func.id == "open")
+            gzips = (isinstance(node, ast.Import) and "gzip" in [a.name for a in node.names]
+                     or isinstance(node, ast.ImportFrom) and node.module == "gzip")
+            if (opens or gzips) and path.name != "data.py":
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def test_write_parse_round_trip_exact(tmp_path):
@@ -248,7 +267,7 @@ def test_table_reader_checks(tmp_path):
             read_table(str(path))
     path.write_text("\n\nx,index\n\n5,9\n")
     assert read_table(str(path)) == (None, ["x", "index"], [["5"], ["9"]])
-    with pytest.raises(RuntimeError, match="cannot read"):
+    with pytest.raises(DataError, match="cannot read"):
         read_table(str(tmp_path / "missing.csv"))
 
 
@@ -493,3 +512,4 @@ def test_synthdata_reports_an_unwritable_target_with_exit_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert str(tmp_path / target) in err
+    assert err.startswith(f"error: cannot write {tmp_path / 'out' / 'pima_like.svm'}: ")

@@ -12,7 +12,7 @@ import pytest
 
 from conftest import blocks_of, dense_grad_rows, dense_hessian, make_ds, random_ds
 from infsub import model, parallel
-from infsub.data import SparseDataset
+from infsub.data import DataError, SparseDataset
 from infsub.influence import (ConvergenceError, PcgConfig, compute_phi, compute_psi_norms,
                               inverse_hvp_pcg, read_influence_csv, write_influence_csv)
 from infsub.model import ModelParams, train
@@ -478,5 +478,5 @@ def test_influence_csv_read_errors(tmp_path):
         path.write_text(text)
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: could not convert"):
             read_influence_csv(str(path))
-    with pytest.raises(RuntimeError, match="cannot read"):
+    with pytest.raises(DataError, match="cannot read"):
         read_influence_csv(str(tmp_path / "missing.csv"))

@@ -18,7 +18,7 @@ from scipy.special import expit
 
 from conftest import dataset_path, dense_hessian, make_ds, random_ds
 from infsub import model, parallel
-from infsub.data import SplitSpec, split, load_libsvm
+from infsub.data import DataError, SplitSpec, split, load_libsvm
 from infsub.model import (PROB_CLIP, Curvature, ModelError, ModelParams, accuracy,
                           curvature, gradient, hessian_diag, hvp, load_params,
                           mean_logloss, pcg, per_sample_loss, predict_proba,
@@ -944,14 +944,14 @@ def test_load_params_rejects_float_integers_with_warnings_ignored(tmp_path, text
 
 def test_save_params_names_a_path_it_cannot_write(tmp_path):
     path = tmp_path / "missing-dir" / "model.txt"
-    with pytest.raises(ModelError) as err:
+    with pytest.raises(DataError) as err:
         save_params(ModelParams(np.ones(2), 0.1), str(path))
     assert str(err.value).startswith(f"cannot write {path}: ")
     assert isinstance(err.value.__cause__, FileNotFoundError)
 
 
 def test_load_params_errors(tmp_path):
-    with pytest.raises(ModelError, match="cannot read"):
+    with pytest.raises(DataError, match="cannot read"):
         load_params(str(tmp_path / "missing.txt"))
     empty = tmp_path / "empty.txt"
     empty.write_text("\n")
